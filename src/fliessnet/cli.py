@@ -4,6 +4,10 @@ Every result embeds the tool version, an input hash, and the parameters; the
 only timestamp lives in the metadata field, so outputs are byte-identical
 across runs once that field is stripped. Exit codes: 0 success, 1 domain
 error (with a structured error JSON on stdout), 2 usage error.
+
+Each subcommand is one COMMANDS entry declaring its flags, its result fields
+and their JSON types, and the function that computes the result; one
+dispatcher does the rest, and --schema is built from the field declaration.
 """
 
 from __future__ import annotations
@@ -14,18 +18,18 @@ import hashlib
 import io
 import json
 import sys
+from dataclasses import dataclass
 from datetime import datetime, timezone
-from fractions import Fraction
 from pathlib import Path
-
-import numpy as np
+from types import UnionType
+from typing import Callable
 
 from . import __version__
 from .errors import FliessnetError
 from .growth import abel_taylor, m_inf_bound
 from .network import NetworkSpec, io_map, network_from_json
-from .reldeg import genericity_sample, predict_io_reldeg, relative_degree
-from .series import Series, coeff_str, series_to_json
+from .reldeg import genericity_sample, pair_report, relative_degree
+from .series import coeff_str, series_to_json
 from .sim import Grid, simulate_maximal_ode, simulate_picard, validate_io_map
 from .words import format_word, parse_word
 
@@ -40,40 +44,25 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _hash_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def _hash_params(params: dict) -> str:
-    return _hash_bytes(json.dumps(params, sort_keys=True).encode("utf-8"))
-
-
 def _load_net(path: str) -> tuple[NetworkSpec, str]:
     p = Path(path)
     if not p.is_file():
         raise UsageError(f"network file not found: {path}")
     raw = p.read_bytes()
-    return network_from_json(json.loads(raw.decode("utf-8"))), _hash_bytes(raw)
+    return network_from_json(json.loads(raw.decode("utf-8"))), hashlib.sha256(raw).hexdigest()
 
 
-def _envelope(result, params: dict, input_hash: str) -> dict:
-    return {
-        "meta": {
-            "tool": TOOL,
-            "version": __version__,
-            "input_sha256": input_hash,
-            "params": params,
-            "created": _timestamp(),
-        },
-        "result": result,
-    }
+def _json_text(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _json_text(envelope: dict) -> str:
-    return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+def _envelope_text(result, params: dict, input_hash: str) -> str:
+    meta = dict(tool=TOOL, version=__version__, input_sha256=input_hash, params=params)
+    meta["created"] = _timestamp()
+    return _json_text({"meta": meta, "result": result})
 
 
-def _csv_text(params: dict, input_hash: str, header: list[str], rows: list[list]) -> str:
+def _csv_text(params: dict, input_hash: str, header: list[str], rows) -> str:
     buf = io.StringIO()
     buf.write(f"# tool: {TOOL} {__version__}\n")
     buf.write(f"# input_sha256: {input_hash}\n")
@@ -92,15 +81,273 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _require(args: argparse.Namespace, names: list[str]) -> None:
-    missing = [n for n in names if getattr(args, n.replace("-", "_")) is None]
+def _require(args: argparse.Namespace, names) -> None:
+    missing = [n for n in names if getattr(args, n) is None]
     if missing:
         raise UsageError("missing required flags: " + ", ".join("--" + n for n in missing))
 
 
-def _print_schema(schema: dict) -> int:
-    sys.stdout.write(json.dumps(schema, sort_keys=True, indent=2) + "\n")
-    return 0
+def _field_rows(result: dict) -> tuple[dict, list[str], list[list]]:
+    """A flat result and its CSV form: one (field, value) row per field."""
+    return result, ["field", "value"], [[k, "" if v is None else v] for k, v in result.items()]
+
+
+# Every flag a subcommand may read; a subcommand gets only the flags it reads,
+# and a flag it requires loses its default, so leaving it out is reported.
+FLAGS = {
+    "net": dict(help="path to a network JSON file"),
+    "out": dict(help="write the result to this path instead of stdout"),
+    "seed": dict(type=int, help="random seed"),
+    "degree": dict(type=int, help="truncation degree"),
+    "from": dict(type=int, help="input node (1-based)"),
+    "to": dict(type=int, help="output node (1-based)"),
+    "m": dict(type=int, help="node count"),
+    "K": dict(help="coefficient bound Kbar (rational, e.g. 3 or 7/2)"),
+    "M": dict(help="geometric bound Mbar (rational)"),
+    "n": dict(type=int, default=400, help="grid steps; for abel, the highest derivative order"),
+    "t0": dict(type=float, default=0.0),
+    "T": dict(type=float, help="horizon length"),
+    "method": dict(choices=["auto", "ode", "picard"], default="auto"),
+    "threshold": dict(type=float, default=1e9, help="escape detection level"),
+    "samples": dict(type=int, default=1000),
+    "jobs": dict(type=int, default=1),
+    "bins": dict(type=int, default=40),
+    "word": dict(help='tracked word, e.g. "x0 x0 x1"'),
+}
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand. `flags` lists the flags it reads, "[out]" marking an
+    optional one; `fields` gives each result key its type (see _json_type).
+    `compute(args, net, params)` returns the result, CSV header and CSV rows.
+    `formats[0]` is the default; with none, CSV goes to --out, the result to a
+    .meta.json sidecar."""
+
+    help: str
+    flags: str
+    fields: dict
+    compute: Callable
+    formats: tuple[str, ...] = ("json", "csv")
+    csv_columns: list[str] | None = None
+
+    def flag_list(self) -> list[tuple[str, bool]]:
+        return [(f.strip("[]"), not f.startswith("[")) for f in self.flags.split()]
+
+
+def _iomap(args, net, params):
+    d = io_map(net, getattr(args, "from"), args.to, args.degree)
+    rows = ([format_word(w), coeff_str(val)] for w, val in d.items())
+    return series_to_json(d), ["word", "coeff"], rows
+
+
+def _reldeg(args, net, params):
+    i, j = getattr(args, "from"), args.to
+    measured = relative_degree(io_map(net, i, j, args.degree))
+    report = pair_report(net, i, j, measured)
+    predicted = report.predicted
+    result = {
+        "from": i,
+        "to": j,
+        "degree": args.degree,
+        "measured": measured.r,
+        "measured_status": measured.status,
+        "leading": None if measured.leading is None else coeff_str(measured.leading),
+        "predicted": None if predicted is None else predicted.r_pred,
+        "condition": None if predicted is None else predicted.condition,
+        "consistent": report.consistent,
+        "prediction_error": report.prediction_error,
+    }
+    return _field_rows(result)
+
+
+def _bounds(args, net, params):
+    bound = m_inf_bound(args.K, args.M, args.m)
+    result = {
+        "m": bound.m,
+        "Kbar": coeff_str(bound.Kbar),
+        "Mbar": coeff_str(bound.Mbar),
+        "M_inf": bound.M_inf,
+        "t_star": bound.t_star,
+    }
+    return _field_rows(result)
+
+
+def _abel(args, net, params):
+    seq = abel_taylor(args.m, args.K, args.M, args.n)
+    a, mhat = [coeff_str(v) for v in seq.a], [coeff_str(v) for v in seq.mhat]
+    K, M = coeff_str(seq.K), coeff_str(seq.M)
+    result = {"m": seq.m, "K": K, "M": M, "n": args.n, "a": a, "mhat": mhat}
+    rows = ([k, a[k], mhat[k - 1] if k >= 1 else ""] for k in range(args.n + 1))
+    return result, ["n", "a_n", "Mhat_n"], rows
+
+
+def _simulate(args, net, params):
+    grid = Grid(args.t0, args.T, args.n)
+    method = args.method
+    if method == "auto":
+        method = "ode" if net.all_maximal() else "picard"
+    if method == "ode":
+        traj = simulate_maximal_ode(net, grid, threshold=args.threshold)
+    else:
+        traj = simulate_picard(net, grid)
+    nodes = range(1, net.m + 1)
+    rows = (
+        [repr(float(t))] + [repr(float(traj.outputs[k][idx])) for k in nodes]
+        for idx, t in enumerate(traj.times)
+    )
+    result = {
+        "method": method,
+        "escape_time": traj.escape_time,
+        "per_node_escape": {str(k): v for k, v in traj.per_node_escape.items()},
+        **{k: traj.metadata.get(k) for k in ("threshold", "integrator", "status", "iterations")},
+    }
+    return result, ["t"] + [f"y_{k}" for k in nodes], rows
+
+
+def _montecarlo(args, net, params):
+    # The tracked coefficient is recorded as one `designated` parameter.
+    i, j, word = (params.pop(name) for name in ("from", "to", "word"))
+    designated = None
+    params["designated"] = None
+    if word is not None:
+        _require(args, ["from", "to"])
+        designated = (i, j, parse_word(word, 1))
+        params["designated"] = {"from": i, "to": j, "word": format_word(designated[2])}
+    nodes = range(1, net.m + 1)
+    pattern = [[0 if net.weight(r, c) == 0 else 1 for c in nodes] for r in nodes]
+    stats = genericity_sample(
+        pattern, net.nodes, args.samples, args.seed, args.degree, designated, args.bins, args.jobs
+    )
+    result = {
+        "samples": stats.samples,
+        "seed": stats.seed,
+        "degree": stats.degree,
+        "pair_status": {f"{a},{b}": counts for (a, b), counts in stats.pair_status.items()},
+        "pair_r": {
+            f"{a},{b}": {str(r): n for r, n in counts.items()}
+            for (a, b), counts in stats.pair_r.items()
+        },
+        "designated": params["designated"],
+        "histogram": [{"left": a, "right": b, "count": c} for a, b, c in stats.histogram],
+    }
+    rows = ([repr(left), repr(right), count] for left, right, count in stats.histogram)
+    return result, ["left", "right", "count"], rows
+
+
+def _validate(args, net, params):
+    i, j = getattr(args, "from"), args.to
+    report = validate_io_map(net, i, j, args.degree, Grid(args.t0, args.T, args.n))
+    result = {
+        "from": i,
+        "to": j,
+        "degree": report.degree,
+        "horizon": report.horizon,
+        "grid_points": report.grid_points,
+        "max_abs_error": report.max_abs_error,
+        "expected_halving_factor": report.expected_halving_factor,
+    }
+    return _field_rows(result)
+
+
+COMMANDS = {
+    "iomap": Command(
+        "closed-loop series from one input to one output",
+        "net from to degree [out]",
+        {"m": int, "degree": int, "terms": [{"word": [int], "coeff": str}]},
+        _iomap,
+    ),
+    "reldeg": Command(
+        "measured and predicted relative degree of a pair",
+        "net from to degree [out]",
+        {
+            "from": int,
+            "to": int,
+            "degree": int,
+            "measured": int | None,
+            "measured_status": str,
+            "leading": str | None,
+            "predicted": int | None,
+            "condition": str | None,
+            "consistent": bool | None,
+            "prediction_error": str | None,
+        },
+        _reldeg,
+    ),
+    "bounds": Command(
+        "geometric growth rate M_inf and escape bound t_star",
+        "m K M [out]",
+        {"m": int, "Kbar": str, "Mbar": str, "M_inf": float, "t_star": float},
+        _bounds,
+    ),
+    "abel": Command(
+        "exact envelope derivatives a_n and ratio estimates",
+        "m K M n [out]",
+        {"m": int, "K": str, "M": str, "n": int, "a": [str], "mhat": [str]},
+        _abel,
+        formats=("csv", "json"),
+        csv_columns=["n", "a_n", "Mhat_n"],
+    ),
+    "simulate": Command(
+        "integrate the network and write a trajectory CSV",
+        "net T out [t0] [n] [method] [threshold]",
+        {
+            "method": str,
+            "escape_time": float | None,
+            "per_node_escape": dict,
+            "threshold": float | None,
+            "integrator": str | None,
+            "status": int | None,
+            "iterations": int | None,
+        },
+        _simulate,
+        formats=(),
+        csv_columns=["t", "y_1", "...", "y_m"],
+    ),
+    "montecarlo": Command(
+        "relative degrees across seeded random weights",
+        "net degree seed [samples] [jobs] [bins] [from] [to] [word] [out]",
+        {
+            "samples": int,
+            "seed": int,
+            "degree": int,
+            "pair_status": dict,
+            "pair_r": dict,
+            "designated": dict | None,
+            "histogram": [{"left": float, "right": float, "count": int}],
+        },
+        _montecarlo,
+    ),
+    "validate": Command(
+        "series response vs full simulation discrepancy",
+        "net from to degree T [t0] [n] [out]",
+        {
+            "from": int,
+            "to": int,
+            "degree": int,
+            "horizon": float,
+            "grid_points": int,
+            "max_abs_error": float,
+            "expected_halving_factor": float,
+        },
+        _validate,
+    ),
+}
+
+
+_JSON_NAMES = {int: "integer", float: "number", str: "string", bool: "boolean", dict: "object"}
+
+
+def _json_type(declared) -> dict:
+    """Schema of a declared type: int, float, str, bool, dict, `X | None`,
+    [X] (array of X), or {"key": X, ...} (object with these properties)."""
+    if isinstance(declared, list):
+        return {"type": "array", "items": _json_type(declared[0])}
+    if isinstance(declared, dict):
+        return {"type": "object", "properties": {k: _json_type(t) for k, t in declared.items()}}
+    if isinstance(declared, UnionType):
+        return {"type": [_JSON_NAMES[declared.__args__[0]], "null"]}
+    return {"type": _JSON_NAMES[declared]}
 
 
 _META_SCHEMA = {
@@ -115,365 +362,36 @@ _META_SCHEMA = {
 }
 
 
-def _result_schema(result: dict) -> dict:
-    return {
-        "type": "object",
-        "properties": {"meta": _META_SCHEMA, "result": result},
-        "required": ["meta", "result"],
-    }
+def schema(name: str) -> dict:
+    """JSON schema of a subcommand's output envelope, from its field declaration."""
+    cmd = COMMANDS[name]
+    result = _json_type(cmd.fields)
+    if cmd.csv_columns is not None:
+        result["csv_columns"] = cmd.csv_columns
+    properties = {"meta": _META_SCHEMA, "result": result}
+    return {"type": "object", "properties": properties, "required": ["meta", "result"]}
 
 
-SCHEMAS = {
-    "iomap": _result_schema(
-        {
-            "type": "object",
-            "properties": {
-                "m": {"type": "integer"},
-                "degree": {"type": "integer"},
-                "terms": {
-                    "type": "array",
-                    "items": {
-                        "type": "object",
-                        "properties": {
-                            "word": {"type": "array", "items": {"type": "integer"}},
-                            "coeff": {"type": "string"},
-                        },
-                    },
-                },
-            },
-        }
-    ),
-    "reldeg": _result_schema(
-        {
-            "type": "object",
-            "properties": {
-                "from": {"type": "integer"},
-                "to": {"type": "integer"},
-                "degree": {"type": "integer"},
-                "measured": {"type": ["integer", "null"]},
-                "measured_status": {"type": "string"},
-                "leading": {"type": ["string", "null"]},
-                "predicted": {"type": ["integer", "null"]},
-                "condition": {"type": "string"},
-                "consistent": {"type": ["boolean", "null"]},
-            },
-        }
-    ),
-    "bounds": _result_schema(
-        {
-            "type": "object",
-            "properties": {
-                "m": {"type": "integer"},
-                "Kbar": {"type": "string"},
-                "Mbar": {"type": "string"},
-                "M_inf": {"type": "number"},
-                "t_star": {"type": "number"},
-            },
-        }
-    ),
-    "abel": _result_schema(
-        {
-            "type": "object",
-            "properties": {
-                "m": {"type": "integer"},
-                "K": {"type": "string"},
-                "M": {"type": "string"},
-                "n": {"type": "integer"},
-                "a": {"type": "array", "items": {"type": "string"}},
-                "mhat": {"type": "array", "items": {"type": "string"}},
-            },
-            "csv_columns": ["n", "a_n", "Mhat_n"],
-        }
-    ),
-    "simulate": _result_schema(
-        {
-            "type": "object",
-            "properties": {
-                "method": {"type": "string"},
-                "escape_time": {"type": ["number", "null"]},
-                "per_node_escape": {"type": "object"},
-                "threshold": {"type": ["number", "null"]},
-                "integrator": {"type": ["string", "null"]},
-            },
-            "csv_columns": ["t", "y_1", "...", "y_m"],
-        }
-    ),
-    "montecarlo": _result_schema(
-        {
-            "type": "object",
-            "properties": {
-                "samples": {"type": "integer"},
-                "seed": {"type": "integer"},
-                "degree": {"type": "integer"},
-                "pair_status": {"type": "object"},
-                "pair_r": {"type": "object"},
-                "designated": {"type": ["object", "null"]},
-                "histogram": {
-                    "type": "array",
-                    "items": {
-                        "type": "object",
-                        "properties": {
-                            "left": {"type": "number"},
-                            "right": {"type": "number"},
-                            "count": {"type": "integer"},
-                        },
-                    },
-                },
-            },
-        }
-    ),
-    "validate": _result_schema(
-        {
-            "type": "object",
-            "properties": {
-                "from": {"type": "integer"},
-                "to": {"type": "integer"},
-                "degree": {"type": "integer"},
-                "horizon": {"type": "number"},
-                "grid_points": {"type": "integer"},
-                "max_abs_error": {"type": "number"},
-                "expected_halving_factor": {"type": "number"},
-            },
-        }
-    ),
-}
-
-
-def _cmd_iomap(args) -> int:
+def _dispatch(args: argparse.Namespace) -> int:
     if args.schema:
-        return _print_schema(SCHEMAS["iomap"])
-    _require(args, ["net", "from", "to", "degree"])
-    net, input_hash = _load_net(args.net)
-    params = {"net": args.net, "from": getattr(args, "from"), "to": args.to, "degree": args.degree}
-    d = io_map(net, getattr(args, "from"), args.to, args.degree)
-    if args.format == "csv":
-        rows = [[format_word(w), coeff_str(val)] for w, val in d.items()]
-        _emit(_csv_text(params, input_hash, ["word", "coeff"], rows), args.out)
-    else:
-        _emit(_json_text(_envelope(series_to_json(d), params, input_hash)), args.out)
-    return 0
-
-
-def _cmd_reldeg(args) -> int:
-    if args.schema:
-        return _print_schema(SCHEMAS["reldeg"])
-    _require(args, ["net", "from", "to", "degree"])
-    net, input_hash = _load_net(args.net)
-    i, j = getattr(args, "from"), args.to
-    params = {"net": args.net, "from": i, "to": j, "degree": args.degree}
-    measured = relative_degree(io_map(net, i, j, args.degree))
-    prediction = predict_io_reldeg(net, i, j)
-    consistent = None
-    if prediction.r_pred is not None and measured.status == "defined":
-        consistent = measured.r == prediction.r_pred
-    result = {
-        "from": i,
-        "to": j,
-        "degree": args.degree,
-        "measured": measured.r,
-        "measured_status": measured.status,
-        "leading": None if measured.leading is None else coeff_str(measured.leading),
-        "predicted": prediction.r_pred,
-        "condition": prediction.condition,
-        "consistent": consistent,
-    }
-    if args.format == "csv":
-        rows = [[k, "" if v is None else v] for k, v in result.items()]
-        _emit(_csv_text(params, input_hash, ["field", "value"], rows), args.out)
-    else:
-        _emit(_json_text(_envelope(result, params, input_hash)), args.out)
-    return 0
-
-
-def _cmd_bounds(args) -> int:
-    if args.schema:
-        return _print_schema(SCHEMAS["bounds"])
-    _require(args, ["m", "K", "M"])
-    params = {"m": args.m, "K": args.K, "M": args.M}
-    bound = m_inf_bound(args.K, args.M, args.m)
-    result = {
-        "m": bound.m,
-        "Kbar": coeff_str(bound.Kbar),
-        "Mbar": coeff_str(bound.Mbar),
-        "M_inf": bound.M_inf,
-        "t_star": bound.t_star,
-    }
-    input_hash = _hash_params(params)
-    if args.format == "csv":
-        rows = [[k, v] for k, v in result.items()]
-        _emit(_csv_text(params, input_hash, ["field", "value"], rows), args.out)
-    else:
-        _emit(_json_text(_envelope(result, params, input_hash)), args.out)
-    return 0
-
-
-def _cmd_abel(args) -> int:
-    if args.schema:
-        return _print_schema(SCHEMAS["abel"])
-    _require(args, ["m", "K", "M", "n"])
-    params = {"m": args.m, "K": args.K, "M": args.M, "n": args.n}
-    seq = abel_taylor(args.m, args.K, args.M, args.n)
-    input_hash = _hash_params(params)
-    fmt = args.format or "csv"
-    if fmt == "json":
-        result = {
-            "m": seq.m,
-            "K": coeff_str(seq.K),
-            "M": coeff_str(seq.M),
-            "n": args.n,
-            "a": [coeff_str(v) for v in seq.a],
-            "mhat": [coeff_str(v) for v in seq.mhat],
-        }
-        _emit(_json_text(_envelope(result, params, input_hash)), args.out)
-    else:
-        rows = [
-            [k, coeff_str(seq.a[k]), coeff_str(seq.mhat[k - 1]) if k >= 1 else ""]
-            for k in range(args.n + 1)
-        ]
-        _emit(_csv_text(params, input_hash, ["n", "a_n", "Mhat_n"], rows), args.out)
-    return 0
-
-
-def _cmd_simulate(args) -> int:
-    if args.schema:
-        return _print_schema(SCHEMAS["simulate"])
-    _require(args, ["net", "T", "out"])
-    net, input_hash = _load_net(args.net)
-    params = {
-        "net": args.net,
-        "t0": args.t0,
-        "T": args.T,
-        "n": args.n,
-        "method": args.method,
-        "threshold": args.threshold,
-    }
-    grid = Grid(args.t0, args.T, args.n)
-    method = args.method
-    if method == "auto":
-        method = "ode" if net.all_maximal() else "picard"
-    if method == "ode":
-        traj = simulate_maximal_ode(net, grid, threshold=args.threshold)
-    else:
-        traj = simulate_picard(net, grid)
-    header = ["t"] + [f"y_{k}" for k in range(1, net.m + 1)]
-    rows = []
-    for idx, t in enumerate(traj.times):
-        rows.append([repr(float(t))] + [repr(float(traj.outputs[k][idx])) for k in range(1, net.m + 1)])
+        sys.stdout.write(_json_text(schema(args.subcommand)))
+        return 0
+    cmd = COMMANDS[args.subcommand]
+    flags = cmd.flag_list()
+    _require(args, [name for name, required in flags if required])
+    # --out and --jobs steer where and how a run goes, not what it computes.
+    params = {name: getattr(args, name) for name, _ in flags if name not in ("out", "jobs")}
+    net, input_hash = _load_net(args.net) if "net" in params else (None, None)
+    result, header, rows = cmd.compute(args, net, params)
+    if input_hash is None:
+        input_hash = hashlib.sha256(json.dumps(params, sort_keys=True).encode("utf-8")).hexdigest()
+    if cmd.formats and args.format == "json":
+        _emit(_envelope_text(result, params, input_hash), args.out)
+        return 0
     _emit(_csv_text(params, input_hash, header, rows), args.out)
-    result = {
-        "method": method,
-        "escape_time": traj.escape_time,
-        "per_node_escape": {str(k): v for k, v in traj.per_node_escape.items()},
-        "threshold": traj.metadata.get("threshold"),
-        "integrator": traj.metadata.get("integrator"),
-        "status": traj.metadata.get("status"),
-        "iterations": traj.metadata.get("iterations"),
-    }
-    _emit(_json_text(_envelope(result, params, input_hash)), args.out + ".meta.json")
+    if not cmd.formats:
+        _emit(_envelope_text(result, params, input_hash), args.out + ".meta.json")
     return 0
-
-
-def _cmd_montecarlo(args) -> int:
-    if args.schema:
-        return _print_schema(SCHEMAS["montecarlo"])
-    _require(args, ["net", "degree"])
-    if args.seed is None:
-        raise UsageError("montecarlo requires --seed")
-    net, input_hash = _load_net(args.net)
-    pattern = [
-        [0 if net.weight(r, c) == 0 else 1 for c in range(1, net.m + 1)]
-        for r in range(1, net.m + 1)
-    ]
-    designated = None
-    word_text = None
-    if args.word is not None:
-        _require(args, ["from", "to"])
-        word = parse_word(args.word, 1)
-        designated = (getattr(args, "from"), args.to, word)
-        word_text = format_word(word)
-    params = {
-        "net": args.net,
-        "samples": args.samples,
-        "seed": args.seed,
-        "degree": args.degree,
-        "bins": args.bins,
-        "designated": None
-        if designated is None
-        else {"from": designated[0], "to": designated[1], "word": word_text},
-    }
-    stats = genericity_sample(
-        pattern,
-        list(net.nodes),
-        args.samples,
-        args.seed,
-        args.degree,
-        designated=designated,
-        bins=args.bins,
-        jobs=args.jobs,
-    )
-    result = {
-        "samples": stats.samples,
-        "seed": stats.seed,
-        "degree": stats.degree,
-        "pair_status": {f"{i},{j}": counts for (i, j), counts in stats.pair_status.items()},
-        "pair_r": {
-            f"{i},{j}": {str(r): n for r, n in counts.items()}
-            for (i, j), counts in stats.pair_r.items()
-        },
-        "designated": params["designated"],
-        "histogram": [
-            {"left": left, "right": right, "count": count}
-            for left, right, count in stats.histogram
-        ],
-    }
-    if args.format == "csv":
-        rows = [[repr(left), repr(right), count] for left, right, count in stats.histogram]
-        _emit(_csv_text(params, input_hash, ["left", "right", "count"], rows), args.out)
-    else:
-        _emit(_json_text(_envelope(result, params, input_hash)), args.out)
-    return 0
-
-
-def _cmd_validate(args) -> int:
-    if args.schema:
-        return _print_schema(SCHEMAS["validate"])
-    _require(args, ["net", "from", "to", "degree", "T"])
-    net, input_hash = _load_net(args.net)
-    i, j = getattr(args, "from"), args.to
-    params = {
-        "net": args.net,
-        "from": i,
-        "to": j,
-        "degree": args.degree,
-        "t0": args.t0,
-        "T": args.T,
-        "n": args.n,
-    }
-    report = validate_io_map(net, i, j, args.degree, Grid(args.t0, args.T, args.n))
-    result = {
-        "from": i,
-        "to": j,
-        "degree": report.degree,
-        "horizon": report.horizon,
-        "grid_points": report.grid_points,
-        "max_abs_error": report.max_abs_error,
-        "expected_halving_factor": report.expected_halving_factor,
-    }
-    if args.format == "csv":
-        rows = [[k, v] for k, v in result.items()]
-        _emit(_csv_text(params, input_hash, ["field", "value"], rows), args.out)
-    else:
-        _emit(_json_text(_envelope(result, params, input_hash)), args.out)
-    return 0
-
-
-def _add_common(sub: argparse.ArgumentParser, default_format: str | None = "json") -> None:
-    sub.add_argument("--net", help="path to a network JSON file")
-    sub.add_argument("--out", help="write the result to this path instead of stdout")
-    sub.add_argument("--format", choices=["json", "csv"], default=default_format)
-    sub.add_argument("--seed", type=int, help="random seed")
-    sub.add_argument("--degree", type=int, help="truncation degree")
-    sub.add_argument("--schema", action="store_true", help="print the output schema and exit")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -485,62 +403,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"{TOOL} {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = subs.add_parser("iomap", help="closed-loop series from one input to one output")
-    _add_common(p)
-    p.add_argument("--from", type=int, dest="from", help="input node (1-based)")
-    p.add_argument("--to", type=int, help="output node (1-based)")
-    p.set_defaults(handler=_cmd_iomap)
-
-    p = subs.add_parser("reldeg", help="measured and predicted relative degree of a pair")
-    _add_common(p)
-    p.add_argument("--from", type=int, dest="from", help="input node (1-based)")
-    p.add_argument("--to", type=int, help="output node (1-based)")
-    p.set_defaults(handler=_cmd_reldeg)
-
-    p = subs.add_parser("bounds", help="geometric growth rate M_inf and escape bound t_star")
-    _add_common(p)
-    p.add_argument("--m", type=int, help="node count")
-    p.add_argument("--K", help="coefficient bound Kbar (rational, e.g. 3 or 7/2)")
-    p.add_argument("--M", help="geometric bound Mbar (rational)")
-    p.set_defaults(handler=_cmd_bounds)
-
-    p = subs.add_parser("abel", help="exact envelope derivatives a_n and ratio estimates")
-    _add_common(p, default_format=None)
-    p.add_argument("--m", type=int, help="node count")
-    p.add_argument("--K", help="coefficient bound Kbar (rational)")
-    p.add_argument("--M", help="geometric bound Mbar (rational)")
-    p.add_argument("--n", type=int, help="highest derivative order")
-    p.set_defaults(handler=_cmd_abel)
-
-    p = subs.add_parser("simulate", help="integrate the network and write a trajectory CSV")
-    _add_common(p, default_format="csv")
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--T", type=float, help="horizon length")
-    p.add_argument("--n", type=int, default=400, help="number of grid steps")
-    p.add_argument("--method", choices=["auto", "ode", "picard"], default="auto")
-    p.add_argument("--threshold", type=float, default=1e9, help="escape detection level")
-    p.set_defaults(handler=_cmd_simulate)
-
-    p = subs.add_parser("montecarlo", help="relative degrees across seeded random weights")
-    _add_common(p)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--bins", type=int, default=40)
-    p.add_argument("--from", type=int, dest="from", help="input node of the tracked coefficient")
-    p.add_argument("--to", type=int, help="output node of the tracked coefficient")
-    p.add_argument("--word", help='tracked word, e.g. "x0 x0 x1"')
-    p.set_defaults(handler=_cmd_montecarlo)
-
-    p = subs.add_parser("validate", help="series response vs full simulation discrepancy")
-    _add_common(p)
-    p.add_argument("--from", type=int, dest="from", help="input node (1-based)")
-    p.add_argument("--to", type=int, help="output node (1-based)")
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--T", type=float, help="horizon length")
-    p.add_argument("--n", type=int, default=400, help="number of grid steps")
-    p.set_defaults(handler=_cmd_validate)
-
+    for name, cmd in COMMANDS.items():
+        sub = subs.add_parser(name, help=cmd.help)
+        for flag, required in cmd.flag_list():
+            spec = dict(FLAGS[flag])
+            if required:
+                spec.pop("default", None)
+            sub.add_argument("--" + flag, **spec)
+        if cmd.formats:
+            sub.add_argument("--format", choices=cmd.formats, default=cmd.formats[0])
+        sub.add_argument("--schema", action="store_true", help="print the output schema and exit")
     return parser
 
 
@@ -551,23 +423,13 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.handler(args)
-    except UsageError as exc:
+        return _dispatch(args)
+    except (UsageError, FileNotFoundError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except FliessnetError as exc:
-        sys.stdout.write(
-            json.dumps(
-                {"error": {"type": type(exc).__name__, "message": str(exc)}},
-                sort_keys=True,
-                indent=2,
-            )
-            + "\n"
-        )
+        sys.stdout.write(_json_text({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return 1
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
 
 
 def main() -> None:

@@ -274,6 +274,18 @@ def _consistency(measured: RelDegReport, predicted: Optional[PredictionReport]) 
     return False
 
 
+def pair_report(
+    net: NetworkSpec, i: int, j: int, measured: RelDegReport, node_budget: int = 24
+) -> PairReport:
+    """Predict the pair (i, j) and judge the prediction against a measurement;
+    a ConditionError or DomainError is kept as prediction_error, not raised."""
+    try:
+        predicted = predict_io_reldeg(net, i, j, node_budget=node_budget)
+    except (ConditionError, DomainError) as exc:
+        return PairReport(i, j, measured, None, str(exc), None)
+    return PairReport(i, j, measured, predicted, None, _consistency(measured, predicted))
+
+
 def complete_reldeg(
     net: NetworkSpec,
     degree: int,
@@ -286,16 +298,10 @@ def complete_reldeg(
         closed = closed_loop_series(net, i, degree)
         for j in range(1, net.m + 1):
             measured = relative_degree(closed[j])
-            predicted = None
-            error = None
             if include_predictions:
-                try:
-                    predicted = predict_io_reldeg(net, i, j, node_budget=node_budget)
-                except (ConditionError, DomainError) as exc:
-                    error = str(exc)
-            out[(i, j)] = PairReport(
-                i, j, measured, predicted, error, _consistency(measured, predicted)
-            )
+                out[(i, j)] = pair_report(net, i, j, measured, node_budget)
+            else:
+                out[(i, j)] = PairReport(i, j, measured, None, None, None)
     return out
 
 

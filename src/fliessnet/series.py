@@ -279,7 +279,6 @@ def _shuffle_terms(a: dict, b: dict, limit: int) -> dict[Word, Coeff]:
             prod = c1 * c2
             for word, mult in shuffle_words(w1, w2).items():
                 acc[word] = get(word, 0) + prod * mult
-                get = acc.get
     return acc
 
 

@@ -80,6 +80,17 @@ def four_node_net(w21, w31, w42, w43, w41=0):
     return NetworkSpec(4, W, [x1, x1, neg, x1])
 
 
+def five_node_net():
+    """four_node_net with W21=1/2, W31=1/3, W41=1/5, W42=2/3, W43=1, plus an
+    isolated fifth node. The tied predecessors of node 4 cancel, so the
+    prediction for (1, 4) carries the violated_unknown certificate."""
+    from fliessnet import NetworkSpec
+
+    base = four_node_net(Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), 1, Fraction(1, 5))
+    W = [list(row) + [0] for row in base.W] + [[0] * 5]
+    return NetworkSpec(5, W, list(base.nodes) + [base.nodes[0]])
+
+
 DD_GAINS = (
     Fraction(3, 2),
     Fraction(5, 7),

@@ -10,9 +10,9 @@ from fractions import Fraction
 
 import pytest
 
-from fliessnet import network_to_json
-from fliessnet.cli import run
-from conftest import double_diamond_net, four_node_net
+from fliessnet import NetworkSpec, Series, complete_reldeg, network_to_json
+from fliessnet.cli import COMMANDS, run
+from conftest import double_diamond_net, five_node_net, four_node_net
 
 
 @pytest.fixture
@@ -27,6 +27,22 @@ def four_node_file(tmp_path):
 def dd_file(tmp_path):
     path = tmp_path / "dd.json"
     path.write_text(json.dumps(network_to_json(double_diamond_net())))
+    return str(path)
+
+
+@pytest.fixture
+def five_file(tmp_path):
+    path = tmp_path / "five.json"
+    path.write_text(json.dumps(network_to_json(five_node_net())))
+    return str(path)
+
+
+@pytest.fixture
+def drift_file(tmp_path):
+    """Node 2's series is x0 alone, so no relative degree can be predicted for it."""
+    net = NetworkSpec(2, [[0, 0], [1, 0]], [Series(1, 3, {(1,): 1}), Series(1, 3, {(0,): 1})])
+    path = tmp_path / "drift.json"
+    path.write_text(json.dumps(network_to_json(net)))
     return str(path)
 
 
@@ -59,10 +75,55 @@ class TestBasics:
     def test_unknown_flag_is_usage_error(self, capsys):
         assert run(["abel", "--m", "1", "--wat", "3"]) == 2
 
-    def test_every_subcommand_has_schema(self, capsys):
-        for sub in ["iomap", "reldeg", "bounds", "abel", "simulate", "montecarlo", "validate"]:
-            doc = run_json([sub, "--schema"], capsys)
-            assert doc["properties"]["meta"], sub
+    def test_every_subcommand_has_schema(self, four_node_file, maximal_file, tmp_path, capsys):
+        """A real run's result has exactly the --schema fields, each of its declared type."""
+        net = ["--net", four_node_file]
+        pair = ["--from", "1", "--to", "4", "--degree", "4"]
+        traj = str(tmp_path / "traj.csv")
+        runs = {
+            "iomap": ["iomap", *net, *pair],
+            "reldeg": ["reldeg", *net, *pair],
+            "bounds": ["bounds", "--m", "2", "--K", "3/2", "--M", "1"],
+            "abel": ["abel", "--m", "2", "--K", "1", "--M", "1", "--n", "4", "--format", "json"],
+            "simulate": ["simulate", "--net", maximal_file, "--T", "0.4", "--n", "20", "--out", traj],
+            "montecarlo": ["montecarlo", *net, "--degree", "3", "--samples", "2", "--seed", "1",
+                           "--from", "1", "--to", "4", "--word", "x0 x0 x1"],
+            "validate": ["validate", *net, *pair, "--T", "0.3", "--n", "20"],
+        }
+        assert sorted(runs) == sorted(COMMANDS)
+        for sub, argv in runs.items():
+            schema = run_json([sub, "--schema"], capsys)
+            assert schema["properties"]["meta"], sub
+            if sub == "simulate":
+                assert run(argv) == 0
+                result = json.loads((tmp_path / "traj.csv.meta.json").read_text())["result"]
+            else:
+                result = run_json(argv, capsys)["result"]
+            declared = schema["properties"]["result"]["properties"]
+            assert set(result) == set(declared), sub
+            for key, value in result.items():
+                assert matches_json_type(value, declared[key]), (sub, key, value)
+
+    def test_unread_flags_are_rejected(self, four_node_file, maximal_file, tmp_path, capsys):
+        net = ["--net", four_node_file]
+        pair = ["--from", "1", "--to", "4", "--degree", "3"]
+        traj = ["--net", maximal_file, "--T", "0.4", "--out", str(tmp_path / "t.csv")]
+        base = {
+            "iomap": ["iomap", *net, *pair],
+            "reldeg": ["reldeg", *net, *pair],
+            "validate": ["validate", *net, *pair, "--T", "0.3"],
+            "bounds": ["bounds", "--m", "2", "--K", "1", "--M", "1"],
+            "abel": ["abel", "--m", "2", "--K", "1", "--M", "1", "--n", "3"],
+            "simulate": ["simulate", *traj],
+        }
+        unread = [("iomap", "--seed"), ("reldeg", "--seed"), ("validate", "--seed"),
+                  ("bounds", "--seed"), ("abel", "--seed"), ("simulate", "--seed"),
+                  ("bounds", "--net"), ("abel", "--net"), ("bounds", "--degree"),
+                  ("abel", "--degree"), ("simulate", "--format"), ("simulate", "--degree")]
+        for sub, flag in unread:
+            value = "json" if flag == "--format" else "3"
+            assert run(base[sub] + [flag, value]) == 2, (sub, flag)
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestErrors:
@@ -109,6 +170,31 @@ class TestIomap:
         assert any("62/315" in line for line in lines)
 
 
+JSON_TYPES = {
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "null": lambda v: v is None,
+}
+
+
+def matches_json_type(value, schema) -> bool:
+    kinds = schema["type"] if isinstance(schema["type"], list) else [schema["type"]]
+    if not any(JSON_TYPES[kind](value) for kind in kinds):
+        return False
+    if isinstance(value, list):
+        return all(matches_json_type(item, schema["items"]) for item in value)
+    if isinstance(value, dict) and "properties" in schema:
+        props = schema["properties"]
+        return set(value) == set(props) and all(
+            matches_json_type(v, props[k]) for k, v in value.items()
+        )
+    return True
+
+
 class TestReldeg:
     def test_double_diamond_prediction(self, dd_file, capsys):
         doc = run_json(
@@ -121,6 +207,38 @@ class TestReldeg:
         assert res["condition"] == "distinct"
         assert res["consistent"] is True
         assert res["measured_status"] == "defined"
+
+    def test_every_pair_agrees_with_the_library(self, five_file, capsys):
+        """The CLI's verdict is complete_reldeg's, including consistent=None
+        when the certificate is violated_unknown (the pair (1, 4))."""
+        table = complete_reldeg(five_node_net(), 6)
+        for (i, j), report in table.items():
+            res = run_json(["reldeg", "--net", five_file, "--from", str(i), "--to", str(j),
+                            "--degree", "6"], capsys)["result"]
+            pred = report.predicted
+            assert res["measured"] == report.measured.r, (i, j)
+            assert res["measured_status"] == report.measured.status, (i, j)
+            assert res["predicted"] == (None if pred is None else pred.r_pred), (i, j)
+            assert res["condition"] == (None if pred is None else pred.condition), (i, j)
+            assert res["consistent"] == report.consistent, (i, j)
+            assert res.get("prediction_error") == report.prediction_error, (i, j)
+        assert table[(1, 4)].predicted.condition == "violated_unknown"
+        assert table[(1, 4)].consistent is None
+
+    def test_prediction_failure_still_reports_the_measurement(self, drift_file, capsys):
+        doc = run_json(["reldeg", "--net", drift_file, "--from", "1", "--to", "2",
+                        "--degree", "4"], capsys)
+        res = doc["result"]
+        assert res["measured_status"] == "undetermined_at_truncation"
+        assert res["predicted"] is None
+        assert res["condition"] is None
+        assert res["consistent"] is None
+        assert "undetermined_at_truncation" in res["prediction_error"]
+        code = run(["reldeg", "--net", drift_file, "--from", "1", "--to", "2",
+                    "--degree", "4", "--format", "csv"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1].startswith("prediction_error,relative degree is undetermined")
 
 
 class TestBoundsAndAbel:
