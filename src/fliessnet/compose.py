@@ -9,17 +9,45 @@ Both products are linear in c, and the coefficient of a degree-n output word
 depends on d only through degree n-1: every substitution prepends at least
 one letter. That degreewise causality is what makes the network fixed point
 converge in finitely many sweeps.
+
+The products are computed one degree at a time: the degree-n layer of the
+image of a word needs only the layers below n of the image of its tail and
+of d. The images can therefore be kept in a ComposeLayers between calls, and
+a call that raises n_out by one computes only the new degree; the network
+sweep settles one degree per call this way.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 from .errors import AlphabetError
-from .series import Coeff, MaximalSeriesSpec, Series, _shuffle_terms, as_coeff
+from .series import Coeff, Grades, MaximalSeriesSpec, Series, _canonical, _shuffle_terms, as_coeff
 from .words import Word
 
-_TermMap = dict[Word, Coeff]
+# How an image is built from the image of its tail: the drift letter
+# prepends x0, an input letter substitutes, a maximal power does both.
+_UNIT, _DRIFT, _INPUT, _POWER = range(4)
+
+
+class ComposeLayers:
+    """The graded images of one composition, kept between calls.
+
+    images maps a key (a suffix of a word of c, or k for the power A^k(1)
+    of a maximal left operand) to (tail layers, op, layers); out holds the
+    output grades settled through degree; terms counts every term held.
+    Reuse an instance only for calls with the same left operand and mixed
+    flag, and a d that agrees with the earlier ones through their n_out - 1.
+    """
+
+    __slots__ = ("degree", "images", "out", "terms")
+
+    def __init__(self):
+        self.degree = -1
+        self.images: dict = {}
+        self.out: Grades = {}
+        self.terms = 0
 
 
 def _require_siso(c: Series, d: Series) -> None:
@@ -27,63 +55,96 @@ def _require_siso(c: Series, d: Series) -> None:
         raise AlphabetError("composition is defined over the alphabet {x0, x1}")
 
 
-def _prepend(letter: int, e: _TermMap, limit: int) -> _TermMap:
-    return {
-        (letter,) + word: coeff for word, coeff in e.items() if len(word) < limit
-    }
-
-
-def _accumulate(acc: _TermMap, extra: _TermMap, scale: Coeff = 1) -> None:
-    if scale == 1:
-        for word, coeff in extra.items():
-            acc[word] = acc.get(word, 0) + coeff
-    elif scale != 0:
-        for word, coeff in extra.items():
-            acc[word] = acc.get(word, 0) + scale * coeff
-
-
-def _substitute_input(d_terms: _TermMap, e: _TermMap, limit: int, mixed: bool) -> _TermMap:
-    """Image of e under the non-drift substitution, truncated at limit."""
-    out = _prepend(0, _shuffle_terms(d_terms, e, limit - 1), limit) if limit >= 1 else {}
+def _layer(op: int, tail: Optional[Grades], d: Grades, n: int, mixed: bool) -> dict[Word, Coeff]:
+    """Degree-n layer of an image, read from the layers of its tail below n."""
+    if op == _UNIT:
+        return {(): 1} if n == 0 else {}
+    below = tail.get(n - 1, {})
+    if op == _DRIFT:
+        return {(0,) + word: coeff for word, coeff in below.items()}
+    out = {(0,) + word: coeff for word, coeff in _shuffle_terms(d, tail, n - 1).items()}
+    if op == _POWER:
+        for word, coeff in below.items():
+            key = (0,) + word
+            out[key] = out.get(key, 0) + coeff
     if mixed:
-        _accumulate(out, _prepend(1, e, limit))
+        for word, coeff in below.items():
+            out[(1,) + word] = coeff
     return out
 
 
-def _image(word: Word, d_terms: _TermMap, limit: int, mixed: bool, memo: dict) -> _TermMap:
-    """psi(word)(1) computed right to left; suffixes shared through memo."""
-    cached = memo.get(word)
-    if cached is not None:
-        return cached
-    if not word:
-        result: _TermMap = {(): 1}
+def _settle(layers, chain, weights, d: Series, n_out: int, mixed: bool, exact_to: int) -> Series:
+    """Settle the output of layers through n_out and return it truncated there.
+
+    chain lists the (key, tail key, op) of images to add, each tail before
+    the keys built on it; weights lists (key, coefficient) of the images the
+    output sums.
+    """
+    images = layers.images
+    new = []
+    for key, tail, op in chain:
+        if key not in images:
+            images[key] = image = (None if tail is None else images[tail][2], op, {})
+            new.append(image)
+    settled = layers.degree
+    # Images added now (a word of c that only now fits under n_out) first
+    # catch up on the degrees settled before; then every image grows.
+    for n in range(0 if new else settled + 1, n_out + 1):
+        for tail, op, graded in new if n <= settled else images.values():
+            layer = _layer(op, tail, d._grades, n, mixed)
+            if layer:
+                graded[n] = layer
+                layers.terms += len(layer)
+        if n <= settled:
+            continue
+        acc: dict[Word, Coeff] = {}
+        for key, weight in weights:
+            layer = images[key][2].get(n)
+            if not layer:
+                continue
+            if weight == 1:  # the common weight; spares a Fraction multiply per term
+                for word, coeff in layer.items():
+                    acc[word] = acc.get(word, 0) + coeff
+            else:
+                for word, coeff in layer.items():
+                    acc[word] = acc.get(word, 0) + weight * coeff
+        out = _canonical(acc)
+        if out:
+            layers.out[n] = out
+            layers.terms += len(out)
+        layers.degree = n
+    if n_out >= layers.degree:
+        grades = dict(layers.out)
     else:
-        rest = _image(word[1:], d_terms, limit, mixed, memo)
-        if word[0] == 0:
-            result = _prepend(0, rest, limit)
-        else:
-            result = _substitute_input(d_terms, rest, limit, mixed)
-    memo[word] = result
-    return result
+        grades = {n: g for n, g in layers.out.items() if n <= n_out}
+    return Series._graded(1, n_out, grades, exact_to)
 
 
-def compose_at(c: Series, d: Series, n_out: int, mixed: bool = False) -> Series:
+def compose_at(
+    c: Series, d: Series, n_out: int, mixed: bool = False, layers: Optional[ComposeLayers] = None
+) -> Series:
     """Composition with an explicit output truncation degree.
 
     Valid whenever d is exact through n_out - 1; the network sweep relies on
     this to grow one degree per iteration instead of paying full depth every
-    time.
+    time, keeping the suffix images of c in layers between its calls.
     """
     _require_siso(c, d)
+    if layers is None:
+        layers = ComposeLayers()
     exact_to = min(c.exact_to, d.exact_to + 1, n_out)
-    d_terms = dict(d.terms)
-    memo: dict = {}
-    acc: _TermMap = {}
-    for word, coeff in c.terms.items():
-        if len(word) > n_out:
-            continue
-        _accumulate(acc, _image(word, d_terms, n_out, mixed, memo), coeff)
-    return Series(1, n_out, acc, exact_to=exact_to)
+    chain = [] if layers.images else [((), None, _UNIT)]
+    weights = []
+    for n, grade in c._grades.items():
+        if n > n_out:
+            break
+        for word, coeff in grade.items():
+            weights.append((word, coeff))
+            if word not in layers.images:
+                for start in range(n - 1, -1, -1):
+                    suffix = word[start:]
+                    chain.append((suffix, suffix[1:], _DRIFT if suffix[0] == 0 else _INPUT))
+    return _settle(layers, chain, weights, d, n_out, mixed, exact_to)
 
 
 def compose(c: Series, d: Series) -> Series:
@@ -96,27 +157,31 @@ def mixed_compose(c: Series, d: Series) -> Series:
     return compose_at(c, d, min(c.max_degree, d.max_degree), mixed=True)
 
 
-def compose_maximal(spec: MaximalSeriesSpec, d: Series, n_out: int, mixed: bool) -> Series:
+def compose_maximal(
+    spec: MaximalSeriesSpec,
+    d: Series,
+    n_out: int,
+    mixed: bool,
+    layers: Optional[ComposeLayers] = None,
+) -> Series:
     """compose/mixed_compose with a maximal left operand, without enumerating words.
 
     The degree-k slice of a maximal series is K M^k k! (x0 + x1)^k, a
     concatenation power, so the image is K sum_k M^k k! A^k(1) where
     A(e) = x0 e + x0 (d sh e) (+ x1 e for the mixed product). Identical to
     the general route by linearity; this one stays polynomial in the degree.
+    layers keeps the powers A^k(1) between calls.
     """
     if d.m != 1:
         raise AlphabetError("composition is defined over the alphabet {x0, x1}")
     K = as_coeff(spec.K)
     M = as_coeff(spec.M)
-    d_terms = dict(d.terms)
-    acc: _TermMap = {}
-    e: _TermMap = {(): 1}
-    for k in range(n_out + 1):
-        _accumulate(acc, e, K * M**k * math.factorial(k))
-        if k == n_out:
-            break
-        stepped = _prepend(0, e, n_out)
-        _accumulate(stepped, _substitute_input(d_terms, e, n_out, mixed))
-        e = stepped
+    if layers is None:
+        layers = ComposeLayers()
+    chain = [
+        (k, k - 1, _POWER) if k else (0, None, _UNIT)
+        for k in range(len(layers.images), n_out + 1)
+    ]
+    weights = [(k, K * M**k * math.factorial(k)) for k in range(n_out + 1)]
     exact_to = min(d.exact_to + 1, n_out)
-    return Series(1, n_out, acc, exact_to=exact_to)
+    return _settle(layers, chain, weights, d, n_out, mixed, exact_to)

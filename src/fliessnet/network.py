@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Union
 
-from .compose import compose_at, compose_maximal
+from .compose import ComposeLayers, compose_at, compose_maximal
 from .errors import (
     DomainError,
     FliessnetError,
@@ -112,7 +112,15 @@ class NetworkSpec:
         return all(isinstance(n, Series) for n in self.nodes)
 
 
-def _sweep(net: NetworkSpec, i: int, prev: dict[int, Series], target: int) -> dict[int, Series]:
+# Terms a closed loop may hold, in its series and their intermediates, before
+# it refuses to settle another degree. A maximal node carries 2^(n+1) - 1
+# terms at degree n, so without a cap a deep request runs out of memory.
+TERM_CAP = 500_000
+
+
+def _sweep(
+    net: NetworkSpec, i: int, prev: dict[int, Series], target: int, layers: dict[int, ComposeLayers]
+) -> dict[int, Series]:
     out: dict[int, Series] = {}
     for k in range(1, net.m + 1):
         pairs = []
@@ -127,9 +135,9 @@ def _sweep(net: NetworkSpec, i: int, prev: dict[int, Series], target: int) -> di
         mixed = k == i
         src = net.nodes[k - 1]
         if isinstance(src, MaximalSeriesSpec):
-            out[k] = compose_maximal(src, feedback, target, mixed)
+            out[k] = compose_maximal(src, feedback, target, mixed, layers[k])
         else:
-            out[k] = compose_at(net.node_series(k, target), feedback, target, mixed)
+            out[k] = compose_at(net.node_series(k, target), feedback, target, mixed, layers[k])
     return out
 
 
@@ -142,16 +150,26 @@ def closed_loop_series(
     mixed product at k = i carrying the direct channel. Substitution prepends
     at least one letter, so sweep t is exact through degree t - 1; sweeping
     to degree + 1 freezes everything up to the requested truncation. Each
-    sweep runs truncated to the degrees it can actually settle.
+    node keeps its composition layers between sweeps, so sweep t computes
+    only degree t - 1: the degrees below it are already settled. A loop
+    holding more than TERM_CAP terms raises DomainError.
     """
     net.check_node(i)
     if degree < 0:
         raise DomainError("truncation degree must be >= 0")
-    d = {k: Series.zero(1, 0) for k in range(1, net.m + 1)}
+    nodes = range(1, net.m + 1)
+    layers = {k: ComposeLayers() for k in nodes}
+    d = {k: Series.zero(1, 0) for k in nodes}
     for t in range(1, degree + 2):
-        d = _sweep(net, i, d, t - 1)
+        d = _sweep(net, i, d, t - 1, layers)
+        held = sum(layer.terms for layer in layers.values())
+        if held > TERM_CAP:
+            raise DomainError(
+                f"closed loop holds {held} terms at degree {t - 1}, over the cap of "
+                f"{TERM_CAP}; request a lower degree than {degree}"
+            )
     if check_stabilization:
-        again = _sweep(net, i, d, degree)
+        again = _sweep(net, i, d, degree, {k: ComposeLayers() for k in nodes})
         if any(again[k] != d[k] for k in d):
             raise FliessnetError("closed-loop fixed point failed to stabilize")
     return d

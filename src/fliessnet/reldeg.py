@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import AlphabetError, ConditionError, DomainError
+from .errors import AlphabetError, ConditionError, DomainError, SubgraphBudgetError
 from .network import (
     NetworkSpec,
     Subgraph,
@@ -278,10 +278,11 @@ def pair_report(
     net: NetworkSpec, i: int, j: int, measured: RelDegReport, node_budget: int = 24
 ) -> PairReport:
     """Predict the pair (i, j) and judge the prediction against a measurement;
-    a ConditionError or DomainError is kept as prediction_error, not raised."""
+    a ConditionError, DomainError or SubgraphBudgetError is kept as
+    prediction_error, not raised."""
     try:
         predicted = predict_io_reldeg(net, i, j, node_budget=node_budget)
-    except (ConditionError, DomainError) as exc:
+    except (ConditionError, DomainError, SubgraphBudgetError) as exc:
         return PairReport(i, j, measured, None, str(exc), None)
     return PairReport(i, j, measured, predicted, None, _consistency(measured, predicted))
 

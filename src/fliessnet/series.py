@@ -19,7 +19,6 @@ from .words import (
     Word,
     check_word,
     format_word,
-    graded_key,
     shuffle_words,
     words_of_length,
 )
@@ -62,6 +61,22 @@ def coeff_str(value: Coeff) -> str:
     return f"{frac.numerator}/{frac.denominator}"
 
 
+def _canonical(acc: dict[Word, Coeff]) -> dict[Word, Coeff]:
+    """Drop zero terms and turn integral Fractions into int.
+
+    This is as_coeff for values the package computed itself from canonical
+    coefficients: only sums and products of int and Fraction reach it.
+    """
+    return {
+        word: (c.numerator if type(c) is Fraction and c.denominator == 1 else c)
+        for word, c in acc.items()
+        if c
+    }
+
+
+Grades = dict[int, dict[Word, Coeff]]
+
+
 class Series:
     """A formal power series truncated at max_degree.
 
@@ -70,19 +85,21 @@ class Series:
     coefficients are certified exact; operations on truncated operands can
     only certify a prefix of the result (see the individual products).
     Instances are value objects: no method mutates an operand.
+
+    The terms are stored graded by word length, one dict per nonempty
+    degree in ascending order, so the products below visit only the degree
+    pairs that fit under the truncation. Grade dicts may be shared between
+    instances and are never mutated once stored.
     """
 
-    __slots__ = ("m", "max_degree", "exact_to", "_terms")
+    __slots__ = ("m", "max_degree", "exact_to", "_grades", "_flat")
 
     def __init__(self, m: int, max_degree: int, terms=None, exact_to=None):
         if m < 1:
             raise AlphabetError("alphabet needs at least x0 and x1")
         if max_degree < 0:
             raise DomainError("max_degree must be >= 0")
-        self.m = m
-        self.max_degree = max_degree
-        self.exact_to = max_degree if exact_to is None else min(exact_to, max_degree)
-        clean: dict[Word, Coeff] = {}
+        grades: Grades = {}
         if terms:
             for word, raw in terms.items():
                 word = tuple(word)
@@ -93,8 +110,39 @@ class Series:
                     )
                 coeff = as_coeff(raw)
                 if coeff != 0:
-                    clean[word] = coeff
-        self._terms = clean
+                    grades.setdefault(len(word), {})[word] = coeff
+        self.m = m
+        self.max_degree = max_degree
+        self.exact_to = max_degree if exact_to is None else min(exact_to, max_degree)
+        self._grades = {n: grades[n] for n in sorted(grades)}
+        self._flat = None
+
+    @classmethod
+    def _graded(cls, m: int, max_degree: int, grades: Grades, exact_to) -> "Series":
+        """Trusted constructor for grades the package built itself.
+
+        Words are not re-checked: every one is in the alphabet and stored
+        under its own length <= max_degree. grades must be in ascending
+        degree order with no empty grade, no zero and no integral Fraction.
+        """
+        series = cls.__new__(cls)
+        series.m = m
+        series.max_degree = max_degree
+        series.exact_to = min(exact_to, max_degree)
+        series._grades = grades
+        series._flat = None
+        return series
+
+    @classmethod
+    def _accumulated(cls, m: int, max_degree: int, raw: Grades, exact_to) -> "Series":
+        """Trusted constructor for freshly accumulated grades: zeros are
+        dropped and coefficients made canonical, words are not re-checked."""
+        grades = {}
+        for n in sorted(raw):
+            clean = _canonical(raw[n])
+            if clean:
+                grades[n] = clean
+        return cls._graded(m, max_degree, grades, exact_to)
 
     # -- construction helpers -------------------------------------------------
 
@@ -114,31 +162,39 @@ class Series:
 
     @property
     def terms(self):
-        return MappingProxyType(self._terms)
+        if self._flat is None:
+            flat: dict[Word, Coeff] = {}
+            for grade in self._grades.values():
+                flat.update(grade)
+            self._flat = flat
+        return MappingProxyType(self._flat)
 
     def coeff(self, word) -> Coeff:
-        return self._terms.get(tuple(word), 0)
+        word = tuple(word)
+        grade = self._grades.get(len(word))
+        return grade.get(word, 0) if grade else 0
 
     def support(self) -> set[Word]:
-        return set(self._terms)
+        return set(self.terms)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._grades
 
     def is_proper(self) -> bool:
         """True when the empty-word coefficient vanishes."""
-        return () not in self._terms
+        return 0 not in self._grades
 
     def items(self) -> Iterator[tuple[Word, Coeff]]:
         """Term pairs in graded lexicographic order."""
-        for word in sorted(self._terms, key=graded_key):
-            yield word, self._terms[word]
+        for grade in self._grades.values():
+            for word in sorted(grade):
+                yield word, grade[word]
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return sum(len(grade) for grade in self._grades.values())
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._grades)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
@@ -146,23 +202,21 @@ class Series:
         return (
             self.m == other.m
             and self.max_degree == other.max_degree
-            and self._terms == other._terms
+            and self._grades == other._grades
         )
 
     __hash__ = None
 
     def eq_to_degree(self, other: "Series", degree: int) -> bool:
         """Coefficientwise equality on all words of length <= degree."""
-        for word, coeff in self._terms.items():
-            if len(word) <= degree and other._terms.get(word, 0) != coeff:
-                return False
-        for word, coeff in other._terms.items():
-            if len(word) <= degree and word not in self._terms:
-                return False
-        return True
+        return all(
+            self._grades.get(n, {}) == other._grades.get(n, {})
+            for n in self._grades.keys() | other._grades.keys()
+            if n <= degree
+        )
 
     def __repr__(self) -> str:
-        if not self._terms:
+        if not self._grades:
             body = "0"
         else:
             parts = []
@@ -175,8 +229,10 @@ class Series:
     # -- degree bookkeeping ----------------------------------------------------
 
     def truncate(self, degree: int) -> "Series":
-        terms = {w: c for w, c in self._terms.items() if len(w) <= degree}
-        return Series(self.m, degree, terms, exact_to=min(self.exact_to, degree))
+        if degree < 0:
+            raise DomainError("max_degree must be >= 0")
+        grades = {n: g for n, g in self._grades.items() if n <= degree}
+        return Series._graded(self.m, degree, grades, min(self.exact_to, degree))
 
     def extended(self, max_degree: int, exact_to=None) -> "Series":
         """Raise the truncation degree without adding terms.
@@ -189,7 +245,7 @@ class Series:
             return self.truncate(max_degree)
         if exact_to is None:
             exact_to = self.exact_to
-        return Series(self.m, max_degree, self._terms, exact_to=exact_to)
+        return Series._graded(self.m, max_degree, self._grades, exact_to)
 
     # -- linear structure --------------------------------------------------------
 
@@ -235,50 +291,58 @@ def linear_combine(pairs: list[tuple[Coeff, Series]]) -> Series:
     m = _common_alphabet(c for _, c in pairs)
     degree = min(c.max_degree for _, c in pairs)
     exact_to = min(c.exact_to for _, c in pairs)
-    acc: dict[Word, Coeff] = {}
+    acc: Grades = {}
     for scalar, series in pairs:
         scalar = as_coeff(scalar)
         if scalar == 0:
             continue
-        for word, coeff in series._terms.items():
-            if len(word) > degree:
-                continue
-            acc[word] = acc.get(word, 0) + scalar * coeff
-    return Series(m, degree, acc, exact_to=exact_to)
+        for n, grade in series._grades.items():
+            if n > degree:
+                break
+            out = acc.setdefault(n, {})
+            for word, coeff in grade.items():
+                out[word] = out.get(word, 0) + scalar * coeff
+    return Series._accumulated(m, degree, acc, exact_to)
 
 
 def concat_product(c: Series, d: Series) -> Series:
-    """Concatenation (Cauchy) product: coefficients convolve over word splits."""
+    """Concatenation (Cauchy) product: coefficients convolve over word splits.
+
+    Only grade pairs (i, j) with i + j <= degree are visited.
+    """
     m = _common_alphabet((c, d))
     degree = min(c.max_degree, d.max_degree)
     exact_to = min(c.exact_to, d.exact_to, degree)
-    acc: dict[Word, Coeff] = {}
-    for w1, a in c._terms.items():
-        if len(w1) > degree:
-            continue
-        room = degree - len(w1)
-        for w2, b in d._terms.items():
-            if len(w2) > room:
-                continue
-            key = w1 + w2
-            acc[key] = acc.get(key, 0) + a * b
-    return Series(m, degree, acc, exact_to=exact_to)
+    acc: Grades = {}
+    for i, left in c._grades.items():
+        for j, right in d._grades.items():
+            if i + j > degree:
+                break
+            out = acc.setdefault(i + j, {})
+            for w1, a in left.items():
+                for w2, b in right.items():
+                    key = w1 + w2
+                    out[key] = out.get(key, 0) + a * b
+    return Series._accumulated(m, degree, acc, exact_to)
 
 
-def _shuffle_terms(a: dict, b: dict, limit: int) -> dict[Word, Coeff]:
-    """Raw-dict shuffle with truncation at limit. Hot path."""
+def _shuffle_terms(a: Grades, b: Grades, n: int) -> dict[Word, Coeff]:
+    """Degree-n slice of the shuffle product of two graded term maps.
+
+    Only grade pairs (i, n - i) are visited, so every term pair is kept.
+    Returns a flat word -> coefficient dict (zeros from cancellation
+    included). Hot path.
+    """
     acc: dict[Word, Coeff] = {}
-    get = acc.get
-    for w1, c1 in a.items():
-        room = limit - len(w1)
-        if room < 0:
+    for i, left in a.items():
+        right = b.get(n - i)
+        if not right:
             continue
-        for w2, c2 in b.items():
-            if len(w2) > room:
-                continue
-            prod = c1 * c2
-            for word, mult in shuffle_words(w1, w2).items():
-                acc[word] = get(word, 0) + prod * mult
+        for w1, c1 in left.items():
+            for w2, c2 in right.items():
+                prod = c1 * c2
+                for word, mult in shuffle_words(w1, w2).items():
+                    acc[word] = acc.get(word, 0) + (prod if mult == 1 else prod * mult)
     return acc
 
 
@@ -291,8 +355,8 @@ def shuffle_product(c: Series, d: Series) -> Series:
     m = _common_alphabet((c, d))
     degree = min(c.max_degree, d.max_degree)
     exact_to = min(c.exact_to, d.exact_to, degree)
-    acc = _shuffle_terms(c._terms, d._terms, degree)
-    return Series(m, degree, acc, exact_to=exact_to)
+    acc = {n: _shuffle_terms(c._grades, d._grades, n) for n in range(degree + 1)}
+    return Series._accumulated(m, degree, acc, exact_to)
 
 
 class ScalarProduct(NamedTuple):
@@ -309,12 +373,16 @@ def scalar_product(c: Series, d: Series) -> ScalarProduct:
     _common_alphabet((c, d))
     degree = min(c.max_degree, d.max_degree)
     exact = min(c.exact_to, d.exact_to) >= degree
-    small, large = (c._terms, d._terms)
-    if len(small) > len(large):
-        small, large = large, small
     total: Coeff = 0
-    for word, coeff in small.items():
-        if len(word) <= degree:
+    for n, small in c._grades.items():
+        if n > degree:
+            break
+        large = d._grades.get(n)
+        if not large:
+            continue
+        if len(small) > len(large):
+            small, large = large, small
+        for word, coeff in small.items():
             other = large.get(word)
             if other is not None:
                 total += coeff * other
@@ -344,12 +412,11 @@ def maximal_series(K, M, m: int, max_degree: int) -> Series:
     M = as_coeff(M)
     if K <= 0 or M <= 0:
         raise DomainError("maximal series needs K > 0 and M > 0")
-    terms: dict[Word, Coeff] = {}
-    for k in range(max_degree + 1):
-        value = K * M**k * math.factorial(k)
-        for word in words_of_length(m, k):
-            terms[word] = value
-    return Series(m, max_degree, terms)
+    grades = {
+        k: dict.fromkeys(words_of_length(m, k), as_coeff(K * M**k * math.factorial(k)))
+        for k in range(max_degree + 1)
+    }
+    return Series._graded(m, max_degree, grades, max_degree)
 
 
 @dataclass(frozen=True)
@@ -377,14 +444,11 @@ def check_growth(c: Series, K, M) -> GrowthCheck:
     M = as_coeff(M)
     if K <= 0 or M <= 0:
         raise DomainError("growth constants must be positive")
-    by_degree: dict[int, Coeff] = {}
-    for word, coeff in c._terms.items():
-        k = len(word)
-        if k > c.exact_to:
-            continue
-        mag = -coeff if coeff < 0 else coeff
-        if mag > by_degree.get(k, 0):
-            by_degree[k] = mag
+    by_degree = {
+        k: max(abs(coeff) for coeff in grade.values())
+        for k, grade in c._grades.items()
+        if k <= c.exact_to
+    }
     ratios = []
     passed = True
     for k in range(c.exact_to + 1):

@@ -127,6 +127,19 @@ def double_diamond_net(K=DD_GAINS):
     return NetworkSpec(7, W, nodes)
 
 
+def ladder_net(n: int):
+    """n nodes x1 with the edges k -> k+1 and k -> k+2: every node between
+    1 and n lies on a forward path from 1 to n."""
+    from fliessnet import NetworkSpec
+
+    W = [[0] * n for _ in range(n)]
+    for k in range(1, n):
+        W[k][k - 1] = 1
+        if k >= 2:
+            W[k][k - 2] = 1
+    return NetworkSpec(n, W, [Series(1, 1, {(1,): 1})] * n)
+
+
 def all_ones_maximal(m: int, K=1, M=1):
     from fliessnet import MaximalSeriesSpec, NetworkSpec
 

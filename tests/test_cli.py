@@ -10,9 +10,16 @@ from fractions import Fraction
 
 import pytest
 
-from fliessnet import NetworkSpec, Series, complete_reldeg, network_to_json
+from fliessnet import (
+    NetworkSpec,
+    Series,
+    complete_reldeg,
+    io_map,
+    network_to_json,
+    relative_degree,
+)
 from fliessnet.cli import COMMANDS, run
-from conftest import double_diamond_net, five_node_net, four_node_net
+from conftest import double_diamond_net, five_node_net, four_node_net, ladder_net
 
 
 @pytest.fixture
@@ -239,6 +246,18 @@ class TestReldeg:
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[-1].startswith("prediction_error,relative degree is undetermined")
+
+
+    def test_over_budget_prediction_still_reports_the_measurement(self, tmp_path, capsys):
+        """26 forward-path candidates exceed the default budget of 24."""
+        net = ladder_net(26)
+        path = tmp_path / "ladder.json"
+        path.write_text(json.dumps(network_to_json(net)))
+        res = run_json(["reldeg", "--net", str(path), "--from", "1", "--to", "26",
+                        "--degree", "3"], capsys)["result"]
+        assert res["measured_status"] == relative_degree(io_map(net, 1, 26, 3)).status
+        assert res["predicted"] is None and res["consistent"] is None
+        assert res["prediction_error"] == "26 candidate nodes exceed the budget of 24"
 
 
 class TestBoundsAndAbel:

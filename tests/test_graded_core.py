@@ -1,0 +1,294 @@
+"""Differential tests of the graded series core and the incremental closed loop.
+
+The oracles below are the flat word -> coefficient product loops and the
+full-recompute fixed-point sweep the graded core replaced. Each loops over
+every term pair and skips those that do not fit under the truncation. The
+graded products, the layered compositions and the closed loop that settles
+one degree per sweep must reproduce them coefficient for coefficient, with
+the same canonical coefficient types and the same exact_to.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+import fliessnet.network as network
+from fliessnet import (
+    DomainError,
+    MaximalSeriesSpec,
+    NetworkSpec,
+    Series,
+    closed_loop_series,
+    compose_at,
+    compose_maximal,
+    concat_product,
+    linear_combine,
+    shuffle_product,
+    shuffle_words,
+)
+from fliessnet.cli import run
+from fliessnet.compose import ComposeLayers
+from conftest import all_ones_maximal, double_diamond_net, make_random_series
+
+# -- flat oracles ------------------------------------------------------------------
+
+
+def flat_shuffle_terms(a: dict, b: dict, limit: int) -> dict:
+    acc: dict = {}
+    for w1, c1 in a.items():
+        room = limit - len(w1)
+        if room < 0:
+            continue
+        for w2, c2 in b.items():
+            if len(w2) > room:
+                continue
+            prod = c1 * c2
+            for word, mult in shuffle_words(w1, w2).items():
+                acc[word] = acc.get(word, 0) + prod * mult
+    return acc
+
+
+def flat_shuffle_product(c: Series, d: Series) -> Series:
+    degree = min(c.max_degree, d.max_degree)
+    acc = flat_shuffle_terms(dict(c.terms), dict(d.terms), degree)
+    return Series(c.m, degree, acc, exact_to=min(c.exact_to, d.exact_to, degree))
+
+
+def flat_concat_product(c: Series, d: Series) -> Series:
+    degree = min(c.max_degree, d.max_degree)
+    acc: dict = {}
+    for w1, a in c.terms.items():
+        if len(w1) > degree:
+            continue
+        room = degree - len(w1)
+        for w2, b in d.terms.items():
+            if len(w2) > room:
+                continue
+            acc[w1 + w2] = acc.get(w1 + w2, 0) + a * b
+    return Series(c.m, degree, acc, exact_to=min(c.exact_to, d.exact_to, degree))
+
+
+def flat_linear_combine(pairs) -> Series:
+    degree = min(c.max_degree for _, c in pairs)
+    acc: dict = {}
+    for scalar, series in pairs:
+        for word, coeff in series.terms.items():
+            if len(word) <= degree:
+                acc[word] = acc.get(word, 0) + Fraction(scalar) * coeff
+    exact_to = min(c.exact_to for _, c in pairs)
+    return Series(pairs[0][1].m, degree, acc, exact_to=exact_to)
+
+
+def _prepend(letter, e, limit):
+    return {(letter,) + w: c for w, c in e.items() if len(w) < limit}
+
+
+def _add(acc, extra, scale=1):
+    for word, coeff in extra.items():
+        acc[word] = acc.get(word, 0) + scale * coeff
+
+
+def _substitute(d_terms, e, limit, mixed):
+    out = _prepend(0, flat_shuffle_terms(d_terms, e, limit - 1), limit) if limit >= 1 else {}
+    if mixed:
+        _add(out, _prepend(1, e, limit))
+    return out
+
+
+def flat_compose_at(c: Series, d: Series, n_out: int, mixed: bool = False) -> Series:
+    d_terms = dict(d.terms)
+    memo: dict = {}
+
+    def image(word):
+        if word not in memo:
+            if not word:
+                memo[word] = {(): 1}
+            elif word[0] == 0:
+                memo[word] = _prepend(0, image(word[1:]), n_out)
+            else:
+                memo[word] = _substitute(d_terms, image(word[1:]), n_out, mixed)
+        return memo[word]
+
+    acc: dict = {}
+    for word, coeff in c.terms.items():
+        if len(word) <= n_out:
+            _add(acc, image(word), coeff)
+    return Series(1, n_out, acc, exact_to=min(c.exact_to, d.exact_to + 1, n_out))
+
+
+def flat_compose_maximal(spec, d: Series, n_out: int, mixed: bool) -> Series:
+    d_terms = dict(d.terms)
+    acc: dict = {}
+    e: dict = {(): 1}
+    for k in range(n_out + 1):
+        _add(acc, e, spec.K * spec.M**k * math.factorial(k))
+        if k == n_out:
+            break
+        stepped = _prepend(0, e, n_out)
+        _add(stepped, _substitute(d_terms, e, n_out, mixed))
+        e = stepped
+    return Series(1, n_out, acc, exact_to=min(d.exact_to + 1, n_out))
+
+
+def flat_closed_loop(net: NetworkSpec, i: int, degree: int) -> dict:
+    """Every sweep recomputes every degree from the previous sweep's series."""
+    d = {k: Series.zero(1, 0) for k in range(1, net.m + 1)}
+    for t in range(1, degree + 2):
+        target = t - 1
+        out = {}
+        for k in range(1, net.m + 1):
+            pairs = [(w, d[l]) for l, w in enumerate(net.W[k - 1], start=1) if w != 0]
+            feedback = flat_linear_combine(pairs) if pairs else Series.zero(1, target)
+            src = net.nodes[k - 1]
+            if isinstance(src, MaximalSeriesSpec):
+                out[k] = flat_compose_maximal(src, feedback, target, k == i)
+            else:
+                out[k] = flat_compose_at(net.node_series(k, target), feedback, target, k == i)
+        d = out
+    return d
+
+
+# -- comparison ------------------------------------------------------------------------
+
+
+def fingerprint(s: Series):
+    """Everything a reader of a series can see, coefficient types included."""
+    return (
+        s.m,
+        s.max_degree,
+        s.exact_to,
+        len(s),
+        [(word, type(coeff), coeff) for word, coeff in s.items()],
+        dict(s.terms),
+    )
+
+
+def assert_same(got: Series, want: Series) -> None:
+    assert got == want
+    assert fingerprint(got) == fingerprint(want)
+
+
+# -- products on seeded random operands ----------------------------------------------------
+
+
+class TestProducts:
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_products_match_flat_loops(self, rng, m):
+        for _ in range(40):
+            a = make_random_series(rng, m=m, degree=rng.randint(0, 5), max_terms=6)
+            b = make_random_series(rng, m=m, degree=rng.randint(0, 5), max_terms=6)
+            if rng.random() < 0.5:
+                a = a.extended(a.max_degree + 2)
+            assert_same(shuffle_product(a, b), flat_shuffle_product(a, b))
+            assert_same(concat_product(a, b), flat_concat_product(a, b))
+            pairs = [(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), a), (2, b), (-1, a)]
+            assert_same(linear_combine(pairs), flat_linear_combine(pairs))
+
+    def test_cancellation_leaves_canonical_ints(self):
+        half = Series(1, 2, {(0,): Fraction(1, 2), (1,): Fraction(3, 2)})
+        total = linear_combine([(1, half), (1, half)])
+        assert [type(c) for _, c in total.items()] == [int, int]
+        assert linear_combine([(1, half), (-1, half)]).is_zero()
+
+    def test_compose_matches_flat_composition(self, rng):
+        for _ in range(40):
+            c = make_random_series(rng, degree=4, max_terms=4)
+            d = make_random_series(rng, degree=3, max_terms=4)
+            for n_out in range(5):
+                for mixed in (False, True):
+                    assert_same(compose_at(c, d, n_out, mixed), flat_compose_at(c, d, n_out, mixed))
+
+    def test_layers_settle_one_degree_per_call(self, rng):
+        """Raising n_out by one on kept layers equals a fresh full composition,
+        as in a network sweep: d is exact through n_out - 1 at each call."""
+        spec = MaximalSeriesSpec(Fraction(3, 2), Fraction(2, 3))
+        for _ in range(10):
+            c = make_random_series(rng, degree=5, max_terms=5)
+            d = make_random_series(rng, degree=6, max_terms=6)
+            mixed = rng.random() < 0.5
+            poly, maximal = ComposeLayers(), ComposeLayers()
+            for n_out in range(7):
+                d_now = d.truncate(max(n_out - 1, 0))
+                c_now = c.truncate(n_out) if n_out < c.max_degree else c.extended(n_out)
+                assert_same(compose_at(c_now, d_now, n_out, mixed, poly),
+                            flat_compose_at(c_now, d_now, n_out, mixed))
+                assert_same(compose_maximal(spec, d_now, n_out, mixed, maximal),
+                            flat_compose_maximal(spec, d_now, n_out, mixed))
+
+
+# -- closed loops ----------------------------------------------------------------------------
+
+
+def seeded_maximal_net(seed: int, m: int) -> NetworkSpec:
+    r = random.Random(seed)
+    specs = [MaximalSeriesSpec(Fraction(r.randint(1, 9), 5), Fraction(r.randint(1, 9), 7))
+             for _ in range(m)]
+    W = [[Fraction(r.randint(0, 10), 11) for _ in range(m)] for _ in range(m)]
+    return NetworkSpec(m, W, specs)
+
+
+def mixed_net() -> NetworkSpec:
+    """Two maximal and two polynomial nodes, one of them certified exact
+    only through degree 2, a self-loop and a node with no incoming edge."""
+    nodes = [
+        MaximalSeriesSpec(1, Fraction(1, 2)),
+        Series(1, 3, {(1,): 2, (0, 1): Fraction(-1, 3), (1, 0, 1): 1}),
+        Series(1, 4, {(): 1, (0, 1): 3, (1, 1, 0, 1): Fraction(5, 2)}, exact_to=2),
+        MaximalSeriesSpec(Fraction(2, 3), 1),
+    ]
+    W = [
+        [0, 0, Fraction(1, 2), 0],
+        [1, 0, 0, Fraction(1, 3)],
+        [0, Fraction(2, 5), Fraction(1, 7), 0],
+        [0, 0, 0, 0],
+    ]
+    return NetworkSpec(4, W, nodes)
+
+
+CLOSED_LOOPS = [
+    ("all_ones_m3", lambda: all_ones_maximal(3), 1, 7),
+    ("seeded_maximal", lambda: seeded_maximal_net(2026, 3), 2, 6),
+    ("double_diamond", double_diamond_net, 1, 12),
+    ("mixed", mixed_net, 2, 7),
+    ("mixed_from_source", mixed_net, 4, 6),
+]
+
+
+@pytest.mark.parametrize("name,make,i,degree", CLOSED_LOOPS, ids=[c[0] for c in CLOSED_LOOPS])
+def test_closed_loop_matches_full_recompute(name, make, i, degree):
+    net = make()
+    got = closed_loop_series(net, i, degree)
+    want = flat_closed_loop(net, i, degree)
+    assert sorted(got) == sorted(want)
+    for k in want:
+        assert_same(got[k], want[k])
+
+
+def test_stabilization_check_still_passes():
+    closed_loop_series(mixed_net(), 1, 5, check_stabilization=True)
+
+
+# -- term cap --------------------------------------------------------------------------------
+
+
+class TestTermCap:
+    def test_deep_request_fails_after_a_few_degrees(self, monkeypatch):
+        monkeypatch.setattr(network, "TERM_CAP", 200)
+        with pytest.raises(DomainError, match=r"at degree [3-6], over the cap of 200"):
+            closed_loop_series(all_ones_maximal(1), 1, 30)
+
+    def test_cli_reports_the_cap_as_a_domain_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(network, "TERM_CAP", 200)
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(
+            {"m": 1, "W": [["1"]], "nodes": [{"kind": "maximal", "K": "1", "M": "1"}]}))
+        code = run(["iomap", "--net", str(path), "--from", "1", "--to", "1", "--degree", "30"])
+        assert code == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "DomainError"
+        assert "over the cap of 200" in error["message"]

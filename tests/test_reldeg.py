@@ -24,7 +24,7 @@ from fliessnet import (
     subgraph_extract,
     sum_reldeg_predict,
 )
-from conftest import DD_GAINS, double_diamond_net, four_node_net
+from conftest import DD_GAINS, double_diamond_net, four_node_net, ladder_net
 
 X1 = Series(1, 1, {(1,): 1})
 
@@ -219,6 +219,16 @@ class TestComplete:
         assert table[(1, 1)].measured.r == 1
         ok = [p for p in table.values() if p.consistent is True]
         assert len(ok) >= 7
+
+    def test_over_budget_pair_is_reported_not_raised(self):
+        """Pairs whose forward-path candidates exceed the node budget keep
+        their measurement and carry the budget error as prediction_error."""
+        table = complete_reldeg(ladder_net(6), 4, node_budget=3)
+        over = table[(1, 4)]
+        assert over.measured.r == 3
+        assert over.predicted is None and over.consistent is None
+        assert over.prediction_error == "4 candidate nodes exceed the budget of 3"
+        assert table[(1, 3)].consistent is True
 
 
 class TestGenericity:
