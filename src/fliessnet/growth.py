@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, NoConvergence
-from .series import Coeff, as_coeff
+from .series import Coeff, as_coeff, positive_constants
 
 _BRANCH_POINT = -math.exp(-1.0)
 _BRANCH_GUARD = 1e-12
@@ -30,36 +30,53 @@ def _branch_series(p: float) -> float:
 
 
 def _halley(x: float, w: float) -> float:
+    prev = math.inf
     for _ in range(50):
         ew = math.exp(w)
         f = w * ew - x
         wp1 = w + 1.0
         step = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
         w -= step
-        if abs(step) <= 1e-14 * (1.0 + abs(w)):
+        size = abs(step)
+        if size <= 1e-14 * (1.0 + abs(w)):
             return w
+        # Near -1/e the problem is ill-conditioned and the step stalls above
+        # the tolerance: once it stops shrinking at roundoff level, w is as
+        # good as double precision allows.
+        if prev <= size <= 1e-9 * (1.0 + abs(w)):
+            return w
+        prev = size
     raise NoConvergence(f"Lambert W iteration did not settle for x = {x}")
 
 
-def lambert_w(x: float) -> float:
-    """Principal real branch: the solution of W e^W = x with W >= -1."""
+def _lambert(x: float, lower: bool) -> float:
+    """Real Lambert W on the principal (W >= -1) or the lower (W <= -1) branch."""
     x = float(x)
-    if math.isnan(x):
-        raise DomainError("lambert_w of NaN")
+    if lower:
+        name, domain = "lambert_w_lower", "-1/e <= x < 0"
+    else:
+        name, domain = "lambert_w", "finite x >= -1/e"
+    if not math.isfinite(x) or (lower and x >= 0.0) or x <= _BRANCH_POINT - _BRANCH_GUARD:
+        raise DomainError(f"{name} needs {domain}, got {x}")
     if x < _BRANCH_POINT:
-        if x > _BRANCH_POINT - _BRANCH_GUARD:
-            return -1.0
-        raise DomainError(f"lambert_w needs x >= -1/e, got {x}")
+        return -1.0
     if x == 0.0:
         return 0.0
     p_sq = 2.0 * (math.e * x + 1.0)
     if p_sq <= 0.0:
         return -1.0
-    p = math.sqrt(p_sq)
-    if p < 1e-3:
+    p = -math.sqrt(p_sq) if lower else math.sqrt(p_sq)
+    if abs(p) < 1e-3:
         return _branch_series(p)
-    if x < -0.25:
+    if x < (-0.33 if lower else -0.25):
         seed = _branch_series(p)
+    elif lower:
+        # Asymptotic seed, tightened by the contraction w -> log(-x) - log(-w)
+        # so Halley starts safely on this branch.
+        log_mx = math.log(-x)
+        seed = log_mx - math.log(-log_mx)
+        for _ in range(8):
+            seed = log_mx - math.log(-seed)
     elif x < math.e:
         seed = x / (1.0 + x)
     else:
@@ -68,31 +85,14 @@ def lambert_w(x: float) -> float:
     return _halley(x, seed)
 
 
+def lambert_w(x: float) -> float:
+    """Principal real branch: the solution of W e^W = x with W >= -1."""
+    return _lambert(x, lower=False)
+
+
 def lambert_w_lower(x: float) -> float:
     """Lower real branch: the solution of W e^W = x with W <= -1, for x in [-1/e, 0)."""
-    x = float(x)
-    if math.isnan(x) or x >= 0.0:
-        raise DomainError(f"lambert_w_lower needs -1/e <= x < 0, got {x}")
-    if x < _BRANCH_POINT:
-        if x > _BRANCH_POINT - _BRANCH_GUARD:
-            return -1.0
-        raise DomainError(f"lambert_w_lower needs x >= -1/e, got {x}")
-    p_sq = 2.0 * (math.e * x + 1.0)
-    if p_sq <= 0.0:
-        return -1.0
-    p = -math.sqrt(p_sq)
-    if -p < 1e-3:
-        return _branch_series(p)
-    if x < -0.33:
-        seed = _branch_series(p)
-    else:
-        # Asymptotic seed, tightened by the contraction w -> log(-x) - log(-w)
-        # so Halley starts safely on this branch.
-        log_mx = math.log(-x)
-        seed = log_mx - math.log(-log_mx)
-        for _ in range(8):
-            seed = log_mx - math.log(-seed)
-    return _halley(x, seed)
+    return _lambert(x, lower=True)
 
 
 def _lambda(x: float) -> float:
@@ -112,6 +112,14 @@ def _lambda(x: float) -> float:
     return total
 
 
+def _envelope_constants(K, M, m) -> tuple[Coeff, Coeff]:
+    """Check the envelope's inputs: positive (K, M) and a positive node count m."""
+    K, M = positive_constants(K, M)
+    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+        raise DomainError("node count m must be a positive integer")
+    return K, M
+
+
 @dataclass(frozen=True)
 class GrowthBound:
     Kbar: Coeff
@@ -127,12 +135,7 @@ def m_inf_bound(Kbar, Mbar, m: int) -> GrowthBound:
     t_star = 1/M_inf lower-bounds the escape time of every network dominated
     by the (Kbar, Mbar) envelope.
     """
-    Kbar = as_coeff(Kbar)
-    Mbar = as_coeff(Mbar)
-    if Kbar <= 0 or Mbar <= 0:
-        raise DomainError("growth constants must be positive")
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise DomainError("node count m must be a positive integer")
+    Kbar, Mbar = _envelope_constants(Kbar, Mbar, m)
     x = float(Fraction(m) * Fraction(Kbar))
     m_inf = float(Fraction(Mbar)) / _lambda(x)
     return GrowthBound(Kbar, Mbar, m, m_inf, 1.0 / m_inf)
@@ -164,12 +167,7 @@ def abel_taylor(m: int, K, M, n_max: int) -> AbelSequence:
 
     (k+1) z_{k+1} = (M/K) (sum_{a+b=k} z_a z_b + m sum_{a+b+c=k} z_a z_b z_c).
     """
-    K = as_coeff(K)
-    M = as_coeff(M)
-    if K <= 0 or M <= 0:
-        raise DomainError("growth constants must be positive")
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise DomainError("node count m must be a positive integer")
+    K, M = _envelope_constants(K, M, m)
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
     ratio = Fraction(M) / Fraction(K)
@@ -199,8 +197,8 @@ def closed_form_natural_response(m: int, K, M, t: float) -> float:
     t = float(t)
     if not 0.0 <= t < bound.t_star:
         raise DomainError(f"t must lie in [0, t_star) with t_star = {bound.t_star}")
-    k_f = float(Fraction(as_coeff(K)))
-    m_f = float(Fraction(as_coeff(M)))
+    k_f = float(Fraction(bound.Kbar))
+    m_f = float(Fraction(bound.Mbar))
     if t == 0.0:
         # W(-s e^{-s}) = -s on the lower branch, so the formula collapses to K
         return k_f

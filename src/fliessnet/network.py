@@ -89,14 +89,16 @@ class NetworkSpec:
     def node_series(self, k: int, degree: int) -> Series:
         """Node k expanded to the requested truncation degree.
 
-        Explicit node series are polynomials, hence exact at every degree.
+        An explicit node series exact through its own truncation is a
+        polynomial, hence exact at every degree; any other keeps its exact_to.
         """
         src = self.node(k)
         if isinstance(src, MaximalSeriesSpec):
             return src.expand(1, degree)
         if src.max_degree > degree:
             return src.truncate(degree)
-        return src.extended(degree, exact_to=degree)
+        polynomial = src.exact_to >= src.max_degree
+        return src.extended(degree, exact_to=degree if polynomial else None)
 
     def edges(self, include_self: bool = True):
         """Yield (l, k) for every nonzero weight W[k][l], i.e. edge l -> k."""

@@ -10,10 +10,12 @@ certifies the result with one of three structural conditions.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import Counter, defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -180,7 +182,6 @@ def predict_io_reldeg(
     net: NetworkSpec,
     i: int,
     j: int,
-    n_for_conditions: Optional[int] = None,
     node_budget: int = 24,
 ) -> PredictionReport:
     """Predict the relative degree of the map from an input at node i to the
@@ -228,13 +229,8 @@ def predict_io_reldeg(
     if not repeated:
         return PredictionReport(i, j, r_pred, CONDITION_DISTINCT, degrees, details)
     needed = max(value for ties in repeated.values() for value in ties)
-    n_cond = needed if n_for_conditions is None else n_for_conditions
-    if n_cond < needed:
-        raise ConditionError(
-            f"checking repeated sums at degree {n_cond} needs at least {needed}"
-        )
     restricted = restrict_to_subgraph(net, sub)
-    d_sub = closed_loop_series(restricted, i, n_cond)
+    d_sub = closed_loop_series(restricted, i, needed)
     sums: dict[str, Coeff] = {}
     all_nonzero = True
     for v, ties in sorted(repeated.items()):
@@ -290,19 +286,14 @@ def pair_report(
 def complete_reldeg(
     net: NetworkSpec,
     degree: int,
-    include_predictions: bool = True,
     node_budget: int = 24,
 ) -> dict[tuple[int, int], PairReport]:
-    """Measure (and optionally predict) the relative degree of every pair."""
+    """Measure and predict the relative degree of every pair."""
     out: dict[tuple[int, int], PairReport] = {}
     for i in range(1, net.m + 1):
         closed = closed_loop_series(net, i, degree)
         for j in range(1, net.m + 1):
-            measured = relative_degree(closed[j])
-            if include_predictions:
-                out[(i, j)] = pair_report(net, i, j, measured, node_budget)
-            else:
-                out[(i, j)] = PairReport(i, j, measured, None, None, None)
+            out[(i, j)] = pair_report(net, i, j, relative_degree(closed[j]), node_budget)
     return out
 
 
@@ -340,25 +331,21 @@ def sample_network(
     return NetworkSpec(m, W, list(nodes))
 
 
-def _genericity_chunk(args) -> tuple[dict, dict, list[float]]:
-    pattern, nodes, seed, indices, degree, designated = args
-    m = len(nodes)
-    status: dict[tuple[int, int], Counter] = defaultdict(Counter)
-    r_counts: dict[tuple[int, int], Counter] = defaultdict(Counter)
-    values: list[float] = []
-    for idx in indices:
-        net = sample_network(pattern, nodes, seed, idx)
-        for i in range(1, m + 1):
-            closed = closed_loop_series(net, i, degree)
-            for j in range(1, m + 1):
-                rep = relative_degree(closed[j])
-                status[(i, j)][rep.status] += 1
-                if rep.status == STATUS_DEFINED:
-                    r_counts[(i, j)][rep.r] += 1
-            if designated is not None and i == designated[0]:
-                coeff = closed[designated[1]].coeff(tuple(designated[2]))
-                values.append(abs(float(Fraction(coeff))))
-    return dict(status), dict(r_counts), values
+def _genericity_one(
+    pattern, nodes, seed: int, degree: int, designated, index: int
+) -> tuple[dict[tuple[int, int], RelDegReport], Optional[float]]:
+    """Relative degree of every pair of sample `index`, and the absolute value
+    of the designated coefficient when one is named."""
+    net = sample_network(pattern, nodes, seed, index)
+    reports: dict[tuple[int, int], RelDegReport] = {}
+    value = None
+    for i in range(1, net.m + 1):
+        closed = closed_loop_series(net, i, degree)
+        for j in range(1, net.m + 1):
+            reports[(i, j)] = relative_degree(closed[j])
+        if designated is not None and i == designated[0]:
+            value = abs(float(Fraction(closed[designated[1]].coeff(designated[2]))))
+    return reports, value
 
 
 def genericity_sample(
@@ -382,29 +369,23 @@ def genericity_sample(
     designated_key: Optional[tuple[int, int, Word]] = None
     if designated is not None:
         designated_key = (designated[0], designated[1], tuple(designated[2]))
-    chunks: list[Sequence[int]]
-    if jobs > 1:
-        bounds = np.array_split(np.arange(samples), jobs)
-        chunks = [chunk.tolist() for chunk in bounds if len(chunk)]
+    one = partial(_genericity_one, pattern, list(nodes), seed, degree, designated_key)
+    workers = min(jobs, samples)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(one, range(samples), chunksize=math.ceil(samples / workers)))
     else:
-        chunks = [list(range(samples))]
-    payloads = [
-        (pattern, list(nodes), seed, chunk, degree, designated_key) for chunk in chunks
-    ]
-    if jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_genericity_chunk, payloads))
-    else:
-        parts = [_genericity_chunk(p) for p in payloads]
+        results = list(map(one, range(samples)))
     status: dict[tuple[int, int], Counter] = defaultdict(Counter)
     r_counts: dict[tuple[int, int], Counter] = defaultdict(Counter)
     values: list[float] = []
-    for part_status, part_r, part_values in parts:
-        for key, counter in part_status.items():
-            status[key].update(counter)
-        for key, counter in part_r.items():
-            r_counts[key].update(counter)
-        values.extend(part_values)
+    for reports, value in results:
+        for key, rep in reports.items():
+            status[key][rep.status] += 1
+            if rep.status == STATUS_DEFINED:
+                r_counts[key][rep.r] += 1
+        if value is not None:
+            values.append(value)
     histogram: tuple[tuple[float, float, int], ...] = ()
     if values:
         counts, edges = np.histogram(np.asarray(values), bins=bins)

@@ -154,10 +154,6 @@ class Series:
     def one(cls, m: int, max_degree: int) -> "Series":
         return cls(m, max_degree, {(): 1})
 
-    @classmethod
-    def monomial(cls, m: int, max_degree: int, word, coeff=1) -> "Series":
-        return cls(m, max_degree, {tuple(word): coeff})
-
     # -- basic queries ---------------------------------------------------------
 
     @property
@@ -389,6 +385,15 @@ def scalar_product(c: Series, d: Series) -> ScalarProduct:
     return ScalarProduct(as_coeff(total), exact)
 
 
+def positive_constants(K, M) -> tuple[Coeff, Coeff]:
+    """Growth constants (K, M) as exact coefficients, both required positive."""
+    K = as_coeff(K)
+    M = as_coeff(M)
+    if K <= 0 or M <= 0:
+        raise DomainError("growth constants need K > 0 and M > 0")
+    return K, M
+
+
 @dataclass(frozen=True)
 class MaximalSeriesSpec:
     """Constants (K, M) of a maximal series: every length-k coefficient is K M^k k!."""
@@ -397,10 +402,9 @@ class MaximalSeriesSpec:
     M: Coeff
 
     def __post_init__(self):
-        object.__setattr__(self, "K", as_coeff(self.K))
-        object.__setattr__(self, "M", as_coeff(self.M))
-        if self.K <= 0 or self.M <= 0:
-            raise DomainError("maximal series needs K > 0 and M > 0")
+        K, M = positive_constants(self.K, self.M)
+        object.__setattr__(self, "K", K)
+        object.__setattr__(self, "M", M)
 
     def expand(self, m: int, max_degree: int) -> Series:
         return maximal_series(self.K, self.M, m, max_degree)
@@ -408,10 +412,7 @@ class MaximalSeriesSpec:
 
 def maximal_series(K, M, m: int, max_degree: int) -> Series:
     """The series with <c, eta> = K M^|eta| |eta|! for every word eta."""
-    K = as_coeff(K)
-    M = as_coeff(M)
-    if K <= 0 or M <= 0:
-        raise DomainError("maximal series needs K > 0 and M > 0")
+    K, M = positive_constants(K, M)
     grades = {
         k: dict.fromkeys(words_of_length(m, k), as_coeff(K * M**k * math.factorial(k)))
         for k in range(max_degree + 1)
@@ -440,10 +441,7 @@ def check_growth(c: Series, K, M) -> GrowthCheck:
     Only degrees certified exact are examined. The per-degree ratio is
     max |coeff| / (M^k k!), so the check passes iff every ratio is <= K.
     """
-    K = as_coeff(K)
-    M = as_coeff(M)
-    if K <= 0 or M <= 0:
-        raise DomainError("growth constants must be positive")
+    K, M = positive_constants(K, M)
     by_degree = {
         k: max(abs(coeff) for coeff in grade.values())
         for k, grade in c._grades.items()

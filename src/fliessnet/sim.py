@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, solve_ivp
 
 from .errors import AlphabetError, DomainError, ModelError, NoConvergence
 from .network import NetworkSpec, io_map
@@ -24,6 +23,17 @@ from .words import Word
 # A node is treated as having escaped at an integrator halt only if its state
 # has already left the range where bounded trajectories live.
 _DIVERGENCE_FLOOR = 1e4
+
+# Tolerances of the escape ODE, also reported in the trajectory metadata.
+_ODE_TOLERANCES = {"rtol": 1e-9, "atol": 1e-12}
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on first use: scipy.integrate
+    dominates the import time of the package and only the ODE route needs it."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -75,6 +85,7 @@ def eval_fliess(c: Series, u, grid: Grid) -> np.ndarray:
         if not np.all(np.isfinite(u_arr)):
             raise DomainError("input signal must be finite")
     table: dict[Word, np.ndarray] = {(): np.ones(n_pts)}
+    steps = np.diff(times)
 
     def suffix(word: Word) -> np.ndarray:
         cached = table.get(word)
@@ -82,7 +93,10 @@ def eval_fliess(c: Series, u, grid: Grid) -> np.ndarray:
             return cached
         inner = suffix(word[1:])
         integrand = inner if word[0] == 0 else inner * u_arr
-        value = cumulative_trapezoid(integrand, times, initial=0.0)
+        # Cumulative trapezoid rule, in scipy's cumulative_trapezoid order.
+        value = np.concatenate(
+            ([0.0], np.cumsum(steps * (integrand[1:] + integrand[:-1]) / 2.0))
+        )
         table[word] = value
         return value
 
@@ -118,8 +132,6 @@ def simulate_maximal_ode(
     grid: Grid,
     v=None,
     threshold: float = 1e9,
-    rtol: float = 1e-9,
-    atol: float = 1e-12,
 ) -> Trajectory:
     """Integrate the exact state realization of an all-maximal network.
 
@@ -172,8 +184,7 @@ def simulate_maximal_ode(
         (times[0], times[-1]),
         K,
         method="RK45",
-        rtol=rtol,
-        atol=atol,
+        **_ODE_TOLERANCES,
         dense_output=True,
         events=events,
     )
@@ -205,8 +216,7 @@ def simulate_maximal_ode(
         outputs[k + 1] = states[k]
     metadata = {
         "integrator": "RK45",
-        "rtol": rtol,
-        "atol": atol,
+        **_ODE_TOLERANCES,
         "threshold": threshold,
         "status": int(sol.status),
         "halted_at_singularity": halted,
@@ -279,8 +289,6 @@ def validate_io_map(
     degree: int,
     grid: Grid,
     v=None,
-    tol: float = 1e-12,
-    max_iter: int = 200,
 ) -> ValidationReport:
     """Compare the truncated closed-loop series response against a Picard
     simulation of the full network, for an input applied at node i.
@@ -298,7 +306,8 @@ def validate_io_map(
         v_sig = np.asarray(v, dtype=float)
     d = io_map(net, i, j, degree)
     series_route = eval_fliess(d, v_sig, grid)
-    traj = simulate_picard(net, grid, {i: v_sig}, tol=tol, max_iter=max_iter)
+    # A tight fixed point leaves the truncation remainder as the only error.
+    traj = simulate_picard(net, grid, {i: v_sig}, tol=1e-12, max_iter=200)
     err = float(np.max(np.abs(series_route - traj.outputs[j])))
     return ValidationReport(
         degree=degree,

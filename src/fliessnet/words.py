@@ -106,7 +106,3 @@ def shuffle_words(u: Word, v: Word) -> dict[Word, int]:
         out[key] = out.get(key, 0) + mult
     _shuffle_cache[(u, v)] = out
     return out
-
-
-def clear_shuffle_cache() -> None:
-    _shuffle_cache.clear()

@@ -15,13 +15,13 @@ import pytest
 
 from fliessnet import (
     Series,
-    compose,
     compose_at,
     compose_maximal,
     maximal_series,
     mixed_compose,
     MaximalSeriesSpec,
 )
+from fliessnet.compose import compose
 from conftest import make_random_series
 from test_words import brute_shuffle
 

@@ -7,16 +7,19 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from fliessnet import (
     DomainError,
+    NoConvergence,
     abel_taylor,
     closed_form_natural_response,
     lambert_w,
     lambert_w_lower,
     m_inf_bound,
 )
+from lambert_oracle import oracle_lambert_w, oracle_lambert_w_lower
 
 mpmath.mp.dps = 50
 
@@ -70,6 +73,8 @@ class TestLambertUpper:
             lambert_w(-1.0)
         with pytest.raises(DomainError):
             lambert_w(float("nan"))
+        with pytest.raises(DomainError):
+            lambert_w(float("inf"))
 
 
 class TestLambertLower:
@@ -89,6 +94,41 @@ class TestLambertLower:
         for bad in [0.0, 0.5, -1.0, float("inf")]:
             with pytest.raises(DomainError):
                 lambert_w_lower(bad)
+
+
+# Arguments x with e x + 1 log-spaced over [1e-8, 1e-2]: the band next to the
+# branch point where the Halley step stalls above its tolerance.
+NEAR_BRANCH = [(float(d) - 1.0) / math.e for d in np.geomspace(1e-8, 1e-2, 2000)]
+UPPER_POINTS = [0.0, math.e, -math.exp(-1.0), -0.36, -0.2, -0.05, 0.01, 0.5, 1.0, 10.0,
+                1e3, 1e8, -0.367, -0.1, 0.3, 2.0, 25.0, 1e6, -0.3678, -0.35, 4.0]
+LOWER_POINTS = [-0.36787, -0.36, -0.3, -0.2, -0.1, -1e-2, -1e-4, -1e-8, -1e-30, -0.3678,
+                -0.25, -0.05, -1e-6]
+BRANCHES = [
+    (lambert_w, oracle_lambert_w, 0, UPPER_POINTS),
+    (lambert_w_lower, oracle_lambert_w_lower, -1, LOWER_POINTS),
+]
+BRANCH_IDS = ["principal", "lower"]
+
+
+class TestLambertNearBranchPoint:
+    @pytest.mark.parametrize("w, _oracle, k, _points", BRANCHES, ids=BRANCH_IDS)
+    def test_against_mpmath_40_digits(self, w, _oracle, k, _points):
+        with mpmath.workdps(40):
+            for x in NEAR_BRANCH:
+                ref = mpmath.lambertw(mpmath.mpf(x), k).real
+                assert abs(mpmath.mpf(w(x)) / ref - 1) <= 1e-12, x
+
+    @pytest.mark.parametrize("w, oracle, _k, points", BRANCHES, ids=BRANCH_IDS)
+    def test_same_floats_where_the_old_routine_converges(self, w, oracle, _k, points):
+        stalled = 0
+        for x in NEAR_BRANCH + points:
+            try:
+                expected = oracle(x)
+            except NoConvergence:
+                stalled += 1
+                continue
+            assert w(x) == expected, x
+        assert stalled > 0  # the grid reaches the band where the old loop stalled
 
 
 class TestGrowthRate:

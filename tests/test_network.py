@@ -111,6 +111,14 @@ class TestClosedLoop:
         assert d41.is_zero()
         assert d41.exact_to == 6
 
+    def test_truncated_node_keeps_its_exact_to(self):
+        # Exact only through degree 2, so not a polynomial: no closed loop
+        # may certify more than the node itself does.
+        node = Series(1, 4, {(1,): 1, (0, 1): 1, (1, 1, 1, 1): 5}, exact_to=2)
+        net = NetworkSpec(1, [[0]], [node])
+        for degree in range(3, 7):
+            assert io_map(net, 1, 1, degree).exact_to <= 2, degree
+
     def test_maximal_net_node_symmetry(self):
         net = all_ones_maximal(3)
         d = closed_loop_series(net, 1, 4)

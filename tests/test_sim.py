@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fliessnet
 from fliessnet import (
     AlphabetError,
     DomainError,
@@ -97,6 +101,19 @@ class TestEvalFliess:
             combined, eval_fliess(a, u, grid) + eval_fliess(b, u, grid), atol=1e-12
         )
 
+    def test_same_floats_as_scipy_cumulative_trapezoid(self):
+        from scipy.integrate import cumulative_trapezoid
+
+        grid = Grid(0.3, 1.7, 97)
+        t = grid.times
+        u = np.sin(3.0 * t) + 0.25 * t
+        expected = np.ones_like(t)
+        for letter in reversed((1, 0, 1, 1)):
+            integrand = expected if letter == 0 else expected * u
+            expected = cumulative_trapezoid(integrand, t, initial=0.0)
+        y = eval_fliess(Series(1, 4, {(1, 0, 1, 1): 1}), u, grid)
+        np.testing.assert_array_equal(y, expected)
+
     def test_input_validation(self):
         grid = Grid(0.0, 1.0, 10)
         with pytest.raises(AlphabetError):
@@ -107,6 +124,18 @@ class TestEvalFliess:
         bad[3] = np.nan
         with pytest.raises(DomainError):
             eval_fliess(X1, bad, grid)
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    src = os.path.dirname(os.path.dirname(fliessnet.__file__))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    probe = "import sys, fliessnet.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestMaximalOde:
