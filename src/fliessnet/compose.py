@@ -14,7 +14,8 @@ The products are computed one degree at a time: the degree-n layer of the
 image of a word needs only the layers below n of the image of its tail and
 of d. The images can therefore be kept in a ComposeLayers between calls, and
 a call that raises n_out by one computes only the new degree; the network
-sweep settles one degree per call this way.
+sweep settles one degree per call this way. Layers are grades of the
+series core: integer numerators over one denominator per degree.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import math
 from typing import Optional
 
 from .errors import AlphabetError
-from .series import Coeff, Grades, MaximalSeriesSpec, Series, _canonical, _shuffle_terms, as_coeff
-from .words import Word
+from .series import Grade, Grades, MaximalSeriesSpec, Series
+from .series import _combine, _pair_den, _reduced, _shuffle_terms
 
 # How an image is built from the image of its tail: the drift letter
 # prepends x0, an input letter substitutes, a maximal power does both.
@@ -55,30 +56,42 @@ def _require_siso(c: Series, d: Series) -> None:
         raise AlphabetError("composition is defined over the alphabet {x0, x1}")
 
 
-def _layer(op: int, tail: Optional[Grades], d: Grades, n: int, mixed: bool) -> dict[Word, Coeff]:
+def _layer(op: int, tail: Optional[Grades], d: Grades, n: int, mixed: bool) -> Optional[Grade]:
     """Degree-n layer of an image, read from the layers of its tail below n."""
     if op == _UNIT:
-        return {(): 1} if n == 0 else {}
-    below = tail.get(n - 1, {})
+        return (1, {(): 1}) if n == 0 else None
+    below = tail.get(n - 1)
     if op == _DRIFT:
-        return {(0,) + word: coeff for word, coeff in below.items()}
-    out = {(0,) + word: coeff for word, coeff in _shuffle_terms(d, tail, n - 1).items()}
-    if op == _POWER:
-        for word, coeff in below.items():
-            key = (0,) + word
-            out[key] = out.get(key, 0) + coeff
-    if mixed:
-        for word, coeff in below.items():
-            out[(1,) + word] = coeff
-    return out
+        if below is None:
+            return None
+        return below[0], {(0,) + word: c for word, c in below[1].items()}
+    # The tail itself enters a power step (x0 e) and the mixed channel (x1 e).
+    if op == _INPUT and not mixed:
+        if not d:
+            return None
+        below = None
+    den = _pair_den(d, tail, n - 1)
+    if below is not None:
+        den = math.lcm(den, below[0])
+    out = {(0,) + word: c for word, c in _shuffle_terms(d, tail, n - 1, den).items()}
+    if below is not None:
+        scale = den // below[0]
+        if op == _POWER:
+            for word, c in below[1].items():
+                key = (0,) + word
+                out[key] = out.get(key, 0) + scale * c
+        if mixed:
+            for word, c in below[1].items():
+                out[(1,) + word] = scale * c
+    return _reduced(den, out)
 
 
 def _settle(layers, chain, weights, d: Series, n_out: int, mixed: bool, exact_to: int) -> Series:
     """Settle the output of layers through n_out and return it truncated there.
 
     chain lists the (key, tail key, op) of images to add, each tail before
-    the keys built on it; weights lists (key, coefficient) of the images the
-    output sums.
+    the keys built on it; weights lists (key, p, q) of the images the output
+    sums, each with the coefficient p / q.
     """
     images = layers.images
     new = []
@@ -92,26 +105,18 @@ def _settle(layers, chain, weights, d: Series, n_out: int, mixed: bool, exact_to
     for n in range(0 if new else settled + 1, n_out + 1):
         for tail, op, graded in new if n <= settled else images.values():
             layer = _layer(op, tail, d._grades, n, mixed)
-            if layer:
+            if layer is not None:
                 graded[n] = layer
-                layers.terms += len(layer)
+                layers.terms += len(layer[1])
         if n <= settled:
             continue
-        acc: dict[Word, Coeff] = {}
-        for key, weight in weights:
-            layer = images[key][2].get(n)
-            if not layer:
-                continue
-            if weight == 1:  # the common weight; spares a Fraction multiply per term
-                for word, coeff in layer.items():
-                    acc[word] = acc.get(word, 0) + coeff
-            else:
-                for word, coeff in layer.items():
-                    acc[word] = acc.get(word, 0) + weight * coeff
-        out = _canonical(acc)
-        if out:
+        parts = [
+            (p, q, layer) for key, p, q in weights if (layer := images[key][2].get(n)) is not None
+        ]
+        out = _combine(parts)
+        if out is not None:
             layers.out[n] = out
-            layers.terms += len(out)
+            layers.terms += len(out[1])
         layers.degree = n
     if n_out >= layers.degree:
         grades = dict(layers.out)
@@ -135,11 +140,11 @@ def compose_at(
     exact_to = min(c.exact_to, d.exact_to + 1, n_out)
     chain = [] if layers.images else [((), None, _UNIT)]
     weights = []
-    for n, grade in c._grades.items():
+    for n, (den, grade) in c._grades.items():
         if n > n_out:
             break
-        for word, coeff in grade.items():
-            weights.append((word, coeff))
+        for word, num in grade.items():
+            weights.append((word, num, den))
             if word not in layers.images:
                 for start in range(n - 1, -1, -1):
                     suffix = word[start:]
@@ -174,14 +179,13 @@ def compose_maximal(
     """
     if d.m != 1:
         raise AlphabetError("composition is defined over the alphabet {x0, x1}")
-    K = as_coeff(spec.K)
-    M = as_coeff(spec.M)
+    Kp, Kq, Mp, Mq = spec.K.numerator, spec.K.denominator, spec.M.numerator, spec.M.denominator
     if layers is None:
         layers = ComposeLayers()
     chain = [
         (k, k - 1, _POWER) if k else (0, None, _UNIT)
         for k in range(len(layers.images), n_out + 1)
     ]
-    weights = [(k, K * M**k * math.factorial(k)) for k in range(n_out + 1)]
+    weights = [(k, Kp * Mp**k * math.factorial(k), Kq * Mq**k) for k in range(n_out + 1)]
     exact_to = min(d.exact_to + 1, n_out)
     return _settle(layers, chain, weights, d, n_out, mixed, exact_to)

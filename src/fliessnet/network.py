@@ -117,13 +117,23 @@ class NetworkSpec:
 # Terms a closed loop may hold, in its series and their intermediates, before
 # it refuses to settle another degree. A maximal node carries 2^(n+1) - 1
 # terms at degree n, so without a cap a deep request runs out of memory.
+# The count is checked after each node's composition, so a loop overshoots
+# the cap by at most one node's newest degree.
 TERM_CAP = 500_000
 
 
 def _sweep(
-    net: NetworkSpec, i: int, prev: dict[int, Series], target: int, layers: dict[int, ComposeLayers]
+    net: NetworkSpec,
+    i: int,
+    prev: dict[int, Series],
+    target: int,
+    layers: dict[int, ComposeLayers],
+    degree: int,
 ) -> dict[int, Series]:
+    """One fixed-point sweep to degree target of a closed loop asked for at
+    degree; raises DomainError as soon as the layers hold over TERM_CAP terms."""
     out: dict[int, Series] = {}
+    held = sum(layer.terms for layer in layers.values())
     for k in range(1, net.m + 1):
         pairs = []
         row = net.W[k - 1]
@@ -136,10 +146,17 @@ def _sweep(
         feedback = linear_combine(pairs) if pairs else Series.zero(1, target)
         mixed = k == i
         src = net.nodes[k - 1]
+        held -= layers[k].terms
         if isinstance(src, MaximalSeriesSpec):
             out[k] = compose_maximal(src, feedback, target, mixed, layers[k])
         else:
             out[k] = compose_at(net.node_series(k, target), feedback, target, mixed, layers[k])
+        held += layers[k].terms
+        if held > TERM_CAP:
+            raise DomainError(
+                f"closed loop holds {held} terms at degree {target}, over the cap of "
+                f"{TERM_CAP}; request a lower degree than {degree}"
+            )
     return out
 
 
@@ -154,7 +171,8 @@ def closed_loop_series(
     to degree + 1 freezes everything up to the requested truncation. Each
     node keeps its composition layers between sweeps, so sweep t computes
     only degree t - 1: the degrees below it are already settled. A loop
-    holding more than TERM_CAP terms raises DomainError.
+    holding more than TERM_CAP terms raises DomainError after the node
+    composition that crossed the cap.
     """
     net.check_node(i)
     if degree < 0:
@@ -163,15 +181,9 @@ def closed_loop_series(
     layers = {k: ComposeLayers() for k in nodes}
     d = {k: Series.zero(1, 0) for k in nodes}
     for t in range(1, degree + 2):
-        d = _sweep(net, i, d, t - 1, layers)
-        held = sum(layer.terms for layer in layers.values())
-        if held > TERM_CAP:
-            raise DomainError(
-                f"closed loop holds {held} terms at degree {t - 1}, over the cap of "
-                f"{TERM_CAP}; request a lower degree than {degree}"
-            )
+        d = _sweep(net, i, d, t - 1, layers, degree)
     if check_stabilization:
-        again = _sweep(net, i, d, degree, {k: ComposeLayers() for k in nodes})
+        again = _sweep(net, i, d, degree, {k: ComposeLayers() for k in nodes}, degree)
         if any(again[k] != d[k] for k in d):
             raise FliessnetError("closed-loop fixed point failed to stabilize")
     return d

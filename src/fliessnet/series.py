@@ -1,9 +1,15 @@
 """Truncated noncommutative formal power series with exact coefficients.
 
 A series is a finite map from words to rational coefficients, explicitly
-truncated at a maximum degree. Coefficients are held as Fraction, with plain
-int as the canonical form of denominator-1 values. All algebra here is exact;
-floating point only enters at the simulation boundary.
+truncated at a maximum degree. Each grade (the terms of one word length) is
+stored as integer numerators over one positive denominator, reduced so that
+the denominator and the numerators share no factor. Sums put their operands
+over the lcm of their denominators and products multiply denominators, so
+the algebra adds and multiplies integers and reduces once per grade instead
+of taking a gcd on every operation. Coefficients are canonical int or Fraction (int for
+denominator-1 values) at every public accessor: the constructor, terms,
+coeff, items, JSON and the value of scalar_product. All algebra here is
+exact; floating point only enters at the simulation boundary.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .errors import AlphabetError, DomainError, ParseError
 from .words import (
@@ -61,20 +67,64 @@ def coeff_str(value: Coeff) -> str:
     return f"{frac.numerator}/{frac.denominator}"
 
 
-def _canonical(acc: dict[Word, Coeff]) -> dict[Word, Coeff]:
-    """Drop zero terms and turn integral Fractions into int.
+# One grade: (denominator, {word: numerator}), den >= 1, no zero numerator,
+# gcd(den, *numerators) == 1. Grades maps word length to grade.
+Grade = tuple[int, dict[Word, int]]
+Grades = dict[int, Grade]
 
-    This is as_coeff for values the package computed itself from canonical
-    coefficients: only sums and products of int and Fraction reach it.
+
+def _value(num: int, den: int) -> Coeff:
+    """The canonical coefficient num / den."""
+    if den == 1:
+        return num
+    value = Fraction(num, den)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _grade(coeffs: dict[Word, Coeff]) -> Grade:
+    """The grade of nonzero canonical coefficients, over the lcm of their
+    denominators (which leaves it reduced)."""
+    den = math.lcm(*[c.denominator for c in coeffs.values()])
+    return den, {word: c.numerator * (den // c.denominator) for word, c in coeffs.items()}
+
+
+def _reduced(den: int, nums: dict[Word, int]) -> Optional[Grade]:
+    """The grade nums / den with zeros dropped and the common factor divided
+    out; None when no numerator is left."""
+    if 0 in nums.values():
+        nums = {word: c for word, c in nums.items() if c}
+    if not nums:
+        return None
+    g = math.gcd(den, *nums.values())
+    if g != 1:
+        den //= g
+        nums = {word: c // g for word, c in nums.items()}
+    return den, nums
+
+
+def _combine(parts: list[tuple[int, int, Grade]]) -> Optional[Grade]:
+    """Reduced sum of (p / q) * grade over the (p, q, grade) parts.
+
+    The operands go over the lcm of their scaled denominators, so the sum
+    takes one division per operand, not per term.
     """
-    return {
-        word: (c.numerator if type(c) is Fraction and c.denominator == 1 else c)
-        for word, c in acc.items()
-        if c
-    }
+    if len(parts) == 1:
+        p, q, (d, nums) = parts[0]
+        if p == q == 1:
+            return parts[0][2]
+        return _reduced(q * d, {word: p * c for word, c in nums.items()})
+    den = math.lcm(*[q * d for _, q, (d, _) in parts])
+    acc: dict[Word, int] = {}
+    for p, q, (d, nums) in parts:
+        scale = p * (den // (q * d))
+        for word, c in nums.items():
+            acc[word] = acc.get(word, 0) + scale * c
+    return _reduced(den, acc)
 
 
-Grades = dict[int, dict[Word, Coeff]]
+def _pair_den(a: Grades, b: Grades, n: int) -> int:
+    """lcm of the denominator products of the grade pairs (i, n - i)."""
+    return math.lcm(*[da * b[n - i][0] for i, (da, _) in a.items() if n - i in b])
 
 
 class Series:
@@ -86,10 +136,10 @@ class Series:
     only certify a prefix of the result (see the individual products).
     Instances are value objects: no method mutates an operand.
 
-    The terms are stored graded by word length, one dict per nonempty
-    degree in ascending order, so the products below visit only the degree
-    pairs that fit under the truncation. Grade dicts may be shared between
-    instances and are never mutated once stored.
+    The terms are stored graded by word length, one reduced grade per
+    nonempty degree in ascending order, so the products below visit only
+    the degree pairs that fit under the truncation. Grades may be shared
+    between instances and are never mutated once stored.
     """
 
     __slots__ = ("m", "max_degree", "exact_to", "_grades", "_flat")
@@ -99,7 +149,7 @@ class Series:
             raise AlphabetError("alphabet needs at least x0 and x1")
         if max_degree < 0:
             raise DomainError("max_degree must be >= 0")
-        grades: Grades = {}
+        coeffs: dict[int, dict[Word, Coeff]] = {}
         if terms:
             for word, raw in terms.items():
                 word = tuple(word)
@@ -110,11 +160,11 @@ class Series:
                     )
                 coeff = as_coeff(raw)
                 if coeff != 0:
-                    grades.setdefault(len(word), {})[word] = coeff
+                    coeffs.setdefault(len(word), {})[word] = coeff
         self.m = m
         self.max_degree = max_degree
         self.exact_to = max_degree if exact_to is None else min(exact_to, max_degree)
-        self._grades = {n: grades[n] for n in sorted(grades)}
+        self._grades = {n: _grade(coeffs[n]) for n in sorted(coeffs)}
         self._flat = None
 
     @classmethod
@@ -123,7 +173,7 @@ class Series:
 
         Words are not re-checked: every one is in the alphabet and stored
         under its own length <= max_degree. grades must be in ascending
-        degree order with no empty grade, no zero and no integral Fraction.
+        degree order, each one reduced (see Grade).
         """
         series = cls.__new__(cls)
         series.m = m
@@ -132,17 +182,6 @@ class Series:
         series._grades = grades
         series._flat = None
         return series
-
-    @classmethod
-    def _accumulated(cls, m: int, max_degree: int, raw: Grades, exact_to) -> "Series":
-        """Trusted constructor for freshly accumulated grades: zeros are
-        dropped and coefficients made canonical, words are not re-checked."""
-        grades = {}
-        for n in sorted(raw):
-            clean = _canonical(raw[n])
-            if clean:
-                grades[n] = clean
-        return cls._graded(m, max_degree, grades, exact_to)
 
     # -- construction helpers -------------------------------------------------
 
@@ -160,15 +199,17 @@ class Series:
     def terms(self):
         if self._flat is None:
             flat: dict[Word, Coeff] = {}
-            for grade in self._grades.values():
-                flat.update(grade)
+            for den, nums in self._grades.values():
+                flat.update(
+                    nums if den == 1 else {w: _value(c, den) for w, c in nums.items()}
+                )
             self._flat = flat
         return MappingProxyType(self._flat)
 
     def coeff(self, word) -> Coeff:
         word = tuple(word)
         grade = self._grades.get(len(word))
-        return grade.get(word, 0) if grade else 0
+        return _value(grade[1].get(word, 0), grade[0]) if grade else 0
 
     def support(self) -> set[Word]:
         return set(self.terms)
@@ -182,12 +223,12 @@ class Series:
 
     def items(self) -> Iterator[tuple[Word, Coeff]]:
         """Term pairs in graded lexicographic order."""
-        for grade in self._grades.values():
-            for word in sorted(grade):
-                yield word, grade[word]
+        for den, nums in self._grades.values():
+            for word in sorted(nums):
+                yield word, _value(nums[word], den)
 
     def __len__(self) -> int:
-        return sum(len(grade) for grade in self._grades.values())
+        return sum(len(nums) for _, nums in self._grades.values())
 
     def __bool__(self) -> bool:
         return bool(self._grades)
@@ -206,7 +247,7 @@ class Series:
     def eq_to_degree(self, other: "Series", degree: int) -> bool:
         """Coefficientwise equality on all words of length <= degree."""
         return all(
-            self._grades.get(n, {}) == other._grades.get(n, {})
+            self._grades.get(n) == other._grades.get(n)
             for n in self._grades.keys() | other._grades.keys()
             if n <= degree
         )
@@ -287,18 +328,52 @@ def linear_combine(pairs: list[tuple[Coeff, Series]]) -> Series:
     m = _common_alphabet(c for _, c in pairs)
     degree = min(c.max_degree for _, c in pairs)
     exact_to = min(c.exact_to for _, c in pairs)
-    acc: Grades = {}
+    parts: dict[int, list[tuple[int, int, Grade]]] = {}
     for scalar, series in pairs:
         scalar = as_coeff(scalar)
         if scalar == 0:
             continue
+        p, q = scalar.numerator, scalar.denominator
         for n, grade in series._grades.items():
             if n > degree:
                 break
-            out = acc.setdefault(n, {})
-            for word, coeff in grade.items():
-                out[word] = out.get(word, 0) + scalar * coeff
-    return Series._accumulated(m, degree, acc, exact_to)
+            parts.setdefault(n, []).append((p, q, grade))
+    grades: Grades = {}
+    for n in sorted(parts):
+        grade = _combine(parts[n])
+        if grade is not None:
+            grades[n] = grade
+    return Series._graded(m, degree, grades, exact_to)
+
+
+def _product(c: Series, d: Series, terms) -> Series:
+    """The product whose degree-n numerators over den are terms(a, b, n, den)."""
+    m = _common_alphabet((c, d))
+    degree = min(c.max_degree, d.max_degree)
+    exact_to = min(c.exact_to, d.exact_to, degree)
+    grades: Grades = {}
+    for n in range(degree + 1):
+        den = _pair_den(c._grades, d._grades, n)
+        grade = _reduced(den, terms(c._grades, d._grades, n, den))
+        if grade is not None:
+            grades[n] = grade
+    return Series._graded(m, degree, grades, exact_to)
+
+
+def _concat_terms(a: Grades, b: Grades, n: int, den: int) -> dict[Word, int]:
+    acc: dict[Word, int] = {}
+    for i, (da, left) in a.items():
+        pair = b.get(n - i)
+        if pair is None:
+            continue
+        db, right = pair
+        scale = den // (da * db)
+        for w1, c1 in left.items():
+            c1 *= scale
+            for w2, c2 in right.items():
+                key = w1 + w2
+                acc[key] = acc.get(key, 0) + c1 * c2
+    return acc
 
 
 def concat_product(c: Series, d: Series) -> Series:
@@ -306,35 +381,27 @@ def concat_product(c: Series, d: Series) -> Series:
 
     Only grade pairs (i, j) with i + j <= degree are visited.
     """
-    m = _common_alphabet((c, d))
-    degree = min(c.max_degree, d.max_degree)
-    exact_to = min(c.exact_to, d.exact_to, degree)
-    acc: Grades = {}
-    for i, left in c._grades.items():
-        for j, right in d._grades.items():
-            if i + j > degree:
-                break
-            out = acc.setdefault(i + j, {})
-            for w1, a in left.items():
-                for w2, b in right.items():
-                    key = w1 + w2
-                    out[key] = out.get(key, 0) + a * b
-    return Series._accumulated(m, degree, acc, exact_to)
+    return _product(c, d, _concat_terms)
 
 
-def _shuffle_terms(a: Grades, b: Grades, n: int) -> dict[Word, Coeff]:
-    """Degree-n slice of the shuffle product of two graded term maps.
+def _shuffle_terms(a: Grades, b: Grades, n: int, den: int) -> dict[Word, int]:
+    """Numerators over den of the degree-n slice of the shuffle product of
+    two graded term maps.
 
-    Only grade pairs (i, n - i) are visited, so every term pair is kept.
-    Returns a flat word -> coefficient dict (zeros from cancellation
-    included). Hot path.
+    den must be a multiple of every grade pair's denominator product, as
+    _pair_den(a, b, n) is. Only grade pairs (i, n - i) are visited, so every
+    term pair is kept. Returns a flat word -> numerator dict (zeros from
+    cancellation included). Hot path.
     """
-    acc: dict[Word, Coeff] = {}
-    for i, left in a.items():
-        right = b.get(n - i)
-        if not right:
+    acc: dict[Word, int] = {}
+    for i, (da, left) in a.items():
+        pair = b.get(n - i)
+        if pair is None:
             continue
+        db, right = pair
+        scale = den // (da * db)
         for w1, c1 in left.items():
+            c1 *= scale
             for w2, c2 in right.items():
                 prod = c1 * c2
                 for word, mult in shuffle_words(w1, w2).items():
@@ -348,11 +415,7 @@ def shuffle_product(c: Series, d: Series) -> Series:
     Commutative and associative; the empty word is the unit. Implemented on
     top of the memoized word-pair recursion in words.shuffle_words.
     """
-    m = _common_alphabet((c, d))
-    degree = min(c.max_degree, d.max_degree)
-    exact_to = min(c.exact_to, d.exact_to, degree)
-    acc = {n: _shuffle_terms(c._grades, d._grades, n) for n in range(degree + 1)}
-    return Series._accumulated(m, degree, acc, exact_to)
+    return _product(c, d, _shuffle_terms)
 
 
 class ScalarProduct(NamedTuple):
@@ -369,20 +432,27 @@ def scalar_product(c: Series, d: Series) -> ScalarProduct:
     _common_alphabet((c, d))
     degree = min(c.max_degree, d.max_degree)
     exact = min(c.exact_to, d.exact_to) >= degree
-    total: Coeff = 0
-    for n, small in c._grades.items():
+    num, den = 0, 1
+    for n, (da, small) in c._grades.items():
         if n > degree:
             break
-        large = d._grades.get(n)
-        if not large:
+        pair = d._grades.get(n)
+        if pair is None:
             continue
+        db, large = pair
         if len(small) > len(large):
             small, large = large, small
-        for word, coeff in small.items():
-            other = large.get(word)
-            if other is not None:
-                total += coeff * other
-    return ScalarProduct(as_coeff(total), exact)
+        total = 0
+        for word, x in small.items():
+            y = large.get(word)
+            if y is not None:
+                total += x * y
+        if not total:
+            continue
+        common = math.lcm(den, da * db)
+        num = num * (common // den) + total * (common // (da * db))
+        den = common
+    return ScalarProduct(_value(num, den), exact)
 
 
 def positive_constants(K, M) -> tuple[Coeff, Coeff]:
@@ -413,10 +483,12 @@ class MaximalSeriesSpec:
 def maximal_series(K, M, m: int, max_degree: int) -> Series:
     """The series with <c, eta> = K M^|eta| |eta|! for every word eta."""
     K, M = positive_constants(K, M)
-    grades = {
-        k: dict.fromkeys(words_of_length(m, k), as_coeff(K * M**k * math.factorial(k)))
-        for k in range(max_degree + 1)
-    }
+    Kp, Kq, Mp, Mq = K.numerator, K.denominator, M.numerator, M.denominator
+    grades: Grades = {}
+    for k in range(max_degree + 1):
+        num, den = Kp * Mp**k * math.factorial(k), Kq * Mq**k
+        g = math.gcd(num, den)
+        grades[k] = (den // g, dict.fromkeys(words_of_length(m, k), num // g))
     return Series._graded(m, max_degree, grades, max_degree)
 
 
@@ -442,16 +514,13 @@ def check_growth(c: Series, K, M) -> GrowthCheck:
     max |coeff| / (M^k k!), so the check passes iff every ratio is <= K.
     """
     K, M = positive_constants(K, M)
-    by_degree = {
-        k: max(abs(coeff) for coeff in grade.values())
-        for k, grade in c._grades.items()
-        if k <= c.exact_to
-    }
+    Mp, Mq = M.numerator, M.denominator
     ratios = []
     passed = True
     for k in range(c.exact_to + 1):
-        scale = Fraction(M) ** k * math.factorial(k)
-        ratio = as_coeff(Fraction(by_degree.get(k, 0)) / scale)
+        den, nums = c._grades.get(k, (1, {}))
+        top = max(map(abs, nums.values()), default=0)
+        ratio = _value(top * Mq**k, den * Mp**k * math.factorial(k))
         within = ratio <= K
         passed = passed and within
         ratios.append(DegreeRatio(k, ratio, within))

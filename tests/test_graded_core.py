@@ -1,11 +1,13 @@
 """Differential tests of the graded series core and the incremental closed loop.
 
 The oracles below are the flat word -> coefficient product loops and the
-full-recompute fixed-point sweep the graded core replaced. Each loops over
-every term pair and skips those that do not fit under the truncation. The
-graded products, the layered compositions and the closed loop that settles
-one degree per sweep must reproduce them coefficient for coefficient, with
-the same canonical coefficient types and the same exact_to.
+full-recompute fixed-point sweep the graded core replaced, computing with
+int and Fraction coefficients. Each loops over every term pair and skips
+those that do not fit under the truncation. The graded products on integer
+numerators over one denominator per grade, the layered compositions and the
+closed loop that settles one degree per sweep must reproduce them
+coefficient for coefficient, with the same canonical coefficient types and
+the same exact_to. Every stored grade must stay reduced.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -28,11 +31,15 @@ from fliessnet import (
     compose_maximal,
     concat_product,
     linear_combine,
+    maximal_series,
+    sample_network,
+    series_from_json,
+    series_to_json,
     shuffle_product,
     shuffle_words,
 )
 from fliessnet.cli import run
-from fliessnet.compose import ComposeLayers
+from fliessnet.compose import ComposeLayers, compose, mixed_compose
 from conftest import all_ones_maximal, double_diamond_net, make_random_series
 
 # -- flat oracles ------------------------------------------------------------------
@@ -168,9 +175,26 @@ def fingerprint(s: Series):
     )
 
 
+def assert_reduced(s: Series) -> None:
+    """Each stored grade is (den, {word: numerator}) with den >= 1, no zero
+    numerator, no common factor, and every word under its own length; each
+    public value is canonical: int, or a Fraction with denominator > 1."""
+    assert list(s._grades) == sorted(s._grades)
+    for n, (den, nums) in s._grades.items():
+        assert type(den) is int and den >= 1
+        assert nums and all(type(c) is int and c != 0 for c in nums.values())
+        assert math.gcd(den, *nums.values()) == 1
+        assert all(len(word) == n for word in nums)
+    for word, c in s.items():
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
+        assert s.terms[word] == c and type(s.terms[word]) is type(c)
+        assert s.coeff(word) == c and type(s.coeff(word)) is type(c)
+
+
 def assert_same(got: Series, want: Series) -> None:
     assert got == want
     assert fingerprint(got) == fingerprint(want)
+    assert_reduced(got)
 
 
 # -- products on seeded random operands ----------------------------------------------------
@@ -188,6 +212,43 @@ class TestProducts:
             assert_same(concat_product(a, b), flat_concat_product(a, b))
             pairs = [(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), a), (2, b), (-1, a)]
             assert_same(linear_combine(pairs), flat_linear_combine(pairs))
+
+    def test_products_keep_grades_reduced_and_routes_agree(self, rng):
+        """Every public product leaves reduced grades, and one value reached
+        through different routes compares equal, whatever the denominators
+        met on the way."""
+        dens = [1, 2, 4, 5, 7, 11, 1024]
+        for _ in range(30):
+            a, b, c = (
+                linear_combine([(Fraction(rng.randint(-4, 4) or 1, rng.choice(dens)),
+                                 make_random_series(rng, degree=4, max_terms=6))])
+                for _ in range(3)
+            )
+            half, third = Fraction(1, 2), Fraction(1, 3)
+            results = [
+                shuffle_product(a, b), concat_product(a, b),
+                linear_combine([(half, a), (third, b)]), compose(a, b), mixed_compose(a, b),
+                a.truncate(2), a.extended(6), -a,
+            ]
+            for s in results:
+                assert_reduced(s)
+                assert Series(s.m, s.max_degree, dict(s.terms), exact_to=s.exact_to) == s
+                assert series_from_json(series_to_json(s)) == s
+            assert shuffle_product(a, b) == shuffle_product(b, a)
+            assert shuffle_product(a, b + c) == shuffle_product(a, b) + shuffle_product(a, c)
+            ab_c = concat_product(concat_product(a, b), c)
+            assert ab_c == concat_product(a, concat_product(b, c))
+            assert linear_combine([(third, a), (Fraction(2, 3), a)]) == a
+            assert 2 * a - a == a
+            assert (a + b) - b == a
+        spec = MaximalSeriesSpec(Fraction(9, 5), Fraction(4, 7))
+        explicit = Series(1, 5, {w: c for w, c in maximal_series(spec.K, spec.M, 1, 5).items()})
+        assert_reduced(maximal_series(spec.K, spec.M, 1, 5))
+        assert maximal_series(spec.K, spec.M, 1, 5) == explicit
+        for n_out in range(6):
+            got = compose_maximal(spec, b, n_out, True)
+            assert_reduced(got)
+            assert got == compose_at(explicit.truncate(n_out), b, n_out, True)
 
     def test_cancellation_leaves_canonical_ints(self):
         half = Series(1, 2, {(0,): Fraction(1, 2), (1,): Fraction(3, 2)})
@@ -250,10 +311,25 @@ def mixed_net() -> NetworkSpec:
     return NetworkSpec(4, W, nodes)
 
 
+def criterion7_sample(index: int) -> NetworkSpec:
+    """A criterion-7 Monte Carlo network: float weights, power-of-two denominators."""
+    pattern = [[0, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0], [0, 1, 1, 0]]
+    x1 = Series(1, 1, {(1,): 1})
+    return sample_network(pattern, [x1, x1, Series(1, 1, {(1,): -1}), x1], 7, index)
+
+
+def sevenths_double_diamond() -> NetworkSpec:
+    r = random.Random(7)
+    return double_diamond_net(tuple(Fraction(r.randint(1, 20), 7) for _ in range(7)))
+
+
 CLOSED_LOOPS = [
     ("all_ones_m3", lambda: all_ones_maximal(3), 1, 7),
     ("seeded_maximal", lambda: seeded_maximal_net(2026, 3), 2, 6),
+    ("seeded_maximal_m4", lambda: seeded_maximal_net(11, 4), 1, 6),
+    ("criterion7_sample", lambda: criterion7_sample(3), 1, 4),
     ("double_diamond", double_diamond_net, 1, 12),
+    ("double_diamond_sevenths", sevenths_double_diamond, 1, 12),
     ("mixed", mixed_net, 2, 7),
     ("mixed_from_source", mixed_net, 4, 6),
 ]
@@ -281,6 +357,25 @@ class TestTermCap:
         monkeypatch.setattr(network, "TERM_CAP", 200)
         with pytest.raises(DomainError, match=r"at degree [3-6], over the cap of 200"):
             closed_loop_series(all_ones_maximal(1), 1, 30)
+
+    @pytest.mark.parametrize("cap", [200, 2000, 20000])
+    def test_loop_overshoots_the_cap_by_at_most_one_composition(self, monkeypatch, cap):
+        """The cap is checked after each node's composition, so without the
+        terms the last composition added the loop was still under it."""
+        monkeypatch.setattr(network, "TERM_CAP", cap)
+        added = []
+
+        def counted(spec, d, n_out, mixed, layers):
+            before = layers.terms
+            out = compose_maximal(spec, d, n_out, mixed, layers)
+            added.append(layers.terms - before)
+            return out
+
+        monkeypatch.setattr(network, "compose_maximal", counted)
+        with pytest.raises(DomainError, match=f"over the cap of {cap}") as err:
+            closed_loop_series(all_ones_maximal(3), 1, 30)
+        held = int(re.search(r"holds (\d+) terms", str(err.value)).group(1))
+        assert held - added[-1] <= cap < held
 
     def test_cli_reports_the_cap_as_a_domain_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(network, "TERM_CAP", 200)
