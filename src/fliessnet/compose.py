@@ -8,14 +8,12 @@ u = v + F_d[v] via the substitution e -> x1 e + x0 (d sh e).
 Both products are linear in c, and the coefficient of a degree-n output word
 depends on d only through degree n-1: every substitution prepends at least
 one letter. That degreewise causality is what makes the network fixed point
-converge in finitely many sweeps.
-
-The products are computed one degree at a time: the degree-n layer of the
-image of a word needs only the layers below n of the image of its tail and
-of d. The images can therefore be kept in a ComposeLayers between calls, and
-a call that raises n_out by one computes only the new degree; the network
-sweep settles one degree per call this way. Layers are grades of the
-series core: integer numerators over one denominator per degree.
+converge in finitely many sweeps, and it lets the products run one degree at
+a time. Each kind of left operand has one route, whose state a ComposeLayers
+keeps between calls, so a call that raises n_out by one computes only the
+new degree: a polynomial c keeps the image of every suffix of its words, a
+maximal c its image and the left quotients of it (see compose_maximal).
+States are held as grades of the series core.
 """
 
 from __future__ import annotations
@@ -27,102 +25,62 @@ from .errors import AlphabetError
 from .series import Grade, Grades, MaximalSeriesSpec, Series
 from .series import _combine, _pair_den, _reduced, _shuffle_terms
 
-# How an image is built from the image of its tail: the drift letter
-# prepends x0, an input letter substitutes, a maximal power does both.
-_UNIT, _DRIFT, _INPUT, _POWER = range(4)
+_ONE: Grade = (1, {(): 1})
 
 
 class ComposeLayers:
-    """The graded images of one composition, kept between calls.
+    """The state of one composition, kept between calls.
 
-    images maps a key (a suffix of a word of c, or k for the power A^k(1)
-    of a maximal left operand) to (tail layers, op, layers); out holds the
-    output grades settled through degree; terms counts every term held.
-    Reuse an instance only for calls with the same left operand and mixed
-    flag, and a d that agrees with the earlier ones through their n_out - 1.
+    One instance serves one left operand: the first call builds the state
+    from c (or the maximal spec) and the mixed flag, and every later call
+    must pass the same ones, with a d that agrees with the earlier ones
+    through their n_out - 1. out holds the output grades settled through
+    degree; terms counts every term held.
     """
 
-    __slots__ = ("degree", "images", "out", "terms")
+    __slots__ = ("degree", "state", "out", "terms")
 
     def __init__(self):
         self.degree = -1
-        self.images: dict = {}
+        self.state = None
         self.out: Grades = {}
         self.terms = 0
 
+    def store(self, grades: Grades, n: int, grade: Optional[Grade]) -> None:
+        """Store grade as degree n of grades (out or a state map) unless None."""
+        if grade is not None:
+            grades[n] = grade
+            self.terms += len(grade[1])
 
-def _require_siso(c: Series, d: Series) -> None:
-    if c.m != 1 or d.m != 1:
+    def result(self, n_out: int, exact_to: int) -> Series:
+        """The output settled so far, truncated at n_out."""
+        grades = {n: g for n, g in self.out.items() if n <= n_out}
+        return Series._graded(1, n_out, grades, exact_to)
+
+
+def _require_siso(*series: Series) -> None:
+    if any(s.m != 1 for s in series):
         raise AlphabetError("composition is defined over the alphabet {x0, x1}")
 
 
-def _layer(op: int, tail: Optional[Grades], d: Grades, n: int, mixed: bool) -> Optional[Grade]:
-    """Degree-n layer of an image, read from the layers of its tail below n."""
-    if op == _UNIT:
-        return (1, {(): 1}) if n == 0 else None
+def _prefix(letter: int, grade: Grade) -> Grade:
+    return grade[0], {(letter,) + word: c for word, c in grade[1].items()}
+
+
+def _layer(letter: int, tail: Grades, d: Grades, n: int, mixed: bool) -> Optional[Grade]:
+    """Degree-n layer of the image of a word starting with letter, from the
+    layers below n of the image e of its tail: x0 e for the drift letter,
+    x0 (d sh e) + [mixed] x1 e for the input letter."""
     below = tail.get(n - 1)
-    if op == _DRIFT:
-        if below is None:
-            return None
-        return below[0], {(0,) + word: c for word, c in below[1].items()}
-    # The tail itself enters a power step (x0 e) and the mixed channel (x1 e).
-    if op == _INPUT and not mixed:
-        if not d:
-            return None
-        below = None
-    den = _pair_den(d, tail, n - 1)
-    if below is not None:
-        den = math.lcm(den, below[0])
-    out = {(0,) + word: c for word, c in _shuffle_terms(d, tail, n - 1, den).items()}
-    if below is not None:
-        scale = den // below[0]
-        if op == _POWER:
-            for word, c in below[1].items():
-                key = (0,) + word
-                out[key] = out.get(key, 0) + scale * c
-        if mixed:
-            for word, c in below[1].items():
-                out[(1,) + word] = scale * c
-    return _reduced(den, out)
-
-
-def _settle(layers, chain, weights, d: Series, n_out: int, mixed: bool, exact_to: int) -> Series:
-    """Settle the output of layers through n_out and return it truncated there.
-
-    chain lists the (key, tail key, op) of images to add, each tail before
-    the keys built on it; weights lists (key, p, q) of the images the output
-    sums, each with the coefficient p / q.
-    """
-    images = layers.images
-    new = []
-    for key, tail, op in chain:
-        if key not in images:
-            images[key] = image = (None if tail is None else images[tail][2], op, {})
-            new.append(image)
-    settled = layers.degree
-    # Images added now (a word of c that only now fits under n_out) first
-    # catch up on the degrees settled before; then every image grows.
-    for n in range(0 if new else settled + 1, n_out + 1):
-        for tail, op, graded in new if n <= settled else images.values():
-            layer = _layer(op, tail, d._grades, n, mixed)
-            if layer is not None:
-                graded[n] = layer
-                layers.terms += len(layer[1])
-        if n <= settled:
-            continue
-        parts = [
-            (p, q, layer) for key, p, q in weights if (layer := images[key][2].get(n)) is not None
-        ]
-        out = _combine(parts)
-        if out is not None:
-            layers.out[n] = out
-            layers.terms += len(out[1])
-        layers.degree = n
-    if n_out >= layers.degree:
-        grades = dict(layers.out)
-    else:
-        grades = {n: g for n, g in layers.out.items() if n <= n_out}
-    return Series._graded(1, n_out, grades, exact_to)
+    if letter == 0:
+        return None if below is None else _prefix(0, below)
+    parts = [(1, 1, _prefix(1, below))] if mixed and below is not None else []
+    if d:
+        den = _pair_den(d, tail, n - 1)
+        shuffled = _reduced(den, _shuffle_terms(d, tail, n - 1, den))
+        if shuffled is not None:
+            parts.append((1, 1, _prefix(0, shuffled)))
+    return _combine(parts)
 
 
 def compose_at(
@@ -132,24 +90,33 @@ def compose_at(
 
     Valid whenever d is exact through n_out - 1; the network sweep relies on
     this to grow one degree per iteration instead of paying full depth every
-    time, keeping the suffix images of c in layers between its calls.
+    time. layers keeps the images of the suffixes of every word of c, all
+    registered on the first call whatever its n_out, so it serves one c.
     """
     _require_siso(c, d)
     if layers is None:
         layers = ComposeLayers()
-    exact_to = min(c.exact_to, d.exact_to + 1, n_out)
-    chain = [] if layers.images else [((), None, _UNIT)]
-    weights = []
-    for n, (den, grade) in c._grades.items():
-        if n > n_out:
-            break
-        for word, num in grade.items():
-            weights.append((word, num, den))
-            if word not in layers.images:
-                for start in range(n - 1, -1, -1):
-                    suffix = word[start:]
-                    chain.append((suffix, suffix[1:], _DRIFT if suffix[0] == 0 else _INPUT))
-    return _settle(layers, chain, weights, d, n_out, mixed, exact_to)
+    if layers.state is None:
+        # The image of every suffix of every word of c, after that of its tail.
+        layers.state = {(): {0: _ONE}}
+        for _, grade in c._grades.values():
+            for word in grade:
+                for start in range(len(word) - 1, -1, -1):
+                    layers.state.setdefault(word[start:], {})
+    images = layers.state
+    for n in range(layers.degree + 1, n_out + 1):
+        for suffix, graded in images.items():
+            if 0 < len(suffix) <= n:
+                layers.store(graded, n, _layer(suffix[0], images[suffix[1:]], d._grades, n, mixed))
+        parts = [
+            (num, den, layer)
+            for den, grade in c._grades.values()
+            for word, num in grade.items()
+            if (layer := images[word].get(n)) is not None
+        ]
+        layers.store(layers.out, n, _combine(parts))
+        layers.degree = n
+    return layers.result(n_out, min(c.exact_to, d.exact_to + 1, n_out))
 
 
 def compose(c: Series, d: Series) -> Series:
@@ -162,6 +129,20 @@ def mixed_compose(c: Series, d: Series) -> Series:
     return compose_at(c, d, min(c.max_degree, d.max_degree), mixed=True)
 
 
+def _quotient(q: Grades, y: Grades, z: Grades, ya: Grades, n: int) -> Optional[Grade]:
+    """Degree-n grade of q sh y + z sh ya."""
+    den = math.lcm(_pair_den(q, y, n), _pair_den(z, ya, n))
+    acc = _shuffle_terms(q, y, n, den)
+    for word, c in _shuffle_terms(z, ya, n, den).items():
+        acc[word] = acc.get(word, 0) + c
+    return _reduced(den, acc)
+
+
+def _join(quotients: list[Grades], n: int) -> Optional[Grade]:
+    """Degree n + 1 grade of sum_a xa Qa, from degree n of the quotients Qa."""
+    return _combine([(1, 1, _prefix(a, q[n])) for a, q in enumerate(quotients) if n in q])
+
+
 def compose_maximal(
     spec: MaximalSeriesSpec,
     d: Series,
@@ -171,21 +152,38 @@ def compose_maximal(
 ) -> Series:
     """compose/mixed_compose with a maximal left operand, without enumerating words.
 
-    The degree-k slice of a maximal series is K M^k k! (x0 + x1)^k, a
-    concatenation power, so the image is K sum_k M^k k! A^k(1) where
-    A(e) = x0 e + x0 (d sh e) (+ x1 e for the mixed product). Identical to
-    the general route by linearity; this one stays polynomial in the degree.
-    layers keeps the powers A^k(1) between calls.
+    The maximal series (K, M) generates y = K / (1 - M int(1 + u)), so its
+    image Y solves the shuffle equation Y = K + M (Z sh Y), where E = 1 + d
+    and Z = x0 E (+ x1 for the mixed product). By the Leibniz rule for the
+    left quotients Ya = xa^-1 Y, with x0^-1 Z = E and x1^-1 Z = [mixed] 1:
+
+        Y0 = M (E sh Y + Z sh Y0),  Y1 = M ([mixed] Y + Z sh Y1),
+        Y_n = x0 Y0_{n-1} + x1 Y1_{n-1}.
+
+    So degree n takes shuffles at degree n - 1 only, of d and of Y below n:
+    the causality and exact_to of the general route, whose result this
+    equals by linearity. Z sh Y at degree n would fill the shuffle memo with
+    one more degree of word pairs. layers keeps M E, M Z, Y0, Y1 and Y, so
+    it serves one spec and mixed flag.
     """
-    if d.m != 1:
-        raise AlphabetError("composition is defined over the alphabet {x0, x1}")
-    Kp, Kq, Mp, Mq = spec.K.numerator, spec.K.denominator, spec.M.numerator, spec.M.denominator
+    _require_siso(d)
+    Mp, Mq = spec.M.numerator, spec.M.denominator
     if layers is None:
         layers = ComposeLayers()
-    chain = [
-        (k, k - 1, _POWER) if k else (0, None, _UNIT)
-        for k in range(len(layers.images), n_out + 1)
-    ]
-    weights = [(k, Kp * Mp**k * math.factorial(k), Kq * Mq**k) for k in range(n_out + 1)]
-    exact_to = min(d.exact_to + 1, n_out)
-    return _settle(layers, chain, weights, d, n_out, mixed, exact_to)
+    if layers.state is None:
+        ME: Grades = {}
+        # (Ya, M xa^-1 Z) for each letter a that can start a word of Y or Z.
+        layers.state = ME, {}, [({}, ME), ({}, {0: (Mq, {(): Mp})})][: 1 + mixed]
+        layers.store(layers.out, 0, (spec.K.denominator, {(): spec.K.numerator}))
+        layers.degree = 0
+    ME, MZ, quotients = layers.state
+    for n in range(layers.degree + 1, n_out + 1):
+        m = n - 1
+        e = [(Mp, Mq, g) for g in (_ONE if m == 0 else None, d._grades.get(m)) if g]
+        layers.store(ME, m, _combine(e))
+        layers.store(MZ, m, _join([q for _, q in quotients], m - 1))
+        for ya, q in quotients:
+            layers.store(ya, m, _quotient(q, layers.out, MZ, ya, m))
+        layers.store(layers.out, n, _join([ya for ya, _ in quotients], m))
+        layers.degree = n
+    return layers.result(n_out, min(d.exact_to + 1, n_out))

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Union
+from functools import partial
+from typing import Callable, Union
 
+from . import words
 from .compose import ComposeLayers, compose_at, compose_maximal
 from .errors import (
     DomainError,
@@ -114,12 +116,12 @@ class NetworkSpec:
         return all(isinstance(n, Series) for n in self.nodes)
 
 
-# Terms a closed loop may hold, in its series and their intermediates, before
-# it refuses to settle another degree. A maximal node carries 2^(n+1) - 1
-# terms at degree n, so without a cap a deep request runs out of memory.
-# The count is checked after each node's composition, so a loop overshoots
-# the cap by at most one node's newest degree.
-TERM_CAP = 500_000
+# Terms a closed loop may hold, in its series, their intermediates and the
+# word lists of the shuffle memo, before it refuses to settle another degree.
+# A maximal node carries 2^(n+1) - 1 terms at degree n, and the memo several
+# times more words. The count is checked after each node's composition, so a
+# loop overshoots the cap by at most one node's newest degree.
+TERM_CAP = 4_000_000
 
 
 def _sweep(
@@ -127,13 +129,13 @@ def _sweep(
     i: int,
     prev: dict[int, Series],
     target: int,
+    routes: dict[int, Callable[..., Series]],
     layers: dict[int, ComposeLayers],
     degree: int,
 ) -> dict[int, Series]:
     """One fixed-point sweep to degree target of a closed loop asked for at
-    degree; raises DomainError as soon as the layers hold over TERM_CAP terms."""
+    degree; raises DomainError once the loop holds over TERM_CAP terms."""
     out: dict[int, Series] = {}
-    held = sum(layer.terms for layer in layers.values())
     for k in range(1, net.m + 1):
         pairs = []
         row = net.W[k - 1]
@@ -144,18 +146,13 @@ def _sweep(
         # A node with no incoming edges has feedback that is structurally
         # zero, hence exact to any degree the sweep asks for.
         feedback = linear_combine(pairs) if pairs else Series.zero(1, target)
-        mixed = k == i
-        src = net.nodes[k - 1]
-        held -= layers[k].terms
-        if isinstance(src, MaximalSeriesSpec):
-            out[k] = compose_maximal(src, feedback, target, mixed, layers[k])
-        else:
-            out[k] = compose_at(net.node_series(k, target), feedback, target, mixed, layers[k])
-        held += layers[k].terms
+        out[k] = routes[k](feedback, target, k == i, layers[k])
+        held = sum(layer.terms for layer in layers.values())
+        held += sum(map(len, words._shuffle_cache.values()))
         if held > TERM_CAP:
             raise DomainError(
-                f"closed loop holds {held} terms at degree {target}, over the cap of "
-                f"{TERM_CAP}; request a lower degree than {degree}"
+                f"closed loop holds {held} terms and memo words at degree {target}, over "
+                f"the cap of {TERM_CAP}; request a lower degree than {degree}"
             )
     return out
 
@@ -169,21 +166,29 @@ def closed_loop_series(
     mixed product at k = i carrying the direct channel. Substitution prepends
     at least one letter, so sweep t is exact through degree t - 1; sweeping
     to degree + 1 freezes everything up to the requested truncation. Each
-    node keeps its composition layers between sweeps, so sweep t computes
-    only degree t - 1: the degrees below it are already settled. A loop
-    holding more than TERM_CAP terms raises DomainError after the node
-    composition that crossed the cap.
+    node series is expanded once and each node keeps its composition state
+    between sweeps, so sweep t computes only degree t - 1. The loop starts
+    with an empty shuffle memo, and raises DomainError after the node
+    composition that takes it over TERM_CAP terms and memo words.
     """
     net.check_node(i)
     if degree < 0:
         raise DomainError("truncation degree must be >= 0")
+    words._shuffle_cache.clear()
     nodes = range(1, net.m + 1)
+    # Each node's composition route, with its left operand built once.
+    routes = {
+        k: partial(compose_maximal, src)
+        if isinstance(src, MaximalSeriesSpec)
+        else partial(compose_at, net.node_series(k, degree))
+        for k, src in zip(nodes, net.nodes)
+    }
     layers = {k: ComposeLayers() for k in nodes}
     d = {k: Series.zero(1, 0) for k in nodes}
     for t in range(1, degree + 2):
-        d = _sweep(net, i, d, t - 1, layers, degree)
+        d = _sweep(net, i, d, t - 1, routes, layers, degree)
     if check_stabilization:
-        again = _sweep(net, i, d, degree, {k: ComposeLayers() for k in nodes}, degree)
+        again = _sweep(net, i, d, degree, routes, {k: ComposeLayers() for k in nodes}, degree)
         if any(again[k] != d[k] for k in d):
             raise FliessnetError("closed-loop fixed point failed to stabilize")
     return d

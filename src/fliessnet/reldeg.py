@@ -366,6 +366,8 @@ def genericity_sample(
     """
     if samples < 1:
         raise DomainError("samples must be >= 1")
+    if bins < 1:
+        raise DomainError("bins must be >= 1")
     designated_key: Optional[tuple[int, int, Word]] = None
     if designated is not None:
         designated_key = (designated[0], designated[1], tuple(designated[2]))

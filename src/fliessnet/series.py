@@ -300,14 +300,8 @@ class Series:
 
     def __mul__(self, scalar) -> "Series":
         if isinstance(scalar, Series):
-            raise TypeError("use .concat or .shuffle for series products")
+            raise TypeError("use concat_product or shuffle_product for series products")
         return linear_combine([(scalar, self)])
-
-    def concat(self, other: "Series") -> "Series":
-        return concat_product(self, other)
-
-    def shuffle(self, other: "Series") -> "Series":
-        return shuffle_product(self, other)
 
 
 def _common_alphabet(series: Iterable[Series]) -> int:

@@ -77,6 +77,7 @@ def leading_zeros(word: Word) -> int:
     return count
 
 
+# Cleared in place when a closed loop starts, so it holds the pairs of one loop.
 _shuffle_cache: dict[tuple[Word, Word], dict[Word, int]] = {}
 
 

@@ -323,6 +323,15 @@ class TestMontecarlo:
         assert sum(b["count"] for b in res["histogram"]) == 6
         assert res["designated"] == {"from": 1, "to": 4, "word": "x0 x0 x1"}
 
+    @pytest.mark.parametrize("flag", ["--samples", "--bins"])
+    def test_nonpositive_samples_or_bins_is_a_domain_error(self, flag, four_node_file, capsys):
+        samples, bins = ("0", "4") if flag == "--samples" else ("2", "0")
+        code = run(["montecarlo", "--net", four_node_file, "--degree", "3", "--seed", "1",
+                    "--samples", samples, "--bins", bins])
+        assert code == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"type": "DomainError", "message": f"{flag[2:]} must be >= 1"}
+
     def test_word_needs_endpoints(self, four_node_file, capsys):
         code = run(["montecarlo", "--net", four_node_file, "--degree", "3",
                     "--samples", "2", "--seed", "1", "--word", "x0 x1"])

@@ -8,6 +8,7 @@ tricks, no sharing; it is only usable for tiny inputs, which is the point.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -142,9 +143,12 @@ class TestMaximalFastPath:
     @pytest.mark.parametrize("mixed", [False, True])
     def test_matches_general_path(self, mixed, rng: random.Random):
         spec = MaximalSeriesSpec(Fraction(1, 2), 2)
-        for _ in range(10):
-            d = make_random_series(rng, degree=3, proper=True)
-            n = 5
+        # An improper d puts 1 + d_0 in the drift quotient of the image;
+        # d_0 = -1 leaves that quotient without a degree-0 grade.
+        cases = [(make_random_series(rng, degree=3, proper=proper), n)
+                 for proper, n in itertools.product((True, False), range(8))]
+        cases += [(Series(1, 3, {(): -1, (1,): 2, (0, 1): 3}), n) for n in range(8)]
+        for d, n in cases:
             fast = compose_maximal(spec, d, n, mixed)
             slow = compose_at(spec.expand(1, n), d, n, mixed)
             assert fast.eq_to_degree(slow, min(fast.exact_to, slow.exact_to))

@@ -21,6 +21,7 @@ from fractions import Fraction
 import pytest
 
 import fliessnet.network as network
+import fliessnet.words as words
 from fliessnet import (
     DomainError,
     MaximalSeriesSpec,
@@ -266,7 +267,8 @@ class TestProducts:
 
     def test_layers_settle_one_degree_per_call(self, rng):
         """Raising n_out by one on kept layers equals a fresh full composition,
-        as in a network sweep: d is exact through n_out - 1 at each call."""
+        as in a network sweep: the same c at every call, and d exact through
+        n_out - 1 at each call."""
         spec = MaximalSeriesSpec(Fraction(3, 2), Fraction(2, 3))
         for _ in range(10):
             c = make_random_series(rng, degree=5, max_terms=5)
@@ -275,9 +277,8 @@ class TestProducts:
             poly, maximal = ComposeLayers(), ComposeLayers()
             for n_out in range(7):
                 d_now = d.truncate(max(n_out - 1, 0))
-                c_now = c.truncate(n_out) if n_out < c.max_degree else c.extended(n_out)
-                assert_same(compose_at(c_now, d_now, n_out, mixed, poly),
-                            flat_compose_at(c_now, d_now, n_out, mixed))
+                assert_same(compose_at(c, d_now, n_out, mixed, poly),
+                            flat_compose_at(c, d_now, n_out, mixed))
                 assert_same(compose_maximal(spec, d_now, n_out, mixed, maximal),
                             flat_compose_maximal(spec, d_now, n_out, mixed))
 
@@ -361,14 +362,18 @@ class TestTermCap:
     @pytest.mark.parametrize("cap", [200, 2000, 20000])
     def test_loop_overshoots_the_cap_by_at_most_one_composition(self, monkeypatch, cap):
         """The cap is checked after each node's composition, so without the
-        terms the last composition added the loop was still under it."""
+        terms and memo words the last composition added the loop was still
+        under it."""
         monkeypatch.setattr(network, "TERM_CAP", cap)
         added = []
 
+        def held(layers):
+            return layers.terms + sum(map(len, words._shuffle_cache.values()))
+
         def counted(spec, d, n_out, mixed, layers):
-            before = layers.terms
+            before = held(layers)
             out = compose_maximal(spec, d, n_out, mixed, layers)
-            added.append(layers.terms - before)
+            added.append(held(layers) - before)
             return out
 
         monkeypatch.setattr(network, "compose_maximal", counted)
@@ -376,6 +381,14 @@ class TestTermCap:
             closed_loop_series(all_ones_maximal(3), 1, 30)
         held = int(re.search(r"holds (\d+) terms", str(err.value)).group(1))
         assert held - added[-1] <= cap < held
+
+    def test_cap_counts_the_shuffle_memo(self, monkeypatch):
+        """The shuffle memo holds most of a deep loop's words; counted, it
+        stops an all-ones m=1 loop under a cap of 100,000 by degree 11."""
+        monkeypatch.setattr(network, "TERM_CAP", 100_000)
+        with pytest.raises(DomainError, match="over the cap of 100000") as err:
+            closed_loop_series(all_ones_maximal(1), 1, 30)
+        assert int(re.search(r"at degree (\d+),", str(err.value)).group(1)) <= 11
 
     def test_cli_reports_the_cap_as_a_domain_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(network, "TERM_CAP", 200)

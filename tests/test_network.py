@@ -119,6 +119,22 @@ class TestClosedLoop:
         for degree in range(3, 7):
             assert io_map(net, 1, 1, degree).exact_to <= 2, degree
 
+    def test_node_series_is_expanded_once_per_loop(self, monkeypatch):
+        calls = []
+        expand = NetworkSpec.node_series
+
+        def counted(net, k, degree):
+            calls.append(k)
+            return expand(net, k, degree)
+
+        monkeypatch.setattr(NetworkSpec, "node_series", counted)
+        closed_loop_series(double_diamond_net(), 1, 8, check_stabilization=True)
+        assert sorted(calls) == list(range(1, 8))
+        # A maximal node is composed from its constants, never expanded.
+        calls.clear()
+        closed_loop_series(all_ones_maximal(2), 1, 6)
+        assert calls == []
+
     def test_maximal_net_node_symmetry(self):
         net = all_ones_maximal(3)
         d = closed_loop_series(net, 1, 4)

@@ -7,9 +7,11 @@ from fractions import Fraction
 
 import pytest
 
+import fliessnet.reldeg as reldeg
 from fliessnet import (
     AlphabetError,
     ConditionError,
+    DomainError,
     NetworkSpec,
     RelDegReport,
     Series,
@@ -254,6 +256,17 @@ class TestGenericity:
         assert len(stats.values) == 20
         assert all(v > 0 for v in stats.values)
         assert sum(count for _, _, count in stats.histogram) == 20
+
+    @pytest.mark.parametrize("field", ["samples", "bins"])
+    def test_nonpositive_samples_or_bins_fail_up_front(self, field, monkeypatch):
+        """Checked before any sample runs, so no sample is ever drawn."""
+        drawn = []
+        monkeypatch.setattr(reldeg, "sample_network", lambda *a: drawn.append(a))
+        kwargs = dict(samples=4, seed=1, degree=3, bins=4)
+        kwargs[field] = 0
+        with pytest.raises(DomainError, match=f"{field} must be >= 1"):
+            genericity_sample(self.PATTERN, self.NODES, **kwargs)
+        assert drawn == []
 
     def test_jobs_do_not_change_results(self):
         kwargs = dict(samples=12, seed=424242, degree=3, designated=(1, 4, (0, 0, 1)))
