@@ -11,13 +11,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Union
+from typing import Union
 
 from . import words
 from .compose import ComposeLayers, compose_at, compose_maximal
 from .errors import (
     DomainError,
-    FliessnetError,
     NodeIndexError,
     ParseError,
     SubgraphBudgetError,
@@ -123,53 +122,24 @@ class NetworkSpec:
 # loop overshoots the cap by at most one node's newest degree.
 TERM_CAP = 4_000_000
 
-
-def _sweep(
-    net: NetworkSpec,
-    i: int,
-    prev: dict[int, Series],
-    target: int,
-    routes: dict[int, Callable[..., Series]],
-    layers: dict[int, ComposeLayers],
-    degree: int,
-) -> dict[int, Series]:
-    """One fixed-point sweep to degree target of a closed loop asked for at
-    degree; raises DomainError once the loop holds over TERM_CAP terms."""
-    out: dict[int, Series] = {}
-    for k in range(1, net.m + 1):
-        pairs = []
-        row = net.W[k - 1]
-        for l in range(1, net.m + 1):
-            w = row[l - 1]
-            if w != 0:
-                pairs.append((w, prev[l]))
-        # A node with no incoming edges has feedback that is structurally
-        # zero, hence exact to any degree the sweep asks for.
-        feedback = linear_combine(pairs) if pairs else Series.zero(1, target)
-        out[k] = routes[k](feedback, target, k == i, layers[k])
-        held = sum(layer.terms for layer in layers.values())
-        held += sum(map(len, words._shuffle_cache.values()))
-        if held > TERM_CAP:
-            raise DomainError(
-                f"closed loop holds {held} terms and memo words at degree {target}, over "
-                f"the cap of {TERM_CAP}; request a lower degree than {degree}"
-            )
-    return out
+# Candidate nodes a forward-path subgraph may span before subgraph_extract
+# refuses to enumerate its simple paths, whose count grows combinatorially.
+NODE_BUDGET = 24
 
 
-def closed_loop_series(
-    net: NetworkSpec, i: int, degree: int, check_stabilization: bool = False
-) -> dict[int, Series]:
+def closed_loop_series(net: NetworkSpec, i: int, degree: int) -> dict[int, Series]:
     """All closed-loop series d_ki for the single external input v_i.
 
     The map is the fixed point of d_k = c_k o (sum_l W[k][l] d_l), with the
     mixed product at k = i carrying the direct channel. Substitution prepends
-    at least one letter, so sweep t is exact through degree t - 1; sweeping
-    to degree + 1 freezes everything up to the requested truncation. Each
-    node series is expanded once and each node keeps its composition state
-    between sweeps, so sweep t computes only degree t - 1. The loop starts
-    with an empty shuffle memo, and raises DomainError after the node
-    composition that takes it over TERM_CAP terms and memo words.
+    at least one letter, so degree n of every d_k depends on the feedback
+    only through degree n - 1: the loop settles n = 0, ..., degree in turn,
+    each node from the feedback of the series settled below n. Each node
+    series is expanded once and each node keeps its composition state
+    between degrees, so each step computes only degree n. The shuffle memo
+    is emptied when the loop starts and when it raises; the loop raises
+    DomainError after the node composition that takes it over TERM_CAP
+    terms and memo words.
     """
     net.check_node(i)
     if degree < 0:
@@ -183,14 +153,29 @@ def closed_loop_series(
         else partial(compose_at, net.node_series(k, degree))
         for k, src in zip(nodes, net.nodes)
     }
+    # Each node's in-edges as (weight, source node).
+    inputs = {k: [(w, l) for l, w in zip(nodes, net.W[k - 1]) if w != 0] for k in nodes}
     layers = {k: ComposeLayers() for k in nodes}
     d = {k: Series.zero(1, 0) for k in nodes}
-    for t in range(1, degree + 2):
-        d = _sweep(net, i, d, t - 1, routes, layers, degree)
-    if check_stabilization:
-        again = _sweep(net, i, d, degree, routes, {k: ComposeLayers() for k in nodes}, degree)
-        if any(again[k] != d[k] for k in d):
-            raise FliessnetError("closed-loop fixed point failed to stabilize")
+    try:
+        for n in range(degree + 1):
+            below, d = d, {}
+            for k in nodes:
+                pairs = [(w, below[l]) for w, l in inputs[k]]
+                # A node with no in-edges has feedback that is structurally
+                # zero, hence exact to any degree.
+                feedback = linear_combine(pairs) if pairs else Series.zero(1, n)
+                d[k] = routes[k](feedback, n, k == i, layers[k])
+                held = sum(layer.terms for layer in layers.values())
+                held += sum(map(len, words._shuffle_cache.values()))
+                if held > TERM_CAP:
+                    raise DomainError(
+                        f"closed loop holds {held} terms and memo words at degree {n}, over "
+                        f"the cap of {TERM_CAP}; request a lower degree than {degree}"
+                    )
+    except BaseException:
+        words._shuffle_cache.clear()
+        raise
     return d
 
 
@@ -226,12 +211,13 @@ class Subgraph:
         return sorted(u for (u, w) in self.edges if w == v)
 
 
-def subgraph_extract(net: NetworkSpec, i: int, j: int, node_budget: int = 24) -> Subgraph:
+def subgraph_extract(net: NetworkSpec, i: int, j: int) -> Subgraph:
     """Forward-path subgraph G_ji by exhaustive simple-path enumeration.
 
-    Self-loops never lie on a simple path and are dropped up front. The
-    candidate set (reachable from i, co-reachable to j) is capped by
-    node_budget before enumeration since path counts grow combinatorially.
+    Self-loops never lie on a simple path and are dropped up front. A
+    candidate set (reachable from i, co-reachable to j) larger than
+    NODE_BUDGET, read at call time, raises SubgraphBudgetError before
+    enumeration.
     """
     net.check_node(i)
     net.check_node(j)
@@ -256,9 +242,9 @@ def subgraph_extract(net: NetworkSpec, i: int, j: int, node_budget: int = 24) ->
     candidates = closure(i, succ) & closure(j, pred)
     if i not in candidates or j not in candidates:
         return Subgraph(i, j, frozenset(), frozenset())
-    if len(candidates) > node_budget:
+    if len(candidates) > NODE_BUDGET:
         raise SubgraphBudgetError(
-            f"{len(candidates)} candidate nodes exceed the budget of {node_budget}"
+            f"{len(candidates)} candidate nodes exceed the budget of {NODE_BUDGET}"
         )
 
     on_nodes: set[int] = set()

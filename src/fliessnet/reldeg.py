@@ -178,12 +178,7 @@ def _repeated_groups(acc: AccumulatedDegrees) -> dict[int, dict[int, list[int]]]
     return repeated
 
 
-def predict_io_reldeg(
-    net: NetworkSpec,
-    i: int,
-    j: int,
-    node_budget: int = 24,
-) -> PredictionReport:
+def predict_io_reldeg(net: NetworkSpec, i: int, j: int) -> PredictionReport:
     """Predict the relative degree of the map from an input at node i to the
     output of node j, with a certificate naming the condition that holds.
 
@@ -206,7 +201,7 @@ def predict_io_reldeg(
         return PredictionReport(
             i, j, r, CONDITION_DISTINCT, {i: r}, {"self_pair": True, "leading": lead}
         )
-    sub = subgraph_extract(net, i, j, node_budget=node_budget)
+    sub = subgraph_extract(net, i, j)
     if sub.is_empty():
         return PredictionReport(i, j, None, CONDITION_UNKNOWN, {}, {"no_forward_path": True})
     degrees: dict[int, int] = {}
@@ -270,30 +265,25 @@ def _consistency(measured: RelDegReport, predicted: Optional[PredictionReport]) 
     return False
 
 
-def pair_report(
-    net: NetworkSpec, i: int, j: int, measured: RelDegReport, node_budget: int = 24
-) -> PairReport:
+def pair_report(net: NetworkSpec, i: int, j: int, measured: RelDegReport) -> PairReport:
     """Predict the pair (i, j) and judge the prediction against a measurement;
-    a ConditionError, DomainError or SubgraphBudgetError is kept as
+    a ConditionError, DomainError or SubgraphBudgetError (a forward-path
+    subgraph over network.NODE_BUDGET candidate nodes) is kept as
     prediction_error, not raised."""
     try:
-        predicted = predict_io_reldeg(net, i, j, node_budget=node_budget)
+        predicted = predict_io_reldeg(net, i, j)
     except (ConditionError, DomainError, SubgraphBudgetError) as exc:
         return PairReport(i, j, measured, None, str(exc), None)
     return PairReport(i, j, measured, predicted, None, _consistency(measured, predicted))
 
 
-def complete_reldeg(
-    net: NetworkSpec,
-    degree: int,
-    node_budget: int = 24,
-) -> dict[tuple[int, int], PairReport]:
+def complete_reldeg(net: NetworkSpec, degree: int) -> dict[tuple[int, int], PairReport]:
     """Measure and predict the relative degree of every pair."""
     out: dict[tuple[int, int], PairReport] = {}
     for i in range(1, net.m + 1):
         closed = closed_loop_series(net, i, degree)
         for j in range(1, net.m + 1):
-            out[(i, j)] = pair_report(net, i, j, relative_degree(closed[j]), node_budget)
+            out[(i, j)] = pair_report(net, i, j, relative_degree(closed[j]))
     return out
 
 

@@ -77,7 +77,8 @@ def leading_zeros(word: Word) -> int:
     return count
 
 
-# Cleared in place when a closed loop starts, so it holds the pairs of one loop.
+# Cleared in place when a closed loop starts and when one raises: only a loop
+# that returned leaves its pairs here, until the next loop starts.
 _shuffle_cache: dict[tuple[Word, Word], dict[Word, int]] = {}
 
 

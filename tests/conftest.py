@@ -146,3 +146,20 @@ def all_ones_maximal(m: int, K=1, M=1):
     spec = MaximalSeriesSpec(K, M)
     W = [[1] * m for _ in range(m)]
     return NetworkSpec(m, W, [spec] * m)
+
+
+def assert_fixed_point(net, i: int, d: dict) -> None:
+    """d solves d_k = c_k o (sum_l W[k][l] d_l) through its truncation: each
+    node, recomposed with fresh state from the linear combination of the
+    loop's own d_l, equals d_k, exact_to included."""
+    from fliessnet import MaximalSeriesSpec, compose_at, compose_maximal, linear_combine
+
+    for k, src in enumerate(net.nodes, start=1):
+        n = d[k].max_degree
+        pairs = [(w, d[l]) for l, w in enumerate(net.W[k - 1], start=1) if w != 0]
+        feedback = linear_combine(pairs) if pairs else Series.zero(1, n)
+        if isinstance(src, MaximalSeriesSpec):
+            again = compose_maximal(src, feedback, n, k == i)
+        else:
+            again = compose_at(net.node_series(k, n), feedback, n, k == i)
+        assert (again, again.exact_to) == (d[k], d[k].exact_to), k

@@ -5,9 +5,10 @@ full-recompute fixed-point sweep the graded core replaced, computing with
 int and Fraction coefficients. Each loops over every term pair and skips
 those that do not fit under the truncation. The graded products on integer
 numerators over one denominator per grade, the layered compositions and the
-closed loop that settles one degree per sweep must reproduce them
+closed loop that settles one degree at a time must reproduce them
 coefficient for coefficient, with the same canonical coefficient types and
-the same exact_to. Every stored grade must stay reduced.
+the same exact_to. Every stored grade must stay reduced, and each closed
+loop must be a fixed point of its own node compositions.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from fliessnet import (
 )
 from fliessnet.cli import run
 from fliessnet.compose import ComposeLayers, compose, mixed_compose
-from conftest import all_ones_maximal, double_diamond_net, make_random_series
+from conftest import all_ones_maximal, assert_fixed_point, double_diamond_net, make_random_series
 
 # -- flat oracles ------------------------------------------------------------------
 
@@ -324,6 +325,45 @@ def sevenths_double_diamond() -> NetworkSpec:
     return double_diamond_net(tuple(Fraction(r.randint(1, 20), 7) for _ in range(7)))
 
 
+def sparse_poly_net(seed: int, n: int) -> NetworkSpec:
+    """n polynomial nodes of relative degree 1 or 2 with signed rational
+    coefficients on a sparse seeded graph, drawn until the net has a
+    self-loop and a node without in-edges."""
+    r = random.Random(seed)
+
+    def rational(top: int, q_max: int) -> Fraction:
+        q = r.randint(2, q_max)
+        return Fraction(r.randint(1, top * q), q)
+
+    def signed() -> Fraction:
+        return rational(2, 5) * r.choice((-1, 1))
+
+    while True:
+        nodes = []
+        for _ in range(n):
+            rd = r.randint(1, 2)
+            lead = (0,) * (rd - 1) + (1,)
+            terms = {lead: signed()}
+            for _ in range(r.randint(0, 2)):
+                word = r.choice([(), (0,) * rd, lead + (1,), (0,) + lead])
+                terms[word] = terms.get(word, 0) + signed()
+            nodes.append(Series(1, max(map(len, terms)), terms))
+        W = [[rational(1, 9) if r.random() < (0.1 if k == l else 0.35) else 0
+              for l in range(n)] for k in range(n)]
+        if any(W[k][k] for k in range(n)) and any(not any(row) for row in W):
+            return NetworkSpec(n, W, nodes)
+
+
+def truncated_cycle_net() -> NetworkSpec:
+    """A maximal node and a polynomial node certified exact only through
+    degree 1, in one cycle 1 -> 2 -> 1, so the truncation travels round it."""
+    nodes = [
+        MaximalSeriesSpec(Fraction(3, 4), Fraction(1, 3)),
+        Series(1, 3, {(1,): Fraction(-2, 3), (0, 1): 1, (1, 0, 1): Fraction(5, 2)}, exact_to=1),
+    ]
+    return NetworkSpec(2, [[0, Fraction(1, 2)], [Fraction(2, 5), 0]], nodes)
+
+
 CLOSED_LOOPS = [
     ("all_ones_m3", lambda: all_ones_maximal(3), 1, 7),
     ("seeded_maximal", lambda: seeded_maximal_net(2026, 3), 2, 6),
@@ -333,6 +373,11 @@ CLOSED_LOOPS = [
     ("double_diamond_sevenths", sevenths_double_diamond, 1, 12),
     ("mixed", mixed_net, 2, 7),
     ("mixed_from_source", mixed_net, 4, 6),
+    ("sparse_poly_n4", lambda: sparse_poly_net(1, 4), 1, 6),
+    ("sparse_poly_n5", lambda: sparse_poly_net(2, 5), 2, 6),
+    ("sparse_poly_n6", lambda: sparse_poly_net(3, 6), 3, 5),
+    ("truncated_cycle", truncated_cycle_net, 1, 6),
+    ("truncated_cycle_from_truncated", truncated_cycle_net, 2, 6),
 ]
 
 
@@ -347,7 +392,8 @@ def test_closed_loop_matches_full_recompute(name, make, i, degree):
 
 
 def test_stabilization_check_still_passes():
-    closed_loop_series(mixed_net(), 1, 5, check_stabilization=True)
+    net = mixed_net()
+    assert_fixed_point(net, 1, closed_loop_series(net, 1, 5))
 
 
 # -- term cap --------------------------------------------------------------------------------
@@ -389,6 +435,14 @@ class TestTermCap:
         with pytest.raises(DomainError, match="over the cap of 100000") as err:
             closed_loop_series(all_ones_maximal(1), 1, 30)
         assert int(re.search(r"at degree (\d+),", str(err.value)).group(1)) <= 11
+
+    def test_loop_stopped_by_the_cap_leaves_the_memo_empty(self, monkeypatch):
+        monkeypatch.setattr(network, "TERM_CAP", 100_000)
+        with pytest.raises(DomainError, match="over the cap of 100000"):
+            closed_loop_series(all_ones_maximal(1), 1, 30)
+        # Counted first: a failing assert on the memo itself would print all of it.
+        entries = len(words._shuffle_cache)
+        assert entries == 0
 
     def test_cli_reports_the_cap_as_a_domain_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(network, "TERM_CAP", 200)

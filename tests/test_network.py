@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import fliessnet.network as network
 from fliessnet import (
     DomainError,
     MaximalSeriesSpec,
@@ -23,7 +24,7 @@ from fliessnet import (
     restrict_to_subgraph,
     subgraph_extract,
 )
-from conftest import all_ones_maximal, double_diamond_net, four_node_net
+from conftest import all_ones_maximal, assert_fixed_point, double_diamond_net, four_node_net
 
 
 def integrator_chain(weights):
@@ -91,7 +92,8 @@ class TestClosedLoop:
 
     def test_stabilization_check_passes(self):
         net = four_node_net(1, Fraction(1, 2), Fraction(1, 3), 1)
-        d = closed_loop_series(net, 1, 5, check_stabilization=True)
+        d = closed_loop_series(net, 1, 5)
+        assert_fixed_point(net, 1, d)
         assert d[4].exact_to == 5
 
     def test_four_node_difference_of_products(self):
@@ -128,8 +130,10 @@ class TestClosedLoop:
             return expand(net, k, degree)
 
         monkeypatch.setattr(NetworkSpec, "node_series", counted)
-        closed_loop_series(double_diamond_net(), 1, 8, check_stabilization=True)
+        net = double_diamond_net()
+        d = closed_loop_series(net, 1, 8)
         assert sorted(calls) == list(range(1, 8))
+        assert_fixed_point(net, 1, d)
         # A maximal node is composed from its constants, never expanded.
         calls.clear()
         closed_loop_series(all_ones_maximal(2), 1, 6)
@@ -180,10 +184,11 @@ class TestSubgraph:
             {(1, 2), (1, 3), (2, 4), (3, 4), (2, 5), (4, 5), (4, 6), (5, 7), (6, 7)}
         )
 
-    def test_budget_enforced(self):
+    def test_budget_enforced(self, monkeypatch):
+        monkeypatch.setattr(network, "NODE_BUDGET", 3)
         net = double_diamond_net()
         with pytest.raises(SubgraphBudgetError):
-            subgraph_extract(net, 1, 7, node_budget=3)
+            subgraph_extract(net, 1, 7)
 
     def test_restriction_zeroes_off_path_weights(self):
         net = double_diamond_net()

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import fliessnet.network as network
 import fliessnet.reldeg as reldeg
 from fliessnet import (
     AlphabetError,
@@ -222,10 +223,11 @@ class TestComplete:
         ok = [p for p in table.values() if p.consistent is True]
         assert len(ok) >= 7
 
-    def test_over_budget_pair_is_reported_not_raised(self):
+    def test_over_budget_pair_is_reported_not_raised(self, monkeypatch):
         """Pairs whose forward-path candidates exceed the node budget keep
         their measurement and carry the budget error as prediction_error."""
-        table = complete_reldeg(ladder_net(6), 4, node_budget=3)
+        monkeypatch.setattr(network, "NODE_BUDGET", 3)
+        table = complete_reldeg(ladder_net(6), 4)
         over = table[(1, 4)]
         assert over.measured.r == 3
         assert over.predicted is None and over.consistent is None
