@@ -107,10 +107,8 @@ FLAGS = {
     "n": dict(type=int, default=400, help="grid steps; for abel, the highest derivative order"),
     "t0": dict(type=float, default=0.0),
     "T": dict(type=float, help="horizon length"),
-    "method": dict(choices=["auto", "ode", "picard"], default="auto"),
     "threshold": dict(type=float, default=1e9, help="escape detection level"),
     "samples": dict(type=int, default=1000),
-    "jobs": dict(type=int, default=1),
     "bins": dict(type=int, default=40),
     "word": dict(help='tracked word, e.g. "x0 x0 x1"'),
 }
@@ -184,13 +182,12 @@ def _abel(args, net, params):
 
 def _simulate(args, net, params):
     grid = Grid(args.t0, args.T, args.n)
-    method = args.method
-    if method == "auto":
-        method = "ode" if net.all_maximal() else "picard"
-    if method == "ode":
-        traj = simulate_maximal_ode(net, grid, threshold=args.threshold)
+    # The nodes decide the route: the exact ODE needs every node maximal,
+    # Picard iteration every node polynomial.
+    if net.all_maximal():
+        method, traj = "ode", simulate_maximal_ode(net, grid, threshold=args.threshold)
     else:
-        traj = simulate_picard(net, grid)
+        method, traj = "picard", simulate_picard(net, grid)
     nodes = range(1, net.m + 1)
     rows = (
         [repr(float(t))] + [repr(float(traj.outputs[k][idx])) for k in nodes]
@@ -217,7 +214,7 @@ def _montecarlo(args, net, params):
     nodes = range(1, net.m + 1)
     pattern = [[0 if net.weight(r, c) == 0 else 1 for c in nodes] for r in nodes]
     stats = genericity_sample(
-        pattern, net.nodes, args.samples, args.seed, args.degree, designated, args.bins, args.jobs
+        pattern, net.nodes, args.samples, args.seed, args.degree, designated, args.bins
     )
     result = {
         "samples": stats.samples,
@@ -290,7 +287,7 @@ COMMANDS = {
     ),
     "simulate": Command(
         "integrate the network and write a trajectory CSV",
-        "net T out [t0] [n] [method] [threshold]",
+        "net T out [t0] [n] [threshold]",
         {
             "method": str,
             "escape_time": float | None,
@@ -306,7 +303,7 @@ COMMANDS = {
     ),
     "montecarlo": Command(
         "relative degrees across seeded random weights",
-        "net degree seed [samples] [jobs] [bins] [from] [to] [word] [out]",
+        "net degree seed [samples] [bins] [from] [to] [word] [out]",
         {
             "samples": int,
             "seed": int,
@@ -379,8 +376,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     cmd = COMMANDS[args.subcommand]
     flags = cmd.flag_list()
     _require(args, [name for name, required in flags if required])
-    # --out and --jobs steer where and how a run goes, not what it computes.
-    params = {name: getattr(args, name) for name, _ in flags if name not in ("out", "jobs")}
+    # --out steers where a run goes, not what it computes.
+    params = {name: getattr(args, name) for name, _ in flags if name != "out"}
     net, input_hash = _load_net(args.net) if "net" in params else (None, None)
     result, header, rows = cmd.compute(args, net, params)
     if input_hash is None:

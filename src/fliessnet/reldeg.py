@@ -277,14 +277,21 @@ def pair_report(net: NetworkSpec, i: int, j: int, measured: RelDegReport) -> Pai
     return PairReport(i, j, measured, predicted, None, _consistency(measured, predicted))
 
 
-def complete_reldeg(net: NetworkSpec, degree: int) -> dict[tuple[int, int], PairReport]:
-    """Measure and predict the relative degree of every pair."""
-    out: dict[tuple[int, int], PairReport] = {}
+def _measure_pairs(net: NetworkSpec, degree: int):
+    """For each input i in turn: i, its closed loop, and the measured relative
+    degree of every output j (a dict keyed by j)."""
     for i in range(1, net.m + 1):
         closed = closed_loop_series(net, i, degree)
-        for j in range(1, net.m + 1):
-            out[(i, j)] = pair_report(net, i, j, relative_degree(closed[j]))
-    return out
+        yield i, closed, {j: relative_degree(closed[j]) for j in range(1, net.m + 1)}
+
+
+def complete_reldeg(net: NetworkSpec, degree: int) -> dict[tuple[int, int], PairReport]:
+    """Measure and predict the relative degree of every pair."""
+    return {
+        (i, j): pair_report(net, i, j, measured)
+        for i, _, row in _measure_pairs(net, degree)
+        for j, measured in row.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -329,10 +336,8 @@ def _genericity_one(
     net = sample_network(pattern, nodes, seed, index)
     reports: dict[tuple[int, int], RelDegReport] = {}
     value = None
-    for i in range(1, net.m + 1):
-        closed = closed_loop_series(net, i, degree)
-        for j in range(1, net.m + 1):
-            reports[(i, j)] = relative_degree(closed[j])
+    for i, closed, row in _measure_pairs(net, degree):
+        reports.update(((i, j), measured) for j, measured in row.items())
         if designated is not None and i == designated[0]:
             value = abs(float(Fraction(closed[designated[1]].coeff(designated[2]))))
     return reports, value

@@ -20,8 +20,9 @@ from .network import NetworkSpec, io_map
 from .series import Series
 from .words import Word
 
-# A node is treated as having escaped at an integrator halt only if its state
-# has already left the range where bounded trajectories live.
+# At an escape stop, a node other than the one at the threshold is treated as
+# having escaped only if its state has already left the range where bounded
+# trajectories live.
 _DIVERGENCE_FLOOR = 1e4
 
 # Tolerances of the escape ODE, also reported in the trajectory metadata.
@@ -136,12 +137,13 @@ def simulate_maximal_ode(
     """Integrate the exact state realization of an all-maximal network.
 
     Each node obeys z_k' = (M_k/K_k) z_k^2 (1 + u_k) with z_k(0) = K_k and
-    u_k = v_k + sum_l W_kl z_l; the node output equals z_k. Escape is
-    detected either by a state crossing the threshold or by the integrator
-    halting at the finite-time singularity, whichever the step size can still
-    resolve. Nodes that have not crossed when a halt occurs are assigned the
-    halt time only if their state has clearly diverged; samples past the stop
-    time are reported as NaN.
+    u_k = v_k + sum_l W_kl z_l; the node output equals z_k. The integration
+    stops at escape: when max_k |z_k| crosses the threshold, or when the
+    integrator halts at the finite-time singularity, whichever the step size
+    can still resolve. The stop time is then the escape time, and a node
+    escapes at it if its |z_k| is the maximum at a threshold stop or has
+    passed _DIVERGENCE_FLOOR at either kind of stop; other nodes report None.
+    Samples past the stop time are reported as NaN.
     """
     if not net.all_maximal():
         raise ModelError("the cubic ODE realization needs every node maximal")
@@ -170,15 +172,6 @@ def simulate_maximal_ode(
     first_escape.terminal = True
     first_escape.direction = 1
 
-    def node_event(index: int):
-        def crossing(t, z):
-            return abs(z[index]) - threshold
-
-        crossing.terminal = False
-        crossing.direction = 1
-        return crossing
-
-    events = [first_escape] + [node_event(k) for k in range(m)]
     sol = solve_ivp(
         rhs,
         (times[0], times[-1]),
@@ -186,27 +179,16 @@ def simulate_maximal_ode(
         method="RK45",
         **_ODE_TOLERANCES,
         dense_output=True,
-        events=events,
+        events=first_escape,
     )
     if sol.status not in (-1, 0, 1):
         raise ModelError(f"integration failed: {sol.message}")
     t_end = float(sol.t[-1])
     halted = sol.status == -1
-    escape_time: Optional[float] = None
-    if sol.t_events[0].size:
-        escape_time = float(sol.t_events[0][0])
-    elif halted:
-        escape_time = t_end
-    z_end = sol.y[:, -1]
-    per_node: dict[int, Optional[float]] = {}
-    for k in range(m):
-        crossings = sol.t_events[1 + k]
-        if crossings.size:
-            per_node[k + 1] = float(crossings[0])
-        elif halted and abs(z_end[k]) >= _DIVERGENCE_FLOOR:
-            per_node[k + 1] = t_end
-        else:
-            per_node[k + 1] = None
+    escape_time = None if sol.status == 0 else t_end
+    z_end = np.abs(sol.y[:, -1])
+    escaped = (z_end >= _DIVERGENCE_FLOOR) | ((sol.status == 1) & (z_end == z_end.max()))
+    per_node = {k + 1: escape_time if escaped[k] else None for k in range(m)}
     valid = times <= t_end
     outputs: dict[int, np.ndarray] = {}
     states = np.full((m, times.size), np.nan)
@@ -288,10 +270,10 @@ def validate_io_map(
     j: int,
     degree: int,
     grid: Grid,
-    v=None,
 ) -> ValidationReport:
     """Compare the truncated closed-loop series response against a Picard
-    simulation of the full network, for an input applied at node i.
+    simulation of the full network, for the constant input v = 1 applied at
+    node i.
 
     The discrepancy is the series truncation remainder, which is of combined
     degree degree + 1 in the horizon; halving T with the same step count
@@ -299,11 +281,7 @@ def validate_io_map(
     """
     net.check_node(i)
     net.check_node(j)
-    times = grid.times
-    if v is None:
-        v_sig = np.ones(times.size)
-    else:
-        v_sig = np.asarray(v, dtype=float)
+    v_sig = np.ones(grid.n + 1)
     d = io_map(net, i, j, degree)
     series_route = eval_fliess(d, v_sig, grid)
     # A tight fixed point leaves the truncation remainder as the only error.

@@ -122,13 +122,16 @@ class TestBasics:
             "bounds": ["bounds", "--m", "2", "--K", "1", "--M", "1"],
             "abel": ["abel", "--m", "2", "--K", "1", "--M", "1", "--n", "3"],
             "simulate": ["simulate", *traj],
+            "montecarlo": ["montecarlo", *net, "--degree", "3", "--samples", "2", "--seed", "1"],
         }
         unread = [("iomap", "--seed"), ("reldeg", "--seed"), ("validate", "--seed"),
                   ("bounds", "--seed"), ("abel", "--seed"), ("simulate", "--seed"),
                   ("bounds", "--net"), ("abel", "--net"), ("bounds", "--degree"),
-                  ("abel", "--degree"), ("simulate", "--format"), ("simulate", "--degree")]
+                  ("abel", "--degree"), ("simulate", "--format"), ("simulate", "--degree"),
+                  ("simulate", "--method"), ("montecarlo", "--jobs")]
+        values = {"--format": "json", "--method": "ode"}
         for sub, flag in unread:
-            value = "json" if flag == "--format" else "3"
+            value = values.get(flag, "3")
             assert run(base[sub] + [flag, value]) == 2, (sub, flag)
             assert "unrecognized arguments" in capsys.readouterr().err
 

@@ -63,7 +63,6 @@ CASES = {
     "simulate-one-ode": "simulate --net one.json --T 0.4 --n 40 --out traj.csv",
     "simulate-three-ode": "simulate --net three.json --T 0.5 --n 30 --threshold 1e6 --out traj.csv",
     "simulate-four-picard": "simulate --net four.json --T 1.0 --n 20 --out traj.csv",
-    "simulate-four-picard-explicit": "simulate --net four.json --T 0.5 --n 10 --method picard --out traj.csv",
     "montecarlo-four-json": "montecarlo --net four.json --degree 3 --samples 6 --seed 11 "
     "--from 1 --to 4 --word 'x0 x0 x1' --bins 4",
     "montecarlo-four-csv": "montecarlo --net four.json --degree 3 --samples 6 --seed 11 "

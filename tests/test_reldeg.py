@@ -21,6 +21,7 @@ from fliessnet import (
     complete_reldeg,
     genericity_sample,
     io_map,
+    pair_report,
     predict_io_reldeg,
     relative_degree,
     sample_network,
@@ -233,6 +234,28 @@ class TestComplete:
         assert over.predicted is None and over.consistent is None
         assert over.prediction_error == "4 candidate nodes exceed the budget of 3"
         assert table[(1, 3)].consistent is True
+
+
+class TestPairVerdict:
+    """pair_report's verdict on a measurement that is not `defined`, against
+    the double diamond's (1, 7) prediction r = 7 (`distinct`)."""
+
+    def verdict(self, status: str, truncation: int):
+        measured = RelDegReport(status, None, None, truncation)
+        report = pair_report(double_diamond_net(), 1, 7, measured)
+        assert report.predicted.r_pred == 7
+        assert report.predicted.condition == "distinct"
+        return report.consistent
+
+    def test_undetermined_below_the_prediction_contradicts_nothing(self):
+        assert self.verdict("undetermined_at_truncation", 6) is None
+
+    @pytest.mark.parametrize("truncation", [7, 9])
+    def test_undetermined_at_or_past_the_prediction_is_inconsistent(self, truncation):
+        assert self.verdict("undetermined_at_truncation", truncation) is False
+
+    def test_undefined_against_a_defined_prediction_is_inconsistent(self):
+        assert self.verdict("undefined", 9) is False
 
 
 class TestGenericity:

@@ -169,6 +169,20 @@ class TestMaximalOde:
         assert traj.per_node_escape[1] == pytest.approx(traj.escape_time, abs=1e-6)
         assert traj.metadata["halted_at_singularity"] or traj.metadata["status"] == 1
 
+    def test_threshold_stop_reports_the_crossing_node(self):
+        traj = simulate_maximal_ode(single_maximal(), Grid(0.0, 0.4, 100), threshold=10)
+        assert traj.metadata["status"] == 1
+        assert traj.escape_time == traj.metadata["stop_time"]
+        assert traj.per_node_escape[1] == traj.escape_time
+
+    def test_cascade_reports_only_the_node_that_crossed(self):
+        # node 1 (z' = z^2, blow-up at t = 1) drives node 2, which escapes first
+        net = NetworkSpec(2, [[0, 0], [1, 0]], [MaximalSeriesSpec(1, 1)] * 2)
+        traj = simulate_maximal_ode(net, Grid(0.0, 0.9, 90), threshold=10)
+        assert traj.metadata["status"] == 1
+        assert traj.escape_time is not None
+        assert traj.per_node_escape == {1: None, 2: traj.escape_time}
+
     def test_driven_node_square_root_blowup(self):
         # v = -1 cancels the affine drive, leaving z' = z^3: blow-up at 1/2
         grid = Grid(0.0, 0.8, 200)

@@ -10,12 +10,15 @@ fails here rather than in a benchmark run. Nothing under bench/ is changed.
 from __future__ import annotations
 
 import importlib.util
+import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import fliessnet
+import fliessnet.cli as cli
 import fliessnet.words as words
-from conftest import all_ones_maximal
+from conftest import all_ones_maximal, four_node_net
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -35,13 +38,15 @@ def test_shuffle_memo_is_a_dict():
     assert type(words._shuffle_cache) is dict
 
 
-def test_every_layer_metric_of_a_traced_closed_loop_is_present():
+def traced_metrics(task) -> dict:
+    """Layer metrics of one traced call of task(); every metric must be
+    present and finite, or the benchmark's result line would carry it as
+    absent or fail to encode it as strict JSON."""
     tracer = load_spans().Tracer()
     tracer.install()
     try:
-        tracer.begin_task("closed_loop")
-        d = fliessnet.closed_loop_series(all_ones_maximal(2), 1, 4)
-        fliessnet.relative_degree(d[1])
+        tracer.begin_task("task")
+        task()
         tracer.end_task()
     finally:
         tracer.uninstall()
@@ -49,5 +54,37 @@ def test_every_layer_metric_of_a_traced_closed_loop_is_present():
     missing = [name for name, (value, _) in metrics.items()
                if value is None or not math.isfinite(value)]
     assert missing == []
+    return metrics
+
+
+def test_every_layer_metric_of_a_traced_closed_loop_is_present():
+    def task():
+        d = fliessnet.closed_loop_series(all_ones_maximal(2), 1, 4)
+        fliessnet.relative_degree(d[1])
+
+    metrics = traced_metrics(task)
     assert metrics["network.closed_loop_calls"][0] == 1
     assert metrics["compose.calls"][0] > 0
+
+
+def test_every_sim_metric_of_traced_simulations_is_present(tmp_path):
+    net_file = tmp_path / "net.json"
+    net_file.write_text(json.dumps(fliessnet.network_to_json(all_ones_maximal(2))))
+    out = tmp_path / "traj.csv"
+    four = four_node_net(Fraction(2, 3), Fraction(1, 5), Fraction(3, 7), Fraction(4, 9))
+
+    def task():
+        fliessnet.simulate_maximal_ode(all_ones_maximal(3), fliessnet.Grid(0.0, 0.2, 40))
+        fliessnet.validate_io_map(four, 1, 4, 3, fliessnet.Grid(0.0, 0.2, 40))
+        assert cli.run(["simulate", "--net", str(net_file), "--T", "0.3", "--n", "30",
+                        "--out", str(out)]) == 0
+
+    metrics = traced_metrics(task)
+    sim = {name: value for name, (value, _) in metrics.items() if name.startswith("sim.")}
+    assert sorted(sim) == sorted([
+        "sim.calls", "sim.self_s", "sim.failed", "sim.eval_fliess_calls", "sim.eval_fliess_s",
+        "sim.solve_ivp_s", "sim.ode_nfev", "sim.ode_steps", "sim.picard_iterations",
+    ])
+    assert sim["sim.failed"] == 0
+    assert all(sim[name] > 0 for name in sim if name != "sim.failed")
+    assert metrics["cli.calls"][0] > 0
