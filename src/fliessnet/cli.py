@@ -25,7 +25,7 @@ from types import UnionType
 from typing import Callable
 
 from . import __version__
-from .errors import FliessnetError
+from .errors import FliessnetError, ModelError
 from .growth import abel_taylor, m_inf_bound
 from .network import NetworkSpec, io_map, network_from_json
 from .reldeg import genericity_sample, pair_report, relative_degree
@@ -182,12 +182,12 @@ def _abel(args, net, params):
 
 def _simulate(args, net, params):
     grid = Grid(args.t0, args.T, args.n)
-    # The nodes decide the route: the exact ODE needs every node maximal,
-    # Picard iteration every node polynomial.
     if net.all_maximal():
         method, traj = "ode", simulate_maximal_ode(net, grid, threshold=args.threshold)
-    else:
+    elif net.all_polynomial():
         method, traj = "picard", simulate_picard(net, grid)
+    else:
+        raise ModelError("simulation needs every node maximal or every node polynomial")
     nodes = range(1, net.m + 1)
     rows = (
         [repr(float(t))] + [repr(float(traj.outputs[k][idx])) for k in nodes]

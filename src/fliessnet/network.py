@@ -11,7 +11,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Union
+from typing import Optional, Union
 
 from . import words
 from .compose import ComposeLayers, compose_at, compose_maximal
@@ -101,13 +101,6 @@ class NetworkSpec:
         polynomial = src.exact_to >= src.max_degree
         return src.extended(degree, exact_to=degree if polynomial else None)
 
-    def edges(self, include_self: bool = True):
-        """Yield (l, k) for every nonzero weight W[k][l], i.e. edge l -> k."""
-        for k in range(1, self.m + 1):
-            for l in range(1, self.m + 1):
-                if (include_self or k != l) and self.W[k - 1][l - 1] != 0:
-                    yield (l, k)
-
     def all_maximal(self) -> bool:
         return all(isinstance(n, MaximalSeriesSpec) for n in self.nodes)
 
@@ -142,20 +135,25 @@ def closed_loop_series(net: NetworkSpec, i: int, degree: int) -> dict[int, Serie
     terms and memo words.
     """
     net.check_node(i)
+    return _closed_loop(net, i, degree)
+
+
+def _closed_loop(net: NetworkSpec, i: Optional[int], degree: int) -> dict[int, Series]:
+    """closed_loop_series from input node i, or with no input channel if i is None."""
     if degree < 0:
         raise DomainError("truncation degree must be >= 0")
     words._shuffle_cache.clear()
     nodes = range(1, net.m + 1)
-    # Each node's composition route, with its left operand built once.
+    layers = {k: ComposeLayers() for k in nodes}
+    # Each node's composition route: its left operand built once, mixed at node i.
     routes = {
-        k: partial(compose_maximal, src)
+        k: partial(compose_maximal, src, mixed=k == i, layers=layers[k])
         if isinstance(src, MaximalSeriesSpec)
-        else partial(compose_at, net.node_series(k, degree))
+        else partial(compose_at, net.node_series(k, degree), mixed=k == i, layers=layers[k])
         for k, src in zip(nodes, net.nodes)
     }
     # Each node's in-edges as (weight, source node).
     inputs = {k: [(w, l) for l, w in zip(nodes, net.W[k - 1]) if w != 0] for k in nodes}
-    layers = {k: ComposeLayers() for k in nodes}
     d = {k: Series.zero(1, 0) for k in nodes}
     try:
         for n in range(degree + 1):
@@ -165,7 +163,7 @@ def closed_loop_series(net: NetworkSpec, i: int, degree: int) -> dict[int, Serie
                 # A node with no in-edges has feedback that is structurally
                 # zero, hence exact to any degree.
                 feedback = linear_combine(pairs) if pairs else Series.zero(1, n)
-                d[k] = routes[k](feedback, n, k == i, layers[k])
+                d[k] = routes[k](feedback, n)
                 held = sum(layer.terms for layer in layers.values())
                 held += sum(map(len, words._shuffle_cache.values()))
                 if held > TERM_CAP:
@@ -186,12 +184,10 @@ def io_map(net: NetworkSpec, i: int, j: int, degree: int) -> Series:
 
 
 def natural_response(net: NetworkSpec, j: int, degree: int) -> list[Coeff]:
-    """Zero-input output derivatives a_k = <d_j, x0^k> at node j.
-
-    The drift-only coefficients are shared by every d_ji, so any input
-    channel gives the same answer.
-    """
-    d = closed_loop_series(net, j, degree)[j]
+    """Zero-input output derivatives a_k = <d_j, x0^k> at node j, read off the
+    closed loop with no input channel, whose series hold only drift words."""
+    net.check_node(j)
+    d = _closed_loop(net, None, degree)[j]
     return [d.coeff((0,) * k) for k in range(degree + 1)]
 
 
@@ -225,9 +221,11 @@ def subgraph_extract(net: NetworkSpec, i: int, j: int) -> Subgraph:
         return Subgraph(i, j, frozenset({i}), frozenset())
     succ: dict[int, list[int]] = {k: [] for k in range(1, net.m + 1)}
     pred: dict[int, list[int]] = {k: [] for k in range(1, net.m + 1)}
-    for l, k in net.edges(include_self=False):
-        succ[l].append(k)
-        pred[k].append(l)
+    for k, row in enumerate(net.W, 1):
+        for l, w in enumerate(row, 1):
+            if k != l and w != 0:
+                succ[l].append(k)
+                pred[k].append(l)
 
     def closure(start: int, neighbors: dict[int, list[int]]) -> set[int]:
         seen = {start}

@@ -148,6 +148,26 @@ def all_ones_maximal(m: int, K=1, M=1):
     return NetworkSpec(m, W, [spec] * m)
 
 
+def mixed_net():
+    """Two maximal and two polynomial nodes, one of them certified exact
+    only through degree 2, a self-loop and a node with no incoming edge."""
+    from fliessnet import MaximalSeriesSpec, NetworkSpec
+
+    nodes = [
+        MaximalSeriesSpec(1, Fraction(1, 2)),
+        Series(1, 3, {(1,): 2, (0, 1): Fraction(-1, 3), (1, 0, 1): 1}),
+        Series(1, 4, {(): 1, (0, 1): 3, (1, 1, 0, 1): Fraction(5, 2)}, exact_to=2),
+        MaximalSeriesSpec(Fraction(2, 3), 1),
+    ]
+    W = [
+        [0, 0, Fraction(1, 2), 0],
+        [1, 0, 0, Fraction(1, 3)],
+        [0, Fraction(2, 5), Fraction(1, 7), 0],
+        [0, 0, 0, 0],
+    ]
+    return NetworkSpec(4, W, nodes)
+
+
 def assert_fixed_point(net, i: int, d: dict) -> None:
     """d solves d_k = c_k o (sum_l W[k][l] d_l) through its truncation: each
     node, recomposed with fresh state from the linear combination of the

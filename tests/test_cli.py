@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from fliessnet import (
+    MaximalSeriesSpec,
     NetworkSpec,
     Series,
     complete_reldeg,
@@ -311,6 +312,19 @@ class TestSimulate:
         meta = json.loads((tmp_path / "p.csv.meta.json").read_text())
         assert meta["result"]["method"] == "picard"
         assert meta["result"]["escape_time"] is None
+
+    def test_mixed_net_needs_one_node_kind(self, tmp_path, capsys):
+        net = NetworkSpec(2, [[0, 0], [1, 0]], [MaximalSeriesSpec(1, 1), Series(1, 1, {(1,): 1})])
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(network_to_json(net)))
+        code = run(["simulate", "--net", str(path), "--T", "0.2", "--n", "10",
+                    "--out", str(tmp_path / "m.csv")])
+        assert code == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {
+            "type": "ModelError",
+            "message": "simulation needs every node maximal or every node polynomial",
+        }
 
 
 class TestMontecarlo:

@@ -42,7 +42,13 @@ from fliessnet import (
 )
 from fliessnet.cli import run
 from fliessnet.compose import ComposeLayers, compose, mixed_compose
-from conftest import all_ones_maximal, assert_fixed_point, double_diamond_net, make_random_series
+from conftest import (
+    all_ones_maximal,
+    assert_fixed_point,
+    double_diamond_net,
+    make_random_series,
+    mixed_net,
+)
 
 # -- flat oracles ------------------------------------------------------------------
 
@@ -293,24 +299,6 @@ def seeded_maximal_net(seed: int, m: int) -> NetworkSpec:
              for _ in range(m)]
     W = [[Fraction(r.randint(0, 10), 11) for _ in range(m)] for _ in range(m)]
     return NetworkSpec(m, W, specs)
-
-
-def mixed_net() -> NetworkSpec:
-    """Two maximal and two polynomial nodes, one of them certified exact
-    only through degree 2, a self-loop and a node with no incoming edge."""
-    nodes = [
-        MaximalSeriesSpec(1, Fraction(1, 2)),
-        Series(1, 3, {(1,): 2, (0, 1): Fraction(-1, 3), (1, 0, 1): 1}),
-        Series(1, 4, {(): 1, (0, 1): 3, (1, 1, 0, 1): Fraction(5, 2)}, exact_to=2),
-        MaximalSeriesSpec(Fraction(2, 3), 1),
-    ]
-    W = [
-        [0, 0, Fraction(1, 2), 0],
-        [1, 0, 0, Fraction(1, 3)],
-        [0, Fraction(2, 5), Fraction(1, 7), 0],
-        [0, 0, 0, 0],
-    ]
-    return NetworkSpec(4, W, nodes)
 
 
 def criterion7_sample(index: int) -> NetworkSpec:

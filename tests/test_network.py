@@ -16,15 +16,23 @@ from fliessnet import (
     Series,
     SubgraphBudgetError,
     abel_taylor,
+    check_growth,
     closed_loop_series,
     io_map,
+    m_inf_bound,
     natural_response,
     network_from_json,
     network_to_json,
     restrict_to_subgraph,
     subgraph_extract,
 )
-from conftest import all_ones_maximal, assert_fixed_point, double_diamond_net, four_node_net
+from conftest import (
+    all_ones_maximal,
+    assert_fixed_point,
+    double_diamond_net,
+    four_node_net,
+    mixed_net,
+)
 
 
 def integrator_chain(weights):
@@ -157,6 +165,52 @@ class TestClosedLoop:
         assert [d1.coeff(w) for w in drift] == [d3.coeff(w) for w in drift]
 
 
+def truncated_node_net() -> NetworkSpec:
+    """One node exact only through degree 2, on a self-loop."""
+    node = Series(1, 4, {(): 1, (1,): 1, (0, 1): 1, (1, 1, 1, 1): 5}, exact_to=2)
+    return NetworkSpec(1, [[Fraction(1, 3)]], [node])
+
+
+def headless_net() -> NetworkSpec:
+    """A maximal node 1 without in-edges driving a polynomial node 2."""
+    node = Series(1, 2, {(): Fraction(1, 2), (1,): 1, (0, 1): Fraction(-2, 3)})
+    return NetworkSpec(2, [[0, 0], [1, Fraction(1, 4)]], [MaximalSeriesSpec(2, 3), node])
+
+
+class TestNaturalResponse:
+    """natural_response runs the closed loop with no input channel. Its
+    oracle is the forced loop: every d_ki has the drift coefficients of the
+    zero-input response, whichever node i carries the input."""
+
+    @pytest.mark.parametrize(
+        "make, degree",
+        [(double_diamond_net, 6), (mixed_net, 6), (truncated_node_net, 6), (headless_net, 7)],
+        ids=["double_diamond", "mixed", "truncated_node", "headless"],
+    )
+    def test_equals_the_drift_of_every_forced_loop(self, make, degree):
+        net = make()
+        drift = [(0,) * k for k in range(degree + 1)]
+        natural = {j: natural_response(net, j, degree) for j in range(1, net.m + 1)}
+        for i in range(1, net.m + 1):
+            forced = closed_loop_series(net, i, degree)
+            for j, a in natural.items():
+                expected = [(type(c), c) for c in map(forced[j].coeff, drift)]
+                assert [(type(c), c) for c in a] == expected, (i, j)
+
+    def test_node_index_is_checked(self):
+        net = mixed_net()
+        for j in (0, net.m + 1):
+            with pytest.raises(NodeIndexError):
+                natural_response(net, j, 3)
+
+    @pytest.mark.parametrize("m, degree", [(1, 60), (2, 60), (3, 60), (4, 40)])
+    def test_all_ones_at_depth_meets_the_envelope_and_its_bound(self, m, degree):
+        a = natural_response(all_ones_maximal(m), 1, degree)
+        assert a == list(abel_taylor(m, 1, 1, degree).a)
+        drift = Series(1, degree, {(0,) * k: c for k, c in enumerate(a)})
+        assert check_growth(drift, 1, m_inf_bound(1, 1, m).M_inf).passed
+
+
 class TestSubgraph:
     def test_single_node_pair(self):
         net = integrator_chain([1])
@@ -183,6 +237,12 @@ class TestSubgraph:
         assert sub.edges == frozenset(
             {(1, 2), (1, 3), (2, 4), (3, 4), (2, 5), (4, 5), (4, 6), (5, 7), (6, 7)}
         )
+
+    def test_self_loop_excluded(self):
+        x1 = Series(1, 1, {(1,): 1})
+        net = NetworkSpec(3, [[0, 0, 0], [1, 1, 0], [0, 1, 0]], [x1] * 3)
+        sub = subgraph_extract(net, 1, 3)
+        assert sub.edges == frozenset({(1, 2), (2, 3)})
 
     def test_budget_enforced(self, monkeypatch):
         monkeypatch.setattr(network, "NODE_BUDGET", 3)

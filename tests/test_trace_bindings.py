@@ -61,9 +61,10 @@ def test_every_layer_metric_of_a_traced_closed_loop_is_present():
     def task():
         d = fliessnet.closed_loop_series(all_ones_maximal(2), 1, 4)
         fliessnet.relative_degree(d[1])
+        fliessnet.natural_response(all_ones_maximal(2), 2, 6)
 
     metrics = traced_metrics(task)
-    assert metrics["network.closed_loop_calls"][0] == 1
+    assert metrics["network.closed_loop_calls"][0] >= 1
     assert metrics["compose.calls"][0] > 0
 
 
