@@ -162,9 +162,8 @@ def compose_maximal(
 
     So degree n takes shuffles at degree n - 1 only, of d and of Y below n:
     the causality and exact_to of the general route, whose result this
-    equals by linearity. Z sh Y at degree n would fill the shuffle memo with
-    one more degree of word pairs. layers keeps M E, M Z, Y0, Y1 and Y, so
-    it serves one spec and mixed flag.
+    equals by linearity. layers keeps M E, M Z, Y0, Y1 and Y, so it serves
+    one spec and mixed flag.
     """
     _require_siso(d)
     Mp, Mq = spec.M.numerator, spec.M.denominator

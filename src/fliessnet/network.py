@@ -110,10 +110,13 @@ class NetworkSpec:
 
 # Terms a closed loop may hold, in its series, their intermediates and the
 # word lists of the shuffle memo, before it refuses to settle another degree.
-# A maximal node carries 2^(n+1) - 1 terms at degree n, and the memo several
-# times more words. The count is checked after each node's composition, so a
-# loop overshoots the cap by at most one node's newest degree.
-TERM_CAP = 4_000_000
+# A maximal node carries 2^(n+1) - 1 terms at degree n and its composition
+# state several times more; its dense grade pairs leave the memo empty, while
+# sparse ones (the double diamond's) keep most of their words there. The
+# count is checked after each node's composition, so a loop overshoots the
+# cap by at most one node's newest degree: a degree-30 request on the
+# all-ones m=1 loop stops at degree 19, holding about 0.7 GB.
+TERM_CAP = 2_000_000
 
 # Candidate nodes a forward-path subgraph may span before subgraph_extract
 # refuses to enumerate its simple paths, whose count grows combinatorially.

@@ -14,12 +14,17 @@ exact; floating point only enters at the simulation boundary.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from types import MappingProxyType
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
+import numpy as np
+
+from . import words
 from .errors import AlphabetError, DomainError, ParseError
 from .words import (
     Word,
@@ -378,19 +383,108 @@ def concat_product(c: Series, d: Series) -> Series:
     return _product(c, d, _concat_terms)
 
 
-def _shuffle_terms(a: Grades, b: Grades, n: int, den: int) -> dict[Word, int]:
+# Cost weights of the two shuffle kernels, in dense element operations: one
+# update of the word-pair kernel, and the fixed cost of one array operation
+# of the dense kernel. Measured on numpy object arrays of Python ints.
+_WORD_UPDATE = 5
+_ARRAY_CALL = 100
+
+
+def _dense_degrees(a: Grades, b: Grades, n: int, s: int) -> list[int]:
+    """The degrees i, ascending, of the grade pairs (a_i, b_(n - i)) over s
+    letters that cost less in the dense kernel than the word-pair kernel's
+    at most C(n, i) updates per word pair.
+
+    The dense kernel pays one array operation on s^n elements per quotient
+    step T[p][q] (see _dense_shuffle), and pair i needs the steps with
+    p <= i <= n - q. Of these, the (i - lo)(hi - i) with lo < p and
+    n - q < hi are new, lo and hi being the nearest degrees below and above
+    i already taken. Pairs are charged from the middle out, where the
+    word-pair kernel costs most. The first pair taken pays for all its
+    steps, which no pair can repay where full grades at the middle cannot
+    (small n); there no pair is looked at. Letters are read as bytes, so
+    s <= 256.
+    """
+    taken: list[int] = []
+    size = s**n + _ARRAY_CALL
+    half = n // 2
+    if s > 256 or _WORD_UPDATE * s**n * math.comb(n, half) <= (half + 1) * (n - half + 1) * size:
+        return taken
+    for i in sorted((i for i in a if n - i in b), key=lambda i: abs(2 * i - n)):
+        k = bisect.bisect(taken, i)
+        lo = taken[k - 1] if k else -1
+        hi = taken[k] if k < len(taken) else n + 1
+        updates = len(a[i][1]) * len(b[n - i][1]) * math.comb(n, i)
+        if _WORD_UPDATE * updates > (i - lo) * (hi - i) * size:
+            taken.insert(k, i)
+    return taken
+
+
+def _dense(nums: dict[Word, int], length: int, s: int, scale: int) -> np.ndarray:
+    """scale times the numerators of a grade of words of one length, as an
+    object array of s^length Python ints indexed by each word read as a
+    base-s number, first letter most significant."""
+    digits = np.frombuffer(b"".join(map(bytes, nums)), np.uint8).reshape(len(nums), length)
+    arr = np.zeros(s**length, dtype=object)
+    arr[digits @ s ** np.arange(length - 1, -1, -1)] = (
+        list(nums.values()) if scale == 1 else [scale * c for c in nums.values()]
+    )
+    return arr
+
+
+def _dense_shuffle(pairs: dict[int, tuple[np.ndarray, np.ndarray]], n: int, s: int) -> list[int]:
+    """The sum over i of A_i sh B_(n - i), for pairs[i] = (A_i, B_(n - i)) as
+    _dense arrays, as the list of its s^n Python ints in the same order.
+
+    T[p][q] is the sum of (u^-1 A_i) sh (v^-1 B_j) over the pairs with
+    i >= p and j >= q, as an (s^p, s^q, s^(n - p - q)) array over the words
+    u of length p and v of length q. Where p + q = n it is the outer product
+    of A_p and B_q. Elsewhere the left-quotient rule
+    xa^-1 (S sh T) = (xa^-1 S) sh T + S sh (xa^-1 T) gives
+        T[p][q][u, v, a w] = T[p + 1][q][u a, v, w] + T[p][q + 1][u, v a, w],
+    a transpose of the one and a reshape of the other. T[0][0] is the sum.
+    row[q] holds T[p][q] (None where no pair reaches), overwritten as p falls.
+    """
+    row: list[Optional[np.ndarray]] = []
+    for p in range(n, -1, -1):
+        sp = s**p
+        pair = pairs.get(p)
+        row.append(None if pair is None else np.multiply.outer(*pair)[..., None])
+        for q in range(n - p - 1, -1, -1):
+            sq, r = s**q, s ** (n - p - q - 1)
+            t = None
+            if row[q] is not None:
+                t = row[q].reshape(sp, s, sq, r).transpose(0, 2, 1, 3)
+            if row[q + 1] is not None:
+                beside = row[q + 1].reshape(sp, sq, s, r)
+                t = beside if t is None else t + beside
+            row[q] = None if t is None else t.reshape(sp, sq, s * r)
+    return row[0].ravel().tolist()
+
+
+def _shuffle_terms(a: Grades, b: Grades, n: int, den: int, m: int = 1) -> dict[Word, int]:
     """Numerators over den of the degree-n slice of the shuffle product of
-    two graded term maps.
+    two graded term maps over the alphabet x0..xm.
 
     den must be a multiple of every grade pair's denominator product, as
-    _pair_den(a, b, n) is. Only grade pairs (i, n - i) are visited, so every
-    term pair is kept. Returns a flat word -> numerator dict (zeros from
+    _pair_den(a, b, n) is. Only grade pairs (i, n - i) are visited, each by
+    the cheaper kernel (see _dense_degrees): the dense one, which uses no
+    memo, or the word-pair one through the memo of words.shuffle_words.
+    Returns a flat word -> numerator dict of Python ints (zeros from
     cancellation included). Hot path.
     """
+    s = m + 1
     acc: dict[Word, int] = {}
+    dense = _dense_degrees(a, b, n, s)
+    if dense:
+        arrays = {}
+        for i in dense:
+            (da, left), (db, right) = a[i], b[n - i]
+            arrays[i] = _dense(left, i, s, den // (da * db)), _dense(right, n - i, s, 1)
+        acc = dict(zip(words_of_length(m, n), _dense_shuffle(arrays, n, s)))
     for i, (da, left) in a.items():
         pair = b.get(n - i)
-        if pair is None:
+        if pair is None or i in dense:
             continue
         db, right = pair
         scale = den // (da * db)
@@ -406,10 +500,15 @@ def _shuffle_terms(a: Grades, b: Grades, n: int, den: int) -> dict[Word, int]:
 def shuffle_product(c: Series, d: Series) -> Series:
     """Shuffle product, truncated at the smaller operand degree.
 
-    Commutative and associative; the empty word is the unit. Implemented on
-    top of the memoized word-pair recursion in words.shuffle_words.
+    Commutative and associative; the empty word is the unit. Each grade
+    pair takes the cheaper of the dense quotient kernel and the word-pair
+    recursion of words.shuffle_words (see _shuffle_terms). The call empties
+    the shuffle memo when it returns, so it leaves no words behind.
     """
-    return _product(c, d, _shuffle_terms)
+    try:
+        return _product(c, d, partial(_shuffle_terms, m=_common_alphabet((c, d))))
+    finally:
+        words._shuffle_cache.clear()
 
 
 class ScalarProduct(NamedTuple):

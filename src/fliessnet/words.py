@@ -77,8 +77,11 @@ def leading_zeros(word: Word) -> int:
     return count
 
 
-# Cleared in place when a closed loop starts and when one raises: only a loop
-# that returned leaves its pairs here, until the next loop starts.
+# Filled by the word-pair kernel of series._shuffle_terms, which takes only
+# the sparse or small grade pairs; dense ones never reach it. Cleared in place
+# when a closed loop starts and when one raises, and when shuffle_product
+# returns: only a loop that returned leaves its pairs here, until the next
+# loop starts.
 _shuffle_cache: dict[tuple[Word, Word], dict[Word, int]] = {}
 
 

@@ -22,12 +22,14 @@ from fractions import Fraction
 import pytest
 
 import fliessnet.network as network
+import fliessnet.series as series
 import fliessnet.words as words
 from fliessnet import (
     DomainError,
     MaximalSeriesSpec,
     NetworkSpec,
     Series,
+    all_words,
     closed_loop_series,
     compose_at,
     compose_maximal,
@@ -39,9 +41,11 @@ from fliessnet import (
     series_to_json,
     shuffle_product,
     shuffle_words,
+    words_of_length,
 )
 from fliessnet.cli import run
 from fliessnet.compose import ComposeLayers, compose, mixed_compose
+from fliessnet.series import _pair_den, _reduced
 from conftest import (
     all_ones_maximal,
     assert_fixed_point,
@@ -290,6 +294,117 @@ class TestProducts:
                             flat_compose_maximal(spec, d_now, n_out, mixed))
 
 
+# -- shuffle kernels -------------------------------------------------------------------------
+
+# Word-pair update weights that force each kernel of _shuffle_terms: at 0 no
+# grade pair takes the dense kernel, at 10**9 every one does.
+KERNELS = {"word_pair": 0, "dense": 10**9}
+
+
+def random_grades(r: random.Random, m: int, degree: int) -> dict:
+    """Graded numerators (den, {word: numerator}) with every length absent,
+    sparse or dense at random, and numerators of up to 80 bits."""
+    grades = {}
+    for n in range(degree + 1):
+        kind = r.choice(("absent", "sparse", "dense"))
+        if kind == "absent":
+            continue
+        every = list(words_of_length(m, n))
+        chosen = every if kind == "dense" else r.sample(every, min(len(every), r.randint(1, 3)))
+        nums = {w: r.choice((-1, 1)) * r.randint(1, 2 ** r.randint(1, 80)) for w in chosen}
+        grades[n] = (r.choice((1, 2, 3, 7)), nums)
+    return grades
+
+
+def slice_oracle(a: dict, b: dict, n: int, den: int) -> dict:
+    """Nonzero numerators over den of the degree-n slice of a sh b, by the
+    word-pair recursion on Fraction coefficients."""
+    flat_a = {w: Fraction(c, d) for d, nums in a.values() for w, c in nums.items()}
+    flat_b = {w: Fraction(c, d) for d, nums in b.values() for w, c in nums.items()}
+    acc: dict = {}
+    for w1, c1 in flat_a.items():
+        for w2, c2 in flat_b.items():
+            if len(w1) + len(w2) == n:
+                for word, mult in shuffle_words(w1, w2).items():
+                    acc[word] = acc.get(word, 0) + c1 * c2 * mult
+    out = {}
+    for word, c in acc.items():
+        assert (c * den).denominator == 1
+        if c:
+            out[word] = int(c * den)
+    return out
+
+
+def nonzero(nums: dict) -> dict:
+    return {word: c for word, c in nums.items() if c}
+
+
+class TestShuffleKernels:
+    @pytest.mark.parametrize("m,degree", [(1, 4), (2, 3)])
+    def test_kernels_match_the_word_pair_oracle(self, monkeypatch, m, degree):
+        """Both kernels, and the cost rule that mixes them within one call,
+        give the oracle's exact numerators, as Python ints, on seeded
+        operands with absent, sparse and dense grades."""
+        r = random.Random(1958 + m)
+        taken = []
+        dense_degrees = series._dense_degrees
+
+        def spy(a, b, n, s):
+            out = dense_degrees(a, b, n, s)
+            taken.append((len(out), sum(n - i in b for i in a)))
+            return out
+
+        monkeypatch.setattr(series, "_dense_degrees", spy)
+        weights = [series._WORD_UPDATE, *KERNELS.values()]
+        for _ in range(25):
+            a, b = random_grades(r, m, degree), random_grades(r, m, degree)
+            for n in range(2 * degree + 1):
+                if not any(n - i in b for i in a):
+                    continue
+                den = _pair_den(a, b, n)
+                want = slice_oracle(a, b, n, den)
+                for weight in weights:
+                    monkeypatch.setattr(series, "_WORD_UPDATE", weight)
+                    got = series._shuffle_terms(a, b, n, den, m)
+                    assert all(type(c) is int for c in got.values())
+                    assert nonzero(got) == want
+        # The cost rule sent grade pairs of one call to both kernels.
+        assert any(0 < dense < pairs for dense, pairs in taken)
+
+    @pytest.mark.parametrize("kernel", ["word_pair", "dense"])
+    def test_pairs_that_cancel_leave_only_zeros(self, monkeypatch, kernel):
+        """A_i sh B_j + B_j sh (-A_i) vanishes word by word in either kernel,
+        and an empty operand leaves nothing."""
+        monkeypatch.setattr(series, "_WORD_UPDATE", KERNELS[kernel])
+        r = random.Random(7)
+        for m, i, j in [(1, 2, 3), (1, 0, 4), (2, 1, 2)]:
+            A = {w: r.randint(1, 9) for w in words_of_length(m, i)}
+            B = {w: r.randint(-9, 9) or 1 for w in words_of_length(m, j)}
+            a = {i: (3, A), j: (1, B)}
+            b = {j: (1, B), i: (3, {w: -c for w, c in A.items()})}
+            got = series._shuffle_terms(a, b, i + j, 3, m)
+            assert got and set(got.values()) == {0}
+            assert _reduced(3, got) is None
+            assert series._shuffle_terms({}, b, j, 1, m) == {}
+
+    def test_products_leave_the_memo_empty(self, rng):
+        """Every word of length n in maximal_series(1, 1, 1, 11) has
+        coefficient n!, so each one of length n in its shuffle square has
+        sum_i C(n, i) i! (n - i)! = (n + 1)!. That product once left 18,465
+        pairs in the word-pair memo; now no product leaves any."""
+        c = maximal_series(1, 1, 1, 11)
+        product = shuffle_product(c, c)
+        entries = len(words._shuffle_cache)
+        assert entries == 0
+        assert_same(product, Series(1, 11, {w: math.factorial(len(w) + 1)
+                                            for w in all_words(1, 11)}))
+        a = make_random_series(rng, degree=8, max_terms=12)
+        product = shuffle_product(a, c)
+        entries = len(words._shuffle_cache)
+        assert entries == 0
+        assert_same(product, flat_shuffle_product(a, c))
+
+
 # -- closed loops ----------------------------------------------------------------------------
 
 
@@ -379,6 +494,20 @@ def test_closed_loop_matches_full_recompute(name, make, i, degree):
         assert_same(got[k], want[k])
 
 
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+@pytest.mark.parametrize("name,make,i,degree", CLOSED_LOOPS, ids=[c[0] for c in CLOSED_LOOPS])
+def test_closed_loop_is_the_same_on_either_kernel(monkeypatch, kernel, name, make, i, degree):
+    """Every grade pair of the loop on one kernel gives the loop that the
+    cost rule mixes, coefficient for coefficient and exact_to."""
+    net = make()
+    want = closed_loop_series(net, i, degree)
+    monkeypatch.setattr(series, "_WORD_UPDATE", KERNELS[kernel])
+    got = closed_loop_series(net, i, degree)
+    assert sorted(got) == sorted(want)
+    for k in want:
+        assert_same(got[k], want[k])
+
+
 def test_stabilization_check_still_passes():
     net = mixed_net()
     assert_fixed_point(net, 1, closed_loop_series(net, 1, 5))
@@ -417,12 +546,25 @@ class TestTermCap:
         assert held - added[-1] <= cap < held
 
     def test_cap_counts_the_shuffle_memo(self, monkeypatch):
-        """The shuffle memo holds most of a deep loop's words; counted, it
-        stops an all-ones m=1 loop under a cap of 100,000 by degree 11."""
+        """The double diamond's grade pairs stay on the word-pair kernel,
+        whose memo holds most of its words (5 in 6 at degree 17); counted,
+        it stops that loop under a cap of 20,000 by degree 17, where its
+        series and their intermediates hold 3,492 terms."""
+        monkeypatch.setattr(network, "TERM_CAP", 20_000)
+        with pytest.raises(DomainError, match="over the cap of 20000") as err:
+            closed_loop_series(double_diamond_net(), 1, 30)
+        assert int(re.search(r"at degree (\d+),", str(err.value)).group(1)) <= 17
+
+    def test_dense_loop_stops_where_its_held_terms_reach_the_cap(self, monkeypatch):
+        """The all-ones m=1 loop's large grade pairs take the dense kernel,
+        which leaves no memo words, so its held terms alone (about 5.5 * 2^n
+        at degree n) stop it under a cap of 100,000 at degree 15."""
         monkeypatch.setattr(network, "TERM_CAP", 100_000)
         with pytest.raises(DomainError, match="over the cap of 100000") as err:
             closed_loop_series(all_ones_maximal(1), 1, 30)
-        assert int(re.search(r"at degree (\d+),", str(err.value)).group(1)) <= 11
+        held, degree = re.search(r"holds (\d+) terms .* at degree (\d+),", str(err.value)).groups()
+        assert int(degree) == 15
+        assert 100_000 < int(held) < 200_000
 
     def test_loop_stopped_by_the_cap_leaves_the_memo_empty(self, monkeypatch):
         monkeypatch.setattr(network, "TERM_CAP", 100_000)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 import warnings
 from fractions import Fraction
 
@@ -209,6 +210,21 @@ class TestNaturalResponse:
         assert a == list(abel_taylor(m, 1, 1, degree).a)
         drift = Series(1, degree, {(0,) * k: c for k, c in enumerate(a)})
         assert check_growth(drift, 1, m_inf_bound(1, 1, m).M_inf).passed
+
+
+def test_forced_all_ones_at_depth_meets_the_envelope_and_its_bound():
+    """The forced all-ones m=1 loop at degree 15, whose node series hold
+    all 65,535 words: its drift coefficients are the envelope's, and every
+    degree meets the growth bound. The dense shuffle kernel settles it in
+    under a second on a 2-core host, well within the 15 s budget; on the
+    word-pair kernel alone its memo reached the term cap at degree 14."""
+    degree = 15
+    start = time.perf_counter()
+    d = closed_loop_series(all_ones_maximal(1), 1, degree)[1]
+    assert time.perf_counter() - start < 15
+    assert len(d) == 2 ** (degree + 1) - 1
+    assert [d.coeff((0,) * k) for k in range(degree + 1)] == list(abel_taylor(1, 1, 1, degree).a)
+    assert check_growth(d, 1, m_inf_bound(1, 1, 1).M_inf).passed
 
 
 class TestSubgraph:

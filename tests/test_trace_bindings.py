@@ -68,6 +68,15 @@ def test_every_layer_metric_of_a_traced_closed_loop_is_present():
     assert metrics["compose.calls"][0] > 0
 
 
+def test_every_layer_metric_of_a_traced_dense_loop_is_present():
+    """All-ones m=1 at degree 12 sends its large grade pairs to the dense
+    shuffle kernel, which calls no shuffle_words: the word-pair kernel makes
+    fewer terms than the loop's shuffles return, and the memo may be empty."""
+    metrics = traced_metrics(lambda: fliessnet.closed_loop_series(all_ones_maximal(1), 1, 12))
+    assert metrics["network.closed_loop_calls"][0] == 1
+    assert metrics["words.shuffle_out_terms"][0] < metrics["series.shuffle_out_terms"][0]
+
+
 def test_every_sim_metric_of_traced_simulations_is_present(tmp_path):
     net_file = tmp_path / "net.json"
     net_file.write_text(json.dumps(fliessnet.network_to_json(all_ones_maximal(2))))
