@@ -144,14 +144,14 @@ def m_inf_bound(Kbar, Mbar, m: int) -> GrowthBound:
 @dataclass(frozen=True)
 class AbelSequence:
     """Exact Taylor data of the envelope: z_k, derivatives a_k = k! z_k, and
-    the ratio estimates mhat[n-1] = n a_n / a_{n-1}."""
+    the ratio estimates mhat[n-1] = a_n / (n a_{n-1}) = z_n / z_{n-1}."""
 
     m: int
     K: Coeff
     M: Coeff
     z: tuple[Coeff, ...]
     a: tuple[Coeff, ...]
-    mhat: tuple[Coeff, ...]  # mhat[n-1] = a_n / (n a_{n-1}) = z_n / z_{n-1}
+    mhat: tuple[Coeff, ...]
 
     def a_floats(self) -> list[float]:
         return [float(Fraction(v)) for v in self.a]
@@ -165,26 +165,26 @@ class AbelSequence:
 def abel_taylor(m: int, K, M, n_max: int) -> AbelSequence:
     """Taylor coefficients of z' = (M/K)(z^2 + m z^3), z(0) = K, in exact arithmetic.
 
-    (k+1) z_{k+1} = (M/K) (sum_{a+b=k} z_a z_b + m sum_{a+b+c=k} z_a z_b z_c).
+    With z = K w and s = M t the envelope is dw/ds = w^2 + r w^3, w(0) = 1,
+    r = m K = p/q. The scaled coefficients N_k = k! q^k w_k are integers:
+    N_{k+1} = q S_k + p sum_c C(k, c) N_c S_{k-c}, S_j = sum_a C(j, a) N_a N_{j-a}.
+    So a_k = K M^k N_k / q^k, and only the outputs are Fractions.
     """
     K, M = _envelope_constants(K, M, m)
-    if n_max < 0:
-        raise DomainError("n_max must be >= 0")
-    ratio = Fraction(M) / Fraction(K)
-    z: list[Coeff] = [K]
-    pair_conv: list[Coeff] = [K * K]
+    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 0:
+        raise DomainError("n_max must be an integer >= 0")
+    p, q = (m * K).as_integer_ratio()
+    N, S, row = [1], [], [1]  # row = C(k, .)
     for k in range(n_max):
-        conv2 = pair_conv[k]
-        conv3 = sum(z[c] * pair_conv[k - c] for c in range(k + 1))
-        nxt = as_coeff(ratio * (conv2 + m * conv3) / (k + 1))
-        z.append(nxt)
-        pair_conv.append(sum(z[a] * z[k + 1 - a] for a in range(k + 2)))
-    a = [as_coeff(math.factorial(k) * Fraction(zk)) for k, zk in enumerate(z)]
-    mhat = [
-        as_coeff(Fraction(z[n]) / Fraction(z[n - 1]))
-        for n in range(1, n_max + 1)
-    ]
-    return AbelSequence(m, K, M, tuple(z), tuple(a), tuple(mhat))
+        S.append(sum(c * x * y for c, x, y in zip(row, N, reversed(N))))
+        N.append(q * S[k] + p * sum(c * x * y for c, x, y in zip(row, N, reversed(S))))
+        row = [x + y for x, y in zip([0] + row, row + [0])]
+    kn, kd = K.as_integer_ratio()
+    sn, sd = (M / Fraction(q)).as_integer_ratio()
+    a = [Fraction(kn * sn**k * nk, kd * sd**k) for k, nk in enumerate(N)]
+    z = [as_coeff(ak / math.factorial(k)) for k, ak in enumerate(a)]
+    mhat = [as_coeff(Fraction(z[n]) / z[n - 1]) for n in range(1, n_max + 1)]
+    return AbelSequence(m, K, M, tuple(z), tuple(map(as_coeff, a)), tuple(mhat))
 
 
 def closed_form_natural_response(m: int, K, M, t: float) -> float:

@@ -30,9 +30,9 @@ from .words import (
     Word,
     check_word,
     format_word,
-    shuffle_words,
     words_of_length,
 )
+from .words import _memo_shuffle as shuffle_words  # fills the memo; closed loops empty it
 
 Coeff = Union[int, Fraction]
 
@@ -469,7 +469,7 @@ def _shuffle_terms(a: Grades, b: Grades, n: int, den: int, m: int = 1) -> dict[W
     den must be a multiple of every grade pair's denominator product, as
     _pair_den(a, b, n) is. Only grade pairs (i, n - i) are visited, each by
     the cheaper kernel (see _dense_degrees): the dense one, which uses no
-    memo, or the word-pair one through the memo of words.shuffle_words.
+    memo, or the word-pair one through the memo of words._memo_shuffle.
     Returns a flat word -> numerator dict of Python ints (zeros from
     cancellation included). Hot path.
     """
@@ -502,7 +502,7 @@ def shuffle_product(c: Series, d: Series) -> Series:
 
     Commutative and associative; the empty word is the unit. Each grade
     pair takes the cheaper of the dense quotient kernel and the word-pair
-    recursion of words.shuffle_words (see _shuffle_terms). The call empties
+    recursion of words._memo_shuffle (see _shuffle_terms). The call empties
     the shuffle memo when it returns, so it leaves no words behind.
     """
     try:

@@ -79,9 +79,9 @@ def leading_zeros(word: Word) -> int:
 
 # Filled by the word-pair kernel of series._shuffle_terms, which takes only
 # the sparse or small grade pairs; dense ones never reach it. Cleared in place
-# when a closed loop starts and when one raises, and when shuffle_product
-# returns: only a loop that returned leaves its pairs here, until the next
-# loop starts.
+# when a closed loop starts and when one raises, and when shuffle_product or
+# shuffle_words returns: only a loop that returned leaves its pairs here,
+# until the next loop starts.
 _shuffle_cache: dict[tuple[Word, Word], dict[Word, int]] = {}
 
 
@@ -91,8 +91,17 @@ def shuffle_words(u: Word, v: Word) -> dict[Word, int]:
     Defined by the recursion
         (a u') sh (b v') = a (u' sh (b v')) + b ((a u') sh v')
     with the empty word as unit. The result sums to C(|u|+|v|, |u|) and every
-    output word has length |u| + |v|.
+    output word has length |u| + |v|. The call empties the shuffle memo when
+    it returns.
     """
+    try:
+        return _memo_shuffle(u, v)
+    finally:
+        _shuffle_cache.clear()
+
+
+def _memo_shuffle(u: Word, v: Word) -> dict[Word, int]:
+    """shuffle_words through the memo, which it leaves filled."""
     if not u:
         return {v: 1}
     if not v:
@@ -103,10 +112,10 @@ def shuffle_words(u: Word, v: Word) -> dict[Word, int]:
     if cached is not None:
         return cached
     out: dict[Word, int] = {}
-    for word, mult in shuffle_words(u[1:], v).items():
+    for word, mult in _memo_shuffle(u[1:], v).items():
         key = (u[0],) + word
         out[key] = out.get(key, 0) + mult
-    for word, mult in shuffle_words(u, v[1:]).items():
+    for word, mult in _memo_shuffle(u, v[1:]).items():
         key = (v[0],) + word
         out[key] = out.get(key, 0) + mult
     _shuffle_cache[(u, v)] = out

@@ -404,6 +404,21 @@ class TestShuffleKernels:
         assert entries == 0
         assert_same(product, flat_shuffle_product(a, c))
 
+    def test_word_shuffles_leave_the_memo_empty(self):
+        """(x0 x1)^5 ш (x1 x0)^5 once left 100 memo entries holding 9,000
+        words through the public shuffle_words; the binding that series
+        calls still fills the memo, which closed loops empty."""
+        u, v = (0, 1) * 5, (1, 0) * 5
+        out = shuffle_words(u, v)
+        entries = len(words._shuffle_cache)
+        assert entries == 0
+        assert len(out) == 1024 and sum(out.values()) == math.comb(20, 10)
+        try:
+            assert series.shuffle_words(u, v) == out
+            assert len(words._shuffle_cache) == 100
+        finally:
+            words._shuffle_cache.clear()
+
 
 # -- closed loops ----------------------------------------------------------------------------
 

@@ -14,6 +14,7 @@ from fliessnet import (
     DomainError,
     NoConvergence,
     abel_taylor,
+    as_coeff,
     closed_form_natural_response,
     lambert_w,
     lambert_w_lower,
@@ -46,6 +47,28 @@ def picard_series(m: int, K: Fraction, M: Fraction, n_max: int) -> list[Fraction
         rhs = [ratio * (sq[k] + m * cu[k]) for k in range(n_max + 1)]
         z = [Fraction(K)] + [rhs[k] / (k + 1) for k in range(n_max)]
     return z
+
+
+def fraction_abel_taylor(m: int, K, M, n_max: int) -> tuple[list, list, list]:
+    """(z, a, mhat) of abel_taylor by the Fraction recursion it replaced:
+    (k+1) z_{k+1} = (M/K) (sum_{a+b=k} z_a z_b + m sum_{a+b+c=k} z_a z_b z_c)."""
+    K, M = as_coeff(K), as_coeff(M)
+    ratio = Fraction(M) / Fraction(K)
+    z = [K]
+    pair_conv = [K * K]
+    for k in range(n_max):
+        conv2 = pair_conv[k]
+        conv3 = sum(z[c] * pair_conv[k - c] for c in range(k + 1))
+        z.append(as_coeff(ratio * (conv2 + m * conv3) / (k + 1)))
+        pair_conv.append(sum(z[a] * z[k + 1 - a] for a in range(k + 2)))
+    a = [as_coeff(math.factorial(k) * Fraction(zk)) for k, zk in enumerate(z)]
+    mhat = [as_coeff(Fraction(z[n]) / Fraction(z[n - 1])) for n in range(1, n_max + 1)]
+    return z, a, mhat
+
+
+def assert_same_coeffs(got, want) -> None:
+    assert list(got) == list(want)
+    assert [type(x) for x in got] == [type(y) for y in want]
 
 
 class TestLambertUpper:
@@ -197,6 +220,28 @@ class TestTaylorRecursion:
             assert all(a < b for a, b in zip(floats, floats[1:]))
             assert floats[-1] < m_inf_bound(1, 1, m).M_inf
 
+    def test_matches_the_fraction_recursion(self):
+        """The integer kernel gives the values and the types (int when
+        integral, Fraction otherwise) of the Fraction loop it replaced."""
+        constants = [(1, 1), (2, 3), (Fraction(3, 4), Fraction(5, 2)),
+                     (Fraction(7, 3), Fraction(1, 4)), (Fraction(1, 6), 7)]
+        for m in range(1, 7):
+            for K, M in constants:
+                for n_max in (0, 1, 2, 9, 60):
+                    seq = abel_taylor(m, K, M, n_max)
+                    z, a, mhat = fraction_abel_taylor(m, K, M, n_max)
+                    assert_same_coeffs(seq.z, z)
+                    assert_same_coeffs(seq.a, a)
+                    assert_same_coeffs(seq.mhat, mhat)
+
+    def test_ratio_column_at_depth(self):
+        """The envelope has a square-root singularity at t_star, so
+        mhat_n = M_inf (1 - 1/(2n) + O(n^-2)); at n = 250 the O(n^-2) term
+        is below 5e-7 for every m."""
+        for m in range(1, 7):
+            ratio = abel_taylor(m, 1, 1, 250).mhat_float(250) / m_inf_bound(1, 1, m).M_inf
+            assert abs(ratio - (1 - 1 / 500)) < 1e-5, m
+
     def test_domain(self):
         with pytest.raises(DomainError):
             abel_taylor(0, 1, 1, 3)
@@ -204,6 +249,9 @@ class TestTaylorRecursion:
             abel_taylor(1, 0, 1, 3)
         with pytest.raises(DomainError):
             abel_taylor(1, 1, -1, 3)
+        for n_max in (-1, 2.0, "3", True, None):
+            with pytest.raises(DomainError, match="n_max"):
+                abel_taylor(1, 1, 1, n_max)
 
 
 class TestClosedForm:
