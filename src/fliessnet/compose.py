@@ -12,13 +12,12 @@ converge in finitely many sweeps, and it lets the products run one degree at
 a time. Each kind of left operand has one route, whose state a ComposeLayers
 keeps between calls, so a call that raises n_out by one computes only the
 new degree: a polynomial c keeps the image of every suffix of its words, a
-maximal c its image and the left quotients of it (see compose_maximal).
-States are held as grades of the series core.
+maximal c its image Y and the factor M Z of its equation Y = K + M (Z sh Y)
+(see compose_maximal). States are held as grades of the series core.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 from .errors import AlphabetError
@@ -129,20 +128,6 @@ def mixed_compose(c: Series, d: Series) -> Series:
     return compose_at(c, d, min(c.max_degree, d.max_degree), mixed=True)
 
 
-def _quotient(q: Grades, y: Grades, z: Grades, ya: Grades, n: int) -> Optional[Grade]:
-    """Degree-n grade of q sh y + z sh ya."""
-    den = math.lcm(_pair_den(q, y, n), _pair_den(z, ya, n))
-    acc = _shuffle_terms(q, y, n, den)
-    for word, c in _shuffle_terms(z, ya, n, den).items():
-        acc[word] = acc.get(word, 0) + c
-    return _reduced(den, acc)
-
-
-def _join(quotients: list[Grades], n: int) -> Optional[Grade]:
-    """Degree n + 1 grade of sum_a xa Qa, from degree n of the quotients Qa."""
-    return _combine([(1, 1, _prefix(a, q[n])) for a, q in enumerate(quotients) if n in q])
-
-
 def compose_maximal(
     spec: MaximalSeriesSpec,
     d: Series,
@@ -154,35 +139,26 @@ def compose_maximal(
 
     The maximal series (K, M) generates y = K / (1 - M int(1 + u)), so its
     image Y solves the shuffle equation Y = K + M (Z sh Y), where E = 1 + d
-    and Z = x0 E (+ x1 for the mixed product). By the Leibniz rule for the
-    left quotients Ya = xa^-1 Y, with x0^-1 Z = E and x1^-1 Z = [mixed] 1:
-
-        Y0 = M (E sh Y + Z sh Y0),  Y1 = M ([mixed] Y + Z sh Y1),
-        Y_n = x0 Y0_{n-1} + x1 Y1_{n-1}.
-
-    So degree n takes shuffles at degree n - 1 only, of d and of Y below n:
-    the causality and exact_to of the general route, whose result this
-    equals by linearity. layers keeps M E, M Z, Y0, Y1 and Y, so it serves
-    one spec and mixed flag.
+    and Z = x0 E (+ x1 for the mixed product). Z is proper, so degree n of Y
+    is one shuffle slice of M Z against Y below n, with (M Z)_n = M x0 E_(n-1)
+    (+ M x1 at n = 1): the causality and exact_to of the general route, whose
+    result this equals by linearity. layers keeps M Z and Y, so it serves one
+    spec and mixed flag.
     """
     _require_siso(d)
     Mp, Mq = spec.M.numerator, spec.M.denominator
     if layers is None:
         layers = ComposeLayers()
     if layers.state is None:
-        ME: Grades = {}
-        # (Ya, M xa^-1 Z) for each letter a that can start a word of Y or Z.
-        layers.state = ME, {}, [({}, ME), ({}, {0: (Mq, {(): Mp})})][: 1 + mixed]
+        layers.state = {}
         layers.store(layers.out, 0, (spec.K.denominator, {(): spec.K.numerator}))
         layers.degree = 0
-    ME, MZ, quotients = layers.state
+    MZ, Y = layers.state, layers.out
     for n in range(layers.degree + 1, n_out + 1):
-        m = n - 1
-        e = [(Mp, Mq, g) for g in (_ONE if m == 0 else None, d._grades.get(m)) if g]
-        layers.store(ME, m, _combine(e))
-        layers.store(MZ, m, _join([q for _, q in quotients], m - 1))
-        for ya, q in quotients:
-            layers.store(ya, m, _quotient(q, layers.out, MZ, ya, m))
-        layers.store(layers.out, n, _join([ya for ya, _ in quotients], m))
+        z = [(0, g) for g in (_ONE if n == 1 else None, d._grades.get(n - 1)) if g]
+        z += [(1, _ONE)] if mixed and n == 1 else []
+        layers.store(MZ, n, _combine([(Mp, Mq, _prefix(a, g)) for a, g in z]))
+        den = _pair_den(MZ, Y, n)
+        layers.store(Y, n, _reduced(den, _shuffle_terms(MZ, Y, n, den)))
         layers.degree = n
     return layers.result(n_out, min(d.exact_to + 1, n_out))

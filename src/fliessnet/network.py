@@ -110,12 +110,12 @@ class NetworkSpec:
 
 # Terms a closed loop may hold, in its series, their intermediates and the
 # word lists of the shuffle memo, before it refuses to settle another degree.
-# A maximal node carries 2^(n+1) - 1 terms at degree n and its composition
-# state several times more; its dense grade pairs leave the memo empty, while
-# sparse ones (the double diamond's) keep most of their words there. The
-# count is checked after each node's composition, so a loop overshoots the
-# cap by at most one node's newest degree: a degree-30 request on the
-# all-ones m=1 loop stops at degree 19, holding about 0.7 GB.
+# A maximal node carries 2^(n+1) - 1 terms at degree n and its state M Z half
+# as many; dense grade pairs leave the memo empty, sparse ones (the double
+# diamond's) keep most of their words there. The count is checked after each
+# node's composition, so a loop overshoots the cap by at most one node's newest
+# degree. On a 2-core host, degree-30 requests stop at degree 20 on all-ones m=1
+# (24 s, 1.8 GB peak), 19 on m=2 and m=3 (1.1-1.2 GB), 26 on the double diamond.
 TERM_CAP = 2_000_000
 
 # Candidate nodes a forward-path subgraph may span before subgraph_extract

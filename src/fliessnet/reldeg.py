@@ -29,7 +29,7 @@ from .network import (
     subgraph_extract,
 )
 from .series import Coeff, MaximalSeriesSpec, Series, as_coeff
-from .words import Word, leading_zeros
+from .words import Word, check_word, leading_zeros
 
 STATUS_DEFINED = "defined"
 STATUS_UNDEFINED = "undefined"
@@ -366,6 +366,10 @@ def genericity_sample(
     designated_key: Optional[tuple[int, int, Word]] = None
     if designated is not None:
         designated_key = (designated[0], designated[1], tuple(designated[2]))
+        edgeless = NetworkSpec(len(nodes), [[0] * len(nodes)] * len(nodes), list(nodes))
+        edgeless.check_node(designated_key[0])
+        edgeless.check_node(designated_key[1])
+        check_word(designated_key[2], 1)
     one = partial(_genericity_one, pattern, list(nodes), seed, degree, designated_key)
     workers = min(jobs, samples)
     if workers > 1:

@@ -147,8 +147,8 @@ def simulate_maximal_ode(
     """
     if not net.all_maximal():
         raise ModelError("the cubic ODE realization needs every node maximal")
-    if threshold <= 0:
-        raise DomainError("escape threshold must be positive")
+    if not 0 < threshold < np.inf:
+        raise DomainError("escape threshold must be finite and positive")
     m = net.m
     times = grid.times
     K = np.array([float(Fraction(spec.K)) for spec in net.nodes])

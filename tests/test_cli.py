@@ -326,6 +326,17 @@ class TestSimulate:
             "message": "simulation needs every node maximal or every node polynomial",
         }
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "0"])
+    def test_threshold_must_be_finite_and_positive(self, threshold, maximal_file, tmp_path, capsys):
+        out = tmp_path / "traj.csv"
+        code = run(["simulate", "--net", maximal_file, "--T", "1", "--n", "10",
+                    "--threshold", threshold, "--out", str(out)])
+        assert code == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"type": "DomainError",
+                         "message": "escape threshold must be finite and positive"}
+        assert not out.exists() and not (tmp_path / "traj.csv.meta.json").exists()
+
 
 class TestMontecarlo:
     def test_designated_histogram(self, four_node_file, capsys):
@@ -348,6 +359,14 @@ class TestMontecarlo:
         assert code == 1
         error = json.loads(capsys.readouterr().out)["error"]
         assert error == {"type": "DomainError", "message": f"{flag[2:]} must be >= 1"}
+
+    @pytest.mark.parametrize("i,j,bad", [("1", "9", 9), ("9", "4", 9), ("0", "4", 0)])
+    def test_designated_node_outside_the_net(self, i, j, bad, four_node_file, capsys):
+        code = run(["montecarlo", "--net", four_node_file, "--degree", "3", "--samples", "2",
+                    "--seed", "1", "--from", i, "--to", j, "--word", "x0 x0 x1"])
+        assert code == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"type": "NodeIndexError", "message": f"node index {bad} outside 1..4"}
 
     def test_word_needs_endpoints(self, four_node_file, capsys):
         code = run(["montecarlo", "--net", four_node_file, "--degree", "3",

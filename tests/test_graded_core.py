@@ -46,6 +46,7 @@ from fliessnet import (
 from fliessnet.cli import run
 from fliessnet.compose import ComposeLayers, compose, mixed_compose
 from fliessnet.series import _pair_den, _reduced
+from quotient_oracle import quotient_compose_maximal
 from conftest import (
     all_ones_maximal,
     assert_fixed_point,
@@ -523,6 +524,31 @@ def test_closed_loop_is_the_same_on_either_kernel(monkeypatch, kernel, name, mak
         assert_same(got[k], want[k])
 
 
+# The closed loops with a maximal node, at depth, for the quotient-route oracle.
+MAXIMAL_LOOPS = [
+    (name, make, i, 11)
+    for name, make, i, _ in CLOSED_LOOPS
+    if any(isinstance(node, MaximalSeriesSpec) for node in make().nodes)
+] + [
+    ("all_ones_m2", lambda: all_ones_maximal(2), 1, 12),
+    ("all_ones_m1", lambda: all_ones_maximal(1), 1, 15),
+]
+
+
+@pytest.mark.parametrize("name,make,i,degree", MAXIMAL_LOOPS, ids=[c[0] for c in MAXIMAL_LOOPS])
+def test_maximal_nodes_match_the_quotient_route(monkeypatch, name, make, i, degree):
+    """One shuffle per degree of M Z against Y gives the grades of the left
+    quotient route it replaced, denominators and numerators, and its exact_to."""
+    net = make()
+    got = closed_loop_series(net, i, degree)
+    monkeypatch.setattr(network, "compose_maximal", quotient_compose_maximal)
+    want = closed_loop_series(net, i, degree)
+    assert sorted(got) == sorted(want)
+    for k in want:
+        assert got[k]._grades == want[k]._grades
+        assert (got[k].max_degree, got[k].exact_to) == (want[k].max_degree, want[k].exact_to)
+
+
 def test_stabilization_check_still_passes():
     net = mixed_net()
     assert_fixed_point(net, 1, closed_loop_series(net, 1, 5))
@@ -572,13 +598,13 @@ class TestTermCap:
 
     def test_dense_loop_stops_where_its_held_terms_reach_the_cap(self, monkeypatch):
         """The all-ones m=1 loop's large grade pairs take the dense kernel,
-        which leaves no memo words, so its held terms alone (about 5.5 * 2^n
-        at degree n) stop it under a cap of 100,000 at degree 15."""
+        which leaves no memo words, so its held terms alone (about 3 * 2^n
+        at degree n) stop it under a cap of 100,000 at degree 16."""
         monkeypatch.setattr(network, "TERM_CAP", 100_000)
         with pytest.raises(DomainError, match="over the cap of 100000") as err:
             closed_loop_series(all_ones_maximal(1), 1, 30)
         held, degree = re.search(r"holds (\d+) terms .* at degree (\d+),", str(err.value)).groups()
-        assert int(degree) == 15
+        assert int(degree) == 16
         assert 100_000 < int(held) < 200_000
 
     def test_loop_stopped_by_the_cap_leaves_the_memo_empty(self, monkeypatch):

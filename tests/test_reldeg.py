@@ -14,6 +14,7 @@ from fliessnet import (
     ConditionError,
     DomainError,
     NetworkSpec,
+    NodeIndexError,
     RelDegReport,
     Series,
     accumulated_degrees,
@@ -291,6 +292,21 @@ class TestGenericity:
         kwargs[field] = 0
         with pytest.raises(DomainError, match=f"{field} must be >= 1"):
             genericity_sample(self.PATTERN, self.NODES, **kwargs)
+        assert drawn == []
+
+    @pytest.mark.parametrize("designated,error", [
+        ((9, 1, (1,)), NodeIndexError),
+        ((0, 4, (0, 0, 1)), NodeIndexError),
+        ((1, 9, (1,)), NodeIndexError),
+        ((1, 4, (0, 5)), AlphabetError),
+    ])
+    def test_designated_coefficient_is_checked_up_front(self, designated, error, monkeypatch):
+        """Nodes outside 1..m and letters outside {x0, x1} are rejected before
+        any sample is drawn, not read as an empty histogram or a KeyError."""
+        drawn = []
+        monkeypatch.setattr(reldeg, "sample_network", lambda *a: drawn.append(a))
+        with pytest.raises(error):
+            genericity_sample(self.PATTERN, self.NODES, 4, seed=1, degree=3, designated=designated)
         assert drawn == []
 
     def test_jobs_do_not_change_results(self):

@@ -145,8 +145,9 @@ class TestMaximalOde:
             simulate_maximal_ode(net, Grid(0.0, 0.1, 10))
 
     def test_threshold_validation(self):
-        with pytest.raises(DomainError):
-            simulate_maximal_ode(single_maximal(), Grid(0.0, 0.1, 10), threshold=0)
+        for threshold in (0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="finite and positive"):
+                simulate_maximal_ode(single_maximal(), Grid(0.0, 0.1, 10), threshold=threshold)
 
     def test_short_horizon_stays_bounded(self):
         traj = simulate_maximal_ode(single_maximal(), Grid(0.0, 0.1, 50))
