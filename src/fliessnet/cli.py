@@ -17,6 +17,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -25,7 +26,7 @@ from types import UnionType
 from typing import Callable
 
 from . import __version__
-from .errors import FliessnetError, ModelError
+from .errors import DomainError, FliessnetError, ModelError
 from .growth import abel_taylor, m_inf_bound
 from .network import NetworkSpec, io_map, network_from_json
 from .reldeg import genericity_sample, pair_report, relative_degree
@@ -182,6 +183,9 @@ def _abel(args, net, params):
 
 def _simulate(args, net, params):
     grid = Grid(args.t0, args.T, args.n)
+    # Checked on every route: the threshold is written to the output either way.
+    if not 0 < args.threshold < math.inf:
+        raise DomainError("escape threshold must be finite and positive")
     if net.all_maximal():
         method, traj = "ode", simulate_maximal_ode(net, grid, threshold=args.threshold)
     elif net.all_polynomial():

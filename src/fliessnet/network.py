@@ -25,6 +25,7 @@ from .series import (
     Coeff,
     MaximalSeriesSpec,
     Series,
+    _json_field,
     as_coeff,
     coeff_str,
     linear_combine,
@@ -111,11 +112,13 @@ class NetworkSpec:
 # Terms a closed loop may hold, in its series, their intermediates and the
 # word lists of the shuffle memo, before it refuses to settle another degree.
 # A maximal node carries 2^(n+1) - 1 terms at degree n and its state M Z half
-# as many; dense grade pairs leave the memo empty, sparse ones (the double
-# diamond's) keep most of their words there. The count is checked after each
-# node's composition, so a loop overshoots the cap by at most one node's newest
-# degree. On a 2-core host, degree-30 requests stop at degree 20 on all-ones m=1
-# (24 s, 1.8 GB peak), 19 on m=2 and m=3 (1.1-1.2 GB), 26 on the double diamond.
+# as many; slices that take the dense kernel leave the memo empty, sparse ones
+# (the double diamond's) keep most of their words there. The dense kernel's
+# working arrays for the degree being settled are not counted. The count is
+# checked after each node's composition, so a loop overshoots the cap by at
+# most one node's newest degree. On a 2-core host, degree-30 requests stop at
+# degree 20 on all-ones m=1 (24 s, 1.8 GB peak), 19 on m=2 and m=3
+# (1.1-1.2 GB), 26 on the double diamond.
 TERM_CAP = 2_000_000
 
 # Candidate nodes a forward-path subgraph may span before subgraph_extract
@@ -304,7 +307,7 @@ def _node_from_json(doc: dict) -> NodeSource:
         except KeyError as exc:
             raise ParseError("maximal node needs K and M") from exc
     if kind == "poly":
-        entries = doc.get("terms", [])
+        entries = _json_field(doc.get("terms", []), list, "node terms")
         degree = 0
         for entry in entries:
             try:
@@ -325,11 +328,9 @@ def network_to_json(net: NetworkSpec) -> dict:
 
 def network_from_json(doc: dict) -> NetworkSpec:
     try:
-        m = int(doc["m"])
-        W = doc["W"]
-        nodes = doc["nodes"]
-    except (KeyError, TypeError, ValueError) as exc:
+        m, W, nodes = doc["m"], doc["W"], doc["nodes"]
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed network document: {exc}") from exc
-    if not isinstance(W, list) or not isinstance(nodes, list):
-        raise ParseError("network W and nodes must be arrays")
-    return NetworkSpec(m, W, [_node_from_json(n) for n in nodes])
+    W = [_json_field(row, list, "network W row") for row in _json_field(W, list, "network W")]
+    nodes = [_node_from_json(n) for n in _json_field(nodes, list, "network nodes")]
+    return NetworkSpec(_json_field(m, int, "network m"), W, nodes)

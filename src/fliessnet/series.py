@@ -14,7 +14,6 @@ exact; floating point only enters at the simulation boundary.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -390,36 +389,6 @@ _WORD_UPDATE = 5
 _ARRAY_CALL = 100
 
 
-def _dense_degrees(a: Grades, b: Grades, n: int, s: int) -> list[int]:
-    """The degrees i, ascending, of the grade pairs (a_i, b_(n - i)) over s
-    letters that cost less in the dense kernel than the word-pair kernel's
-    at most C(n, i) updates per word pair.
-
-    The dense kernel pays one array operation on s^n elements per quotient
-    step T[p][q] (see _dense_shuffle), and pair i needs the steps with
-    p <= i <= n - q. Of these, the (i - lo)(hi - i) with lo < p and
-    n - q < hi are new, lo and hi being the nearest degrees below and above
-    i already taken. Pairs are charged from the middle out, where the
-    word-pair kernel costs most. The first pair taken pays for all its
-    steps, which no pair can repay where full grades at the middle cannot
-    (small n); there no pair is looked at. Letters are read as bytes, so
-    s <= 256.
-    """
-    taken: list[int] = []
-    size = s**n + _ARRAY_CALL
-    half = n // 2
-    if s > 256 or _WORD_UPDATE * s**n * math.comb(n, half) <= (half + 1) * (n - half + 1) * size:
-        return taken
-    for i in sorted((i for i in a if n - i in b), key=lambda i: abs(2 * i - n)):
-        k = bisect.bisect(taken, i)
-        lo = taken[k - 1] if k else -1
-        hi = taken[k] if k < len(taken) else n + 1
-        updates = len(a[i][1]) * len(b[n - i][1]) * math.comb(n, i)
-        if _WORD_UPDATE * updates > (i - lo) * (hi - i) * size:
-            taken.insert(k, i)
-    return taken
-
-
 def _dense(nums: dict[Word, int], length: int, s: int, scale: int) -> np.ndarray:
     """scale times the numerators of a grade of words of one length, as an
     object array of s^length Python ints indexed by each word read as a
@@ -467,26 +436,26 @@ def _shuffle_terms(a: Grades, b: Grades, n: int, den: int, m: int = 1) -> dict[W
     two graded term maps over the alphabet x0..xm.
 
     den must be a multiple of every grade pair's denominator product, as
-    _pair_den(a, b, n) is. Only grade pairs (i, n - i) are visited, each by
-    the cheaper kernel (see _dense_degrees): the dense one, which uses no
-    memo, or the word-pair one through the memo of words._memo_shuffle.
-    Returns a flat word -> numerator dict of Python ints (zeros from
-    cancellation included). Hot path.
+    _pair_den(a, b, n) is. Only grade pairs (i, n - i) are visited, all by
+    one kernel. The word-pair kernel takes at most C(n, i) updates per word
+    pair through the memo of words._memo_shuffle. The dense one takes one
+    array operation on s^n elements per quotient step of _dense_shuffle,
+    (n + 1)(n + 2) / 2 of them, and uses no memo; it runs when that costs
+    less for the pairs taken together (letters are read as bytes, so it
+    needs s <= 256). Returns a flat word -> numerator dict of Python ints
+    (zeros from cancellation included). Hot path.
     """
     s = m + 1
+    pairs = [(i, a[i], b[n - i]) for i in a if n - i in b]
+    updates = sum(len(left) * len(right) * math.comb(n, i) for i, (_, left), (_, right) in pairs)
+    if s <= 256 and 2 * _WORD_UPDATE * updates > (n + 1) * (n + 2) * (s**n + _ARRAY_CALL):
+        arrays = {
+            i: (_dense(left, i, s, den // (da * db)), _dense(right, n - i, s, 1))
+            for i, (da, left), (db, right) in pairs
+        }
+        return dict(zip(words_of_length(m, n), _dense_shuffle(arrays, n, s)))
     acc: dict[Word, int] = {}
-    dense = _dense_degrees(a, b, n, s)
-    if dense:
-        arrays = {}
-        for i in dense:
-            (da, left), (db, right) = a[i], b[n - i]
-            arrays[i] = _dense(left, i, s, den // (da * db)), _dense(right, n - i, s, 1)
-        acc = dict(zip(words_of_length(m, n), _dense_shuffle(arrays, n, s)))
-    for i, (da, left) in a.items():
-        pair = b.get(n - i)
-        if pair is None or i in dense:
-            continue
-        db, right = pair
+    for i, (da, left), (db, right) in pairs:
         scale = den // (da * db)
         for w1, c1 in left.items():
             c1 *= scale
@@ -500,10 +469,11 @@ def _shuffle_terms(a: Grades, b: Grades, n: int, den: int, m: int = 1) -> dict[W
 def shuffle_product(c: Series, d: Series) -> Series:
     """Shuffle product, truncated at the smaller operand degree.
 
-    Commutative and associative; the empty word is the unit. Each grade
-    pair takes the cheaper of the dense quotient kernel and the word-pair
-    recursion of words._memo_shuffle (see _shuffle_terms). The call empties
-    the shuffle memo when it returns, so it leaves no words behind.
+    Commutative and associative; the empty word is the unit. Each degree
+    takes the cheaper of the dense quotient kernel and the word-pair
+    recursion of words._memo_shuffle for all its grade pairs (see
+    _shuffle_terms). The call empties the shuffle memo when it returns, so
+    it leaves no words behind.
     """
     try:
         return _product(c, d, partial(_shuffle_terms, m=_common_alphabet((c, d))))
@@ -635,21 +605,28 @@ def series_to_json(c: Series) -> dict:
     }
 
 
+def _json_field(value, kind: type, what: str):
+    """A field of a JSON document that must be an int or a list, as kind
+    says; bools, other numbers and strings are rejected, not converted."""
+    if type(value) is not kind:
+        name = "an integer" if kind is int else "an array"
+        raise ParseError(f"{what} must be {name}, not {value!r}")
+    return value
+
+
 def series_from_json(doc: dict) -> Series:
     try:
-        m = int(doc["m"])
-        degree = int(doc["degree"])
-        entries = doc["terms"]
-    except (KeyError, TypeError, ValueError) as exc:
+        m, degree, entries = doc["m"], doc["degree"], doc["terms"]
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed series document: {exc}") from exc
     terms: dict[Word, Coeff] = {}
-    for entry in entries:
+    for entry in _json_field(entries, list, "series terms"):
         try:
-            word = tuple(int(x) for x in entry["word"])
+            word = tuple(_json_field(entry["word"], list, "series word"))
             coeff = as_coeff(entry["coeff"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed series term {entry!r}") from exc
         if word in terms:
             raise ParseError(f"duplicate word {word} in series document")
         terms[word] = coeff
-    return Series(m, degree, terms)
+    return Series(_json_field(m, int, "series m"), _json_field(degree, int, "series degree"), terms)

@@ -78,10 +78,10 @@ def leading_zeros(word: Word) -> int:
 
 
 # Filled by the word-pair kernel of series._shuffle_terms, which takes only
-# the sparse or small grade pairs; dense ones never reach it. Cleared in place
-# when a closed loop starts and when one raises, and when shuffle_product or
-# shuffle_words returns: only a loop that returned leaves its pairs here,
-# until the next loop starts.
+# the slices of sparse or small grades; a slice that takes the dense kernel
+# leaves nothing here. Cleared in place when a closed loop starts and when one
+# raises, and when shuffle_product or shuffle_words returns: only a loop that
+# returned leaves its pairs here, until the next loop starts.
 _shuffle_cache: dict[tuple[Word, Word], dict[Word, int]] = {}
 
 

@@ -159,6 +159,20 @@ class TestErrors:
         assert code == 2
         assert "--seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc", [
+        {"m": 1, "W": [["1"]], "nodes": [{"kind": "poly", "terms": [{"word": [1.9], "coeff": "1"}]}]},
+        {"m": 1, "W": [["1"]], "nodes": [{"kind": "poly", "terms": [{"word": "01", "coeff": "1"}]}]},
+        {"m": True, "W": [["1"]], "nodes": [{"kind": "maximal", "K": "1", "M": "1"}]},
+        {"m": 1, "W": [None], "nodes": [{"kind": "maximal", "K": "1", "M": "1"}]},
+    ], ids=["float letter", "string word", "bool m", "null W row"])
+    def test_malformed_network_is_a_structured_parse_error(self, doc, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code = run(["iomap", "--net", str(path), "--from", "1", "--to", "1", "--degree", "2"])
+        assert code == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "ParseError"
+
 
 class TestIomap:
     def test_json_terms(self, four_node_file, capsys):
@@ -336,6 +350,21 @@ class TestSimulate:
         assert error == {"type": "DomainError",
                          "message": "escape threshold must be finite and positive"}
         assert not out.exists() and not (tmp_path / "traj.csv.meta.json").exists()
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "0"])
+    def test_polynomial_net_threshold_must_be_finite_and_positive(
+        self, threshold, four_node_file, tmp_path, capsys
+    ):
+        """The Picard route takes no threshold, but the value would still be
+        written to the CSV preamble and the sidecar, where NaN is not JSON."""
+        out = tmp_path / "p.csv"
+        code = run(["simulate", "--net", four_node_file, "--T", "0.5", "--n", "10",
+                    "--threshold", threshold, "--out", str(out)])
+        assert code == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"type": "DomainError",
+                         "message": "escape threshold must be finite and positive"}
+        assert not out.exists() and not (tmp_path / "p.csv.meta.json").exists()
 
 
 class TestMontecarlo:

@@ -21,6 +21,7 @@ from fractions import Fraction
 
 import pytest
 
+import fliessnet.compose as compose_module
 import fliessnet.network as network
 import fliessnet.series as series
 import fliessnet.words as words
@@ -298,7 +299,7 @@ class TestProducts:
 # -- shuffle kernels -------------------------------------------------------------------------
 
 # Word-pair update weights that force each kernel of _shuffle_terms: at 0 no
-# grade pair takes the dense kernel, at 10**9 every one does.
+# call takes the dense kernel, at 10**9 every one with a grade pair does.
 KERNELS = {"word_pair": 0, "dense": 10**9}
 
 
@@ -340,23 +341,46 @@ def nonzero(nums: dict) -> dict:
     return {word: c for word, c in nums.items() if c}
 
 
+def spy_kernels(monkeypatch) -> list[tuple[int, str]]:
+    """(n, kernel) for each later _shuffle_terms call, in call order, through
+    the bindings by which shuffle_product and the closed loop reach it. The
+    kernel is "dense", "word_pair" (also for a call with no grade pair, which
+    takes that branch), or "both" when one call used the two."""
+    calls = []
+    terms, dense_shuffle, shuffle = series._shuffle_terms, series._dense_shuffle, series.shuffle_words
+    used = set()
+
+    def spy_terms(a, b, n, den, m=1):
+        used.clear()
+        out = terms(a, b, n, den, m)
+        calls.append((n, "both" if len(used) > 1 else next(iter(used), "word_pair")))
+        return out
+
+    def spy_dense(pairs, n, s):
+        used.add("dense")
+        return dense_shuffle(pairs, n, s)
+
+    def spy_shuffle(u, v):
+        used.add("word_pair")
+        return shuffle(u, v)
+
+    monkeypatch.setattr(series, "_shuffle_terms", spy_terms)
+    monkeypatch.setattr(compose_module, "_shuffle_terms", spy_terms)
+    monkeypatch.setattr(series, "_dense_shuffle", spy_dense)
+    monkeypatch.setattr(series, "shuffle_words", spy_shuffle)
+    return calls
+
+
 class TestShuffleKernels:
     @pytest.mark.parametrize("m,degree", [(1, 4), (2, 3)])
     def test_kernels_match_the_word_pair_oracle(self, monkeypatch, m, degree):
-        """Both kernels, and the cost rule that mixes them within one call,
+        """Both kernels, and the cost rule that picks one of them per call,
         give the oracle's exact numerators, as Python ints, on seeded
         operands with absent, sparse and dense grades."""
         r = random.Random(1958 + m)
-        taken = []
-        dense_degrees = series._dense_degrees
-
-        def spy(a, b, n, s):
-            out = dense_degrees(a, b, n, s)
-            taken.append((len(out), sum(n - i in b for i in a)))
-            return out
-
-        monkeypatch.setattr(series, "_dense_degrees", spy)
-        weights = [series._WORD_UPDATE, *KERNELS.values()]
+        calls = spy_kernels(monkeypatch)
+        rule = series._WORD_UPDATE
+        chosen = set()
         for _ in range(25):
             a, b = random_grades(r, m, degree), random_grades(r, m, degree)
             for n in range(2 * degree + 1):
@@ -364,13 +388,32 @@ class TestShuffleKernels:
                     continue
                 den = _pair_den(a, b, n)
                 want = slice_oracle(a, b, n, den)
-                for weight in weights:
+                for weight in [rule, *KERNELS.values()]:
                     monkeypatch.setattr(series, "_WORD_UPDATE", weight)
                     got = series._shuffle_terms(a, b, n, den, m)
                     assert all(type(c) is int for c in got.values())
                     assert nonzero(got) == want
-        # The cost rule sent grade pairs of one call to both kernels.
-        assert any(0 < dense < pairs for dense, pairs in taken)
+                    if weight == rule:
+                        chosen.add(calls[-1][1])
+        # The cost rule sent some calls to each kernel, and no call to both.
+        assert chosen == {"dense", "word_pair"}
+        assert "both" not in {kernel for _, kernel in calls}
+
+    @pytest.mark.parametrize("m,degree", [(1, 16), (2, 13), (3, 11)])
+    def test_all_ones_loops_take_the_dense_kernel_at_depth(self, monkeypatch, m, degree):
+        """The cost rule sends every slice of the all-ones loops at n >= 7 to
+        the dense kernel, and every slice at n <= 4 to the word-pair kernel."""
+        calls = spy_kernels(monkeypatch)
+        closed_loop_series(all_ones_maximal(m), 1, degree)
+        assert {kernel for n, kernel in calls if n >= 7} == {"dense"}
+        assert {kernel for n, kernel in calls if n <= 4} == {"word_pair"}
+
+    def test_double_diamond_loop_takes_no_dense_kernel(self, monkeypatch):
+        """The double diamond's grades are sparse, so at degree 16 every slice
+        stays on the word-pair kernel."""
+        calls = spy_kernels(monkeypatch)
+        closed_loop_series(double_diamond_net(), 1, 16)
+        assert {kernel for _, kernel in calls} == {"word_pair"}
 
     @pytest.mark.parametrize("kernel", ["word_pair", "dense"])
     def test_pairs_that_cancel_leave_only_zeros(self, monkeypatch, kernel):
@@ -513,8 +556,8 @@ def test_closed_loop_matches_full_recompute(name, make, i, degree):
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
 @pytest.mark.parametrize("name,make,i,degree", CLOSED_LOOPS, ids=[c[0] for c in CLOSED_LOOPS])
 def test_closed_loop_is_the_same_on_either_kernel(monkeypatch, kernel, name, make, i, degree):
-    """Every grade pair of the loop on one kernel gives the loop that the
-    cost rule mixes, coefficient for coefficient and exact_to."""
+    """Every slice of the loop on one kernel gives the loop whose kernels
+    the cost rule picks, coefficient for coefficient and exact_to."""
     net = make()
     want = closed_loop_series(net, i, degree)
     monkeypatch.setattr(series, "_WORD_UPDATE", KERNELS[kernel])

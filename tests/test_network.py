@@ -14,6 +14,7 @@ from fliessnet import (
     MaximalSeriesSpec,
     NetworkSpec,
     NodeIndexError,
+    ParseError,
     Series,
     SubgraphBudgetError,
     abel_taylor,
@@ -292,3 +293,17 @@ class TestJson:
         assert doc["nodes"][0] == {"kind": "maximal", "K": "3/2", "M": "2"}
         back = network_from_json(doc)
         assert back.nodes[0] == MaximalSeriesSpec(Fraction(3, 2), 2)
+
+    @pytest.mark.parametrize("change", [
+        {"m": 1.9}, {"m": True}, {"m": "1"}, {"W": [None]}, {"W": [3]}, {"W": "1"},
+        {"nodes": {"kind": "poly"}},
+        {"nodes": [{"kind": "poly", "terms": [{"word": [1.9], "coeff": "1"}]}]},
+        {"nodes": [{"kind": "poly", "terms": [{"word": [True], "coeff": "1"}]}]},
+        {"nodes": [{"kind": "poly", "terms": [{"word": "01", "coeff": "1"}]}]},
+    ], ids=repr)
+    def test_malformed_fields_are_rejected_not_coerced(self, change):
+        doc = {"m": 1, "W": [["1"]], "nodes": [{"kind": "poly",
+                                                "terms": [{"word": [0, 1], "coeff": "1"}]}]}
+        assert network_from_json(doc).nodes[0] == Series(1, 2, {(0, 1): 1})
+        with pytest.raises(ParseError):
+            network_from_json({**doc, **change})

@@ -214,6 +214,19 @@ class TestJsonRoundtrip:
         with pytest.raises(ParseError):
             series_from_json(payload)
 
+    @pytest.mark.parametrize("change", [
+        {"degree": 2.7}, {"degree": True}, {"m": 1.0}, {"m": False}, {"terms": 5},
+        {"terms": [{"word": [0.0, 1], "coeff": "1"}]},
+        {"terms": [{"word": [0, True], "coeff": "1"}]},
+        {"terms": [{"word": "01", "coeff": "1"}]},
+        {"terms": [{"word": 1, "coeff": "1"}]},
+    ], ids=repr)
+    def test_malformed_fields_are_rejected_not_coerced(self, change):
+        payload = {"m": 1, "degree": 2, "terms": [{"word": [0, 1], "coeff": "1"}]}
+        assert series_from_json(payload) == Series(1, 2, {(0, 1): 1})
+        with pytest.raises(ParseError):
+            series_from_json({**payload, **change})
+
     def test_coefficients_as_strings(self):
         c = Series(1, 2, {(0, 1): Fraction(-5, 3)})
         payload = series_to_json(c)

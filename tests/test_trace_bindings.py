@@ -4,7 +4,9 @@ bench/spans.py reaches each traced function through the attribute by which
 one fliessnet module calls another (e.g. ``fliessnet.network.compose_at``)
 and reports a metric as absent when none of its bindings exists. These
 tests load the tracer from its file, so a change that unbinds a traced name
-fails here rather than in a benchmark run. Nothing under bench/ is changed.
+fails here rather than in a benchmark run. The last test runs each workload
+traced at its tiny size and reads the result line that bench/run.py prints
+last. Nothing under bench/ is changed.
 """
 
 from __future__ import annotations
@@ -12,8 +14,12 @@ from __future__ import annotations
 import importlib.util
 import json
 import math
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 import fliessnet
 import fliessnet.cli as cli
@@ -21,6 +27,7 @@ import fliessnet.words as words
 from conftest import all_ones_maximal, four_node_net
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+RUN = SPANS.with_name("run.py")
 
 
 def load_spans():
@@ -98,3 +105,22 @@ def test_every_sim_metric_of_traced_simulations_is_present(tmp_path):
     assert sim["sim.failed"] == 0
     assert all(sim[name] > 0 for name in sim if name != "sim.failed")
     assert metrics["cli.calls"][0] > 0
+
+
+def reject_constant(name: str):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@pytest.mark.parametrize("workload", ["closed_loop_deep", "reldeg_batch", "envelope_sim", "cli_cold"])
+def test_traced_run_ends_in_a_strict_result_line(workload):
+    """The last stdout line of a traced run is its result record: strict
+    JSON (no NaN or Infinity), every metric present, and every output right."""
+    proc = subprocess.run(
+        [sys.executable, str(RUN), "--workload", workload, "--seed", "1", "--seconds", "1",
+         "--trace", "1", "--tiny"],
+        capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    line = json.loads(proc.stdout.splitlines()[-1], parse_constant=reject_constant)
+    assert [name for name, metric in line["metrics"].items() if metric.get("absent")] == []
+    assert line["correct"] is True
