@@ -26,7 +26,7 @@ from types import UnionType
 from typing import Callable
 
 from . import __version__
-from .errors import DomainError, FliessnetError, ModelError
+from .errors import DomainError, FliessnetError, ModelError, ParseError
 from .growth import abel_taylor, m_inf_bound
 from .network import NetworkSpec, io_map, network_from_json
 from .reldeg import genericity_sample, pair_report, relative_degree
@@ -50,7 +50,11 @@ def _load_net(path: str) -> tuple[NetworkSpec, str]:
     if not p.is_file():
         raise UsageError(f"network file not found: {path}")
     raw = p.read_bytes()
-    return network_from_json(json.loads(raw.decode("utf-8"))), hashlib.sha256(raw).hexdigest()
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(f"network file {path} is not UTF-8 JSON: {exc}") from None
+    return network_from_json(doc), hashlib.sha256(raw).hexdigest()
 
 
 def _json_text(doc: dict) -> str:

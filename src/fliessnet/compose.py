@@ -34,16 +34,18 @@ class ComposeLayers:
     from c (or the maximal spec) and the mixed flag, and every later call
     must pass the same ones, with a d that agrees with the earlier ones
     through their n_out - 1. out holds the output grades settled through
-    degree; terms counts every term held.
+    degree; terms counts every term held. memo is the word-pair memo of its
+    shuffles, a private one unless the caller passes one to share.
     """
 
-    __slots__ = ("degree", "state", "out", "terms")
+    __slots__ = ("degree", "state", "out", "terms", "memo")
 
-    def __init__(self):
+    def __init__(self, memo: Optional[dict] = None):
         self.degree = -1
         self.state = None
         self.out: Grades = {}
         self.terms = 0
+        self.memo = {} if memo is None else memo
 
     def store(self, grades: Grades, n: int, grade: Optional[Grade]) -> None:
         """Store grade as degree n of grades (out or a state map) unless None."""
@@ -66,7 +68,9 @@ def _prefix(letter: int, grade: Grade) -> Grade:
     return grade[0], {(letter,) + word: c for word, c in grade[1].items()}
 
 
-def _layer(letter: int, tail: Grades, d: Grades, n: int, mixed: bool) -> Optional[Grade]:
+def _layer(
+    letter: int, tail: Grades, d: Grades, n: int, mixed: bool, memo: dict
+) -> Optional[Grade]:
     """Degree-n layer of the image of a word starting with letter, from the
     layers below n of the image e of its tail: x0 e for the drift letter,
     x0 (d sh e) + [mixed] x1 e for the input letter."""
@@ -76,7 +80,7 @@ def _layer(letter: int, tail: Grades, d: Grades, n: int, mixed: bool) -> Optiona
     parts = [(1, 1, _prefix(1, below))] if mixed and below is not None else []
     if d:
         den = _pair_den(d, tail, n - 1)
-        shuffled = _reduced(den, _shuffle_terms(d, tail, n - 1, den))
+        shuffled = _reduced(den, _shuffle_terms(d, tail, n - 1, den, memo))
         if shuffled is not None:
             parts.append((1, 1, _prefix(0, shuffled)))
     return _combine(parts)
@@ -106,7 +110,8 @@ def compose_at(
     for n in range(layers.degree + 1, n_out + 1):
         for suffix, graded in images.items():
             if 0 < len(suffix) <= n:
-                layers.store(graded, n, _layer(suffix[0], images[suffix[1:]], d._grades, n, mixed))
+                tail = images[suffix[1:]]
+                layers.store(graded, n, _layer(suffix[0], tail, d._grades, n, mixed, layers.memo))
         parts = [
             (num, den, layer)
             for den, grade in c._grades.values()
@@ -159,6 +164,6 @@ def compose_maximal(
         z += [(1, _ONE)] if mixed and n == 1 else []
         layers.store(MZ, n, _combine([(Mp, Mq, _prefix(a, g)) for a, g in z]))
         den = _pair_den(MZ, Y, n)
-        layers.store(Y, n, _reduced(den, _shuffle_terms(MZ, Y, n, den)))
+        layers.store(Y, n, _reduced(den, _shuffle_terms(MZ, Y, n, den, layers.memo)))
         layers.degree = n
     return layers.result(n_out, min(d.exact_to + 1, n_out))

@@ -135,10 +135,10 @@ def closed_loop_series(net: NetworkSpec, i: int, degree: int) -> dict[int, Serie
     only through degree n - 1: the loop settles n = 0, ..., degree in turn,
     each node from the feedback of the series settled below n. Each node
     series is expanded once and each node keeps its composition state
-    between degrees, so each step computes only degree n. The shuffle memo
-    is emptied when the loop starts and when it raises; the loop raises
-    DomainError after the node composition that takes it over TERM_CAP
-    terms and memo words.
+    between degrees, so each step computes only degree n. All nodes share
+    one word-pair shuffle memo, which the loop empties when it returns or
+    raises; the loop raises DomainError after the node composition that
+    takes it over TERM_CAP terms and memo words.
     """
     net.check_node(i)
     return _closed_loop(net, i, degree)
@@ -146,11 +146,13 @@ def closed_loop_series(net: NetworkSpec, i: int, degree: int) -> dict[int, Serie
 
 def _closed_loop(net: NetworkSpec, i: Optional[int], degree: int) -> dict[int, Series]:
     """closed_loop_series from input node i, or with no input channel if i is None."""
+    if not isinstance(degree, int) or isinstance(degree, bool):
+        raise DomainError("truncation degree must be an integer")
     if degree < 0:
         raise DomainError("truncation degree must be >= 0")
-    words._shuffle_cache.clear()
+    memo = words._shuffle_cache
     nodes = range(1, net.m + 1)
-    layers = {k: ComposeLayers() for k in nodes}
+    layers = {k: ComposeLayers(memo) for k in nodes}
     # Each node's composition route: its left operand built once, mixed at node i.
     routes = {
         k: partial(compose_maximal, src, mixed=k == i, layers=layers[k])
@@ -171,15 +173,14 @@ def _closed_loop(net: NetworkSpec, i: Optional[int], degree: int) -> dict[int, S
                 feedback = linear_combine(pairs) if pairs else Series.zero(1, n)
                 d[k] = routes[k](feedback, n)
                 held = sum(layer.terms for layer in layers.values())
-                held += sum(map(len, words._shuffle_cache.values()))
+                held += sum(map(len, memo.values()))
                 if held > TERM_CAP:
                     raise DomainError(
                         f"closed loop holds {held} terms and memo words at degree {n}, over "
                         f"the cap of {TERM_CAP}; request a lower degree than {degree}"
                     )
-    except BaseException:
-        words._shuffle_cache.clear()
-        raise
+    finally:
+        memo.clear()
     return d
 
 

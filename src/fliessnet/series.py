@@ -23,15 +23,9 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
-from . import words
 from .errors import AlphabetError, DomainError, ParseError
-from .words import (
-    Word,
-    check_word,
-    format_word,
-    words_of_length,
-)
-from .words import _memo_shuffle as shuffle_words  # fills the memo; closed loops empty it
+from .words import Word, check_word, format_word, words_of_length
+from .words import _memo_shuffle as shuffle_words  # fills the memo it is passed
 
 Coeff = Union[int, Fraction]
 
@@ -431,19 +425,21 @@ def _dense_shuffle(pairs: dict[int, tuple[np.ndarray, np.ndarray]], n: int, s: i
     return row[0].ravel().tolist()
 
 
-def _shuffle_terms(a: Grades, b: Grades, n: int, den: int, m: int = 1) -> dict[Word, int]:
+def _shuffle_terms(
+    a: Grades, b: Grades, n: int, den: int, memo: dict, m: int = 1
+) -> dict[Word, int]:
     """Numerators over den of the degree-n slice of the shuffle product of
     two graded term maps over the alphabet x0..xm.
 
     den must be a multiple of every grade pair's denominator product, as
     _pair_den(a, b, n) is. Only grade pairs (i, n - i) are visited, all by
     one kernel. The word-pair kernel takes at most C(n, i) updates per word
-    pair through the memo of words._memo_shuffle. The dense one takes one
-    array operation on s^n elements per quotient step of _dense_shuffle,
-    (n + 1)(n + 2) / 2 of them, and uses no memo; it runs when that costs
-    less for the pairs taken together (letters are read as bytes, so it
-    needs s <= 256). Returns a flat word -> numerator dict of Python ints
-    (zeros from cancellation included). Hot path.
+    pair through words._memo_shuffle and memo, which the caller owns. The
+    dense one takes one array operation on s^n elements per quotient step
+    of _dense_shuffle, (n + 1)(n + 2) / 2 of them, and uses no memo; it runs
+    when that costs less for the pairs taken together (letters are read as
+    bytes, so it needs s <= 256). Returns a flat word -> numerator dict of
+    Python ints (zeros from cancellation included). Hot path.
     """
     s = m + 1
     pairs = [(i, a[i], b[n - i]) for i in a if n - i in b]
@@ -461,7 +457,7 @@ def _shuffle_terms(a: Grades, b: Grades, n: int, den: int, m: int = 1) -> dict[W
             c1 *= scale
             for w2, c2 in right.items():
                 prod = c1 * c2
-                for word, mult in shuffle_words(w1, w2).items():
+                for word, mult in shuffle_words(w1, w2, memo).items():
                     acc[word] = acc.get(word, 0) + (prod if mult == 1 else prod * mult)
     return acc
 
@@ -472,13 +468,10 @@ def shuffle_product(c: Series, d: Series) -> Series:
     Commutative and associative; the empty word is the unit. Each degree
     takes the cheaper of the dense quotient kernel and the word-pair
     recursion of words._memo_shuffle for all its grade pairs (see
-    _shuffle_terms). The call empties the shuffle memo when it returns, so
-    it leaves no words behind.
+    _shuffle_terms). The product fills a word-pair memo of its own, which
+    goes when it returns.
     """
-    try:
-        return _product(c, d, partial(_shuffle_terms, m=_common_alphabet((c, d))))
-    finally:
-        words._shuffle_cache.clear()
+    return _product(c, d, partial(_shuffle_terms, memo={}, m=_common_alphabet((c, d))))
 
 
 class ScalarProduct(NamedTuple):

@@ -77,11 +77,10 @@ def leading_zeros(word: Word) -> int:
     return count
 
 
-# Filled by the word-pair kernel of series._shuffle_terms, which takes only
-# the slices of sparse or small grades; a slice that takes the dense kernel
-# leaves nothing here. Cleared in place when a closed loop starts and when one
-# raises, and when shuffle_product or shuffle_words returns: only a loop that
-# returned leaves its pairs here, until the next loop starts.
+# The word-pair memo of the closed loop: network._closed_loop hands it to
+# every node's composition and empties it when the loop returns or raises;
+# every other shuffle passes a memo of its own. It is a module global only
+# because bench/spans.py reads its size as words.memo_entries.
 _shuffle_cache: dict[tuple[Word, Word], dict[Word, int]] = {}
 
 
@@ -91,32 +90,28 @@ def shuffle_words(u: Word, v: Word) -> dict[Word, int]:
     Defined by the recursion
         (a u') sh (b v') = a (u' sh (b v')) + b ((a u') sh v')
     with the empty word as unit. The result sums to C(|u|+|v|, |u|) and every
-    output word has length |u| + |v|. The call empties the shuffle memo when
-    it returns.
+    output word has length |u| + |v|. The call keeps its memo to itself.
     """
-    try:
-        return _memo_shuffle(u, v)
-    finally:
-        _shuffle_cache.clear()
+    return _memo_shuffle(u, v, {})
 
 
-def _memo_shuffle(u: Word, v: Word) -> dict[Word, int]:
-    """shuffle_words through the memo, which it leaves filled."""
+def _memo_shuffle(u: Word, v: Word, memo: dict) -> dict[Word, int]:
+    """shuffle_words through memo, which it fills with every pair it expands."""
     if not u:
         return {v: 1}
     if not v:
         return {u: 1}
     if u > v:
         u, v = v, u
-    cached = _shuffle_cache.get((u, v))
+    cached = memo.get((u, v))
     if cached is not None:
         return cached
     out: dict[Word, int] = {}
-    for word, mult in _memo_shuffle(u[1:], v).items():
+    for word, mult in _memo_shuffle(u[1:], v, memo).items():
         key = (u[0],) + word
         out[key] = out.get(key, 0) + mult
-    for word, mult in _memo_shuffle(u, v[1:]).items():
+    for word, mult in _memo_shuffle(u, v[1:], memo).items():
         key = (v[0],) + word
         out[key] = out.get(key, 0) + mult
-    _shuffle_cache[(u, v)] = out
+    memo[(u, v)] = out
     return out

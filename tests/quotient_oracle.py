@@ -16,11 +16,13 @@ from fliessnet.compose import ComposeLayers, _ONE, _prefix, _require_siso
 from fliessnet.series import Grade, Grades, _combine, _pair_den, _reduced, _shuffle_terms
 
 
-def _quotient(q: Grades, y: Grades, z: Grades, ya: Grades, n: int) -> Optional[Grade]:
+def _quotient(
+    q: Grades, y: Grades, z: Grades, ya: Grades, n: int, memo: dict
+) -> Optional[Grade]:
     """Degree-n grade of q sh y + z sh ya."""
     den = math.lcm(_pair_den(q, y, n), _pair_den(z, ya, n))
-    acc = _shuffle_terms(q, y, n, den)
-    for word, c in _shuffle_terms(z, ya, n, den).items():
+    acc = _shuffle_terms(q, y, n, den, memo)
+    for word, c in _shuffle_terms(z, ya, n, den, memo).items():
         acc[word] = acc.get(word, 0) + c
     return _reduced(den, acc)
 
@@ -69,7 +71,7 @@ def quotient_compose_maximal(
         layers.store(ME, m, _combine(e))
         layers.store(MZ, m, _join([q for _, q in quotients], m - 1))
         for ya, q in quotients:
-            layers.store(ya, m, _quotient(q, layers.out, MZ, ya, m))
+            layers.store(ya, m, _quotient(q, layers.out, MZ, ya, m, layers.memo))
         layers.store(layers.out, n, _join([ya for ya, _ in quotients], m))
         layers.degree = n
     return layers.result(n_out, min(d.exact_to + 1, n_out))

@@ -173,6 +173,22 @@ class TestErrors:
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["type"] == "ParseError"
 
+    @pytest.mark.parametrize("raw", [b'{"m": 1, "W": [["1"]],', b"\xff\xfe{}"],
+                             ids=["truncated JSON", "not UTF-8"])
+    def test_unreadable_network_file_is_a_structured_parse_error(self, raw, tmp_path):
+        """Both files once ended the process in a decode traceback."""
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        proc = subprocess.run(
+            [sys.executable, "-m", "fliessnet.cli", "iomap", "--net", str(path),
+             "--from", "1", "--to", "1", "--degree", "2"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["error"]["type"] == "ParseError"
+        assert "Traceback" not in proc.stderr
+
 
 class TestIomap:
     def test_json_terms(self, four_node_file, capsys):

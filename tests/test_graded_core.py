@@ -34,9 +34,14 @@ from fliessnet import (
     closed_loop_series,
     compose_at,
     compose_maximal,
+    complete_reldeg,
     concat_product,
+    genericity_sample,
+    io_map,
     linear_combine,
     maximal_series,
+    natural_response,
+    predict_io_reldeg,
     sample_network,
     series_from_json,
     series_to_json,
@@ -350,9 +355,9 @@ def spy_kernels(monkeypatch) -> list[tuple[int, str]]:
     terms, dense_shuffle, shuffle = series._shuffle_terms, series._dense_shuffle, series.shuffle_words
     used = set()
 
-    def spy_terms(a, b, n, den, m=1):
+    def spy_terms(a, b, n, den, memo, m=1):
         used.clear()
-        out = terms(a, b, n, den, m)
+        out = terms(a, b, n, den, memo, m)
         calls.append((n, "both" if len(used) > 1 else next(iter(used), "word_pair")))
         return out
 
@@ -360,9 +365,9 @@ def spy_kernels(monkeypatch) -> list[tuple[int, str]]:
         used.add("dense")
         return dense_shuffle(pairs, n, s)
 
-    def spy_shuffle(u, v):
+    def spy_shuffle(u, v, memo):
         used.add("word_pair")
-        return shuffle(u, v)
+        return shuffle(u, v, memo)
 
     monkeypatch.setattr(series, "_shuffle_terms", spy_terms)
     monkeypatch.setattr(compose_module, "_shuffle_terms", spy_terms)
@@ -390,7 +395,7 @@ class TestShuffleKernels:
                 want = slice_oracle(a, b, n, den)
                 for weight in [rule, *KERNELS.values()]:
                     monkeypatch.setattr(series, "_WORD_UPDATE", weight)
-                    got = series._shuffle_terms(a, b, n, den, m)
+                    got = series._shuffle_terms(a, b, n, den, {}, m)
                     assert all(type(c) is int for c in got.values())
                     assert nonzero(got) == want
                     if weight == rule:
@@ -426,10 +431,10 @@ class TestShuffleKernels:
             B = {w: r.randint(-9, 9) or 1 for w in words_of_length(m, j)}
             a = {i: (3, A), j: (1, B)}
             b = {j: (1, B), i: (3, {w: -c for w, c in A.items()})}
-            got = series._shuffle_terms(a, b, i + j, 3, m)
+            got = series._shuffle_terms(a, b, i + j, 3, {}, m)
             assert got and set(got.values()) == {0}
             assert _reduced(3, got) is None
-            assert series._shuffle_terms({}, b, j, 1, m) == {}
+            assert series._shuffle_terms({}, b, j, 1, {}, m) == {}
 
     def test_products_leave_the_memo_empty(self, rng):
         """Every word of length n in maximal_series(1, 1, 1, 11) has
@@ -451,17 +456,61 @@ class TestShuffleKernels:
     def test_word_shuffles_leave_the_memo_empty(self):
         """(x0 x1)^5 ш (x1 x0)^5 once left 100 memo entries holding 9,000
         words through the public shuffle_words; the binding that series
-        calls still fills the memo, which closed loops empty."""
+        calls fills the memo it is passed, which its caller empties."""
         u, v = (0, 1) * 5, (1, 0) * 5
         out = shuffle_words(u, v)
         entries = len(words._shuffle_cache)
         assert entries == 0
         assert len(out) == 1024 and sum(out.values()) == math.comb(20, 10)
-        try:
-            assert series.shuffle_words(u, v) == out
-            assert len(words._shuffle_cache) == 100
-        finally:
-            words._shuffle_cache.clear()
+        memo: dict = {}
+        assert series.shuffle_words(u, v, memo) == out
+        assert len(memo) == 100
+        assert len(words._shuffle_cache) == 0
+
+
+# -- the shuffle memo ------------------------------------------------------------------------
+
+# c = x1x1x1 + 2 x1x0x1 + x1 and d = x1 + 3 x0x1 + x1x1 + x0x1x1x0x1: compose(c, d)
+# at degree 14 once left 700 word pairs in the module's memo.
+MEMO_C = Series(1, 8, {(1, 1, 1): 1, (1, 0, 1): 2, (1,): 1})
+MEMO_D = Series(1, 8, {(1,): 1, (0, 1): 3, (1, 1): 1, (0, 1, 1, 0, 1): 1})
+# Two nodes x1 + x1x1 in a cycle: every loop of the sample shuffles.
+X1X1 = Series(1, 2, {(1,): 1, (1, 1): 1})
+CYCLE = [[0, 1], [1, 0]]
+
+# Every public entry that shuffles, each on inputs that send slices to the
+# word-pair kernel; True marks a closed loop that the cap stops.
+MEMO_ENTRIES = {
+    "shuffle_words": (lambda: shuffle_words((0, 1) * 5, (1, 0) * 5), False),
+    "shuffle_product": (lambda: shuffle_product(MEMO_D, MEMO_D), False),
+    "compose": (lambda: compose(MEMO_C, MEMO_D), False),
+    "mixed_compose": (lambda: mixed_compose(MEMO_C, MEMO_D), False),
+    "compose_at": (lambda: compose_at(MEMO_C, MEMO_D, 8, mixed=True), False),
+    "compose_maximal": (lambda: compose_maximal(MaximalSeriesSpec(1, 1), MEMO_D, 8, False), False),
+    "closed_loop_series": (lambda: closed_loop_series(double_diamond_net(), 1, 10), False),
+    "closed_loop_series_capped": (lambda: closed_loop_series(double_diamond_net(), 1, 30), True),
+    "natural_response": (lambda: natural_response(double_diamond_net(), 7, 10), False),
+    "io_map": (lambda: io_map(double_diamond_net(), 1, 7, 10), False),
+    "predict_io_reldeg": (lambda: predict_io_reldeg(double_diamond_net(), 1, 7), False),
+    "complete_reldeg": (lambda: complete_reldeg(double_diamond_net(), 6), False),
+    "genericity_sample": (lambda: genericity_sample(CYCLE, [X1X1, X1X1], 3, seed=1, degree=4), False),
+}
+
+
+@pytest.mark.parametrize("entry", MEMO_ENTRIES)
+def test_public_shuffles_leave_the_memo_empty(monkeypatch, entry):
+    """Only a closed loop fills the module's word-pair memo, and it empties
+    it when it returns or raises; every other entry uses a memo of its own."""
+    call, capped = MEMO_ENTRIES[entry]
+    if capped:
+        monkeypatch.setattr(network, "TERM_CAP", 2_000)
+        with pytest.raises(DomainError, match="over the cap of 2000"):
+            call()
+    else:
+        call()
+    # Counted first: a failing assert on the memo itself would print all of it.
+    entries = len(words._shuffle_cache)
+    assert entries == 0
 
 
 # -- closed loops ----------------------------------------------------------------------------

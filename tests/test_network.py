@@ -166,6 +166,25 @@ class TestClosedLoop:
         drift = [(0,) * k for k in range(5)]
         assert [d1.coeff(w) for w in drift] == [d3.coeff(w) for w in drift]
 
+    @pytest.mark.parametrize("entry", [
+        lambda net, n: closed_loop_series(net, 1, n),
+        lambda net, n: io_map(net, 1, 1, n),
+        lambda net, n: natural_response(net, 1, n),
+    ], ids=["closed_loop_series", "io_map", "natural_response"])
+    @pytest.mark.parametrize("degree,message", [
+        (True, "must be an integer"),
+        (False, "must be an integer"),
+        (2.0, "must be an integer"),
+        ("3", "must be an integer"),
+        (None, "must be an integer"),
+        (-1, "must be >= 0"),
+    ])
+    def test_degree_must_be_a_nonnegative_int(self, entry, degree, message):
+        """A bool once ran as degree 1 or 0, and a float, string or None
+        failed with a bare TypeError from range or <."""
+        with pytest.raises(DomainError, match=message):
+            entry(all_ones_maximal(1), degree)
+
 
 def truncated_node_net() -> NetworkSpec:
     """One node exact only through degree 2, on a self-loop."""

@@ -13,6 +13,7 @@ from fliessnet import (
     AlphabetError,
     ConditionError,
     DomainError,
+    MaximalSeriesSpec,
     NetworkSpec,
     NodeIndexError,
     RelDegReport,
@@ -36,6 +37,12 @@ X1 = Series(1, 1, {(1,): 1})
 
 def report(r: int, leading=1, truncation: int = 10) -> RelDegReport:
     return RelDegReport("defined", r, leading, truncation)
+
+
+def maximal_chain() -> NetworkSpec:
+    """Three maximal nodes K = M = 1 on the chain 1 -> 2 -> 3, W21 = 1/2, W32 = 1/3."""
+    W = [[0, 0, 0], [Fraction(1, 2), 0, 0], [0, Fraction(1, 3), 0]]
+    return NetworkSpec(3, W, [MaximalSeriesSpec(1, 1)] * 3)
 
 
 class TestMeasure:
@@ -92,6 +99,11 @@ class TestSumRule:
         rep = sum_reldeg_predict([report(2), undet])
         assert rep.status == "undetermined_at_truncation"
         assert rep.truncation == 3
+
+    def test_undefined_member_makes_the_sum_undefined(self):
+        undefined = RelDegReport("undefined", None, None, 4)
+        rep = sum_reldeg_predict([report(2, 5), undefined])
+        assert (rep.status, rep.r, rep.leading, rep.truncation) == ("undefined", None, None, 4)
 
     def test_empty_family_rejected(self):
         with pytest.raises(ConditionError):
@@ -204,6 +216,15 @@ class TestPredict:
             6: ((4, 5),),
             7: ((5, 7), (6, 6)),
         }
+
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_maximal_chain_degrees_add_along_the_path(self, j):
+        """Every maximal node has relative degree 1 (leading K M), so node j
+        of the chain 1 -> 2 -> 3 is predicted r = j, and measured so."""
+        pred = predict_io_reldeg(maximal_chain(), 1, j)
+        assert (pred.r_pred, pred.condition) == (j, "distinct")
+        assert pred.node_degrees == {k: 1 for k in range(1, j + 1)}
+        assert complete_reldeg(maximal_chain(), 6)[(1, j)].consistent is True
 
     def test_double_diamond_measurement_agrees(self):
         net = double_diamond_net()
