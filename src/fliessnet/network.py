@@ -25,10 +25,11 @@ from .series import (
     Coeff,
     MaximalSeriesSpec,
     Series,
+    _combine,
     _json_field,
     as_coeff,
     coeff_str,
-    linear_combine,
+    linear_combine,  # unused here; bench/spans.py wraps it and tests pin the binding
     series_from_json,
     series_to_json,
 )
@@ -49,8 +50,8 @@ class NetworkSpec:
     nodes: list[NodeSource] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.m < 1:
-            raise DomainError("a network needs at least one node")
+        if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 1:
+            raise DomainError("a network needs an integer number m >= 1 of nodes")
         if len(self.W) != self.m or any(len(row) != self.m for row in self.W):
             raise DomainError(f"weight matrix must be {self.m}x{self.m}")
         if len(self.nodes) != self.m:
@@ -135,7 +136,11 @@ def closed_loop_series(net: NetworkSpec, i: int, degree: int) -> dict[int, Serie
     only through degree n - 1: the loop settles n = 0, ..., degree in turn,
     each node from the feedback of the series settled below n. Each node
     series is expanded once and each node keeps its composition state
-    between degrees, so each step computes only degree n. All nodes share
+    between degrees, so each step computes only degree n. The feedback
+    starts as one zero series; once every node has settled degree n, the
+    feedback of each node with in-edges gains grade n, the weighted sum of
+    its sources' grade n, and keeps the grades below n. Nodes with the same
+    in-edges share one feedback. All nodes share
     one word-pair shuffle memo, which the loop empties when it returns or
     raises; the loop raises DomainError after the node composition that
     takes it over TERM_CAP terms and memo words.
@@ -160,18 +165,25 @@ def _closed_loop(net: NetworkSpec, i: Optional[int], degree: int) -> dict[int, S
         else partial(compose_at, net.node_series(k, degree), mixed=k == i, layers=layers[k])
         for k, src in zip(nodes, net.nodes)
     }
-    # Each node's in-edges as (weight, source node).
-    inputs = {k: [(w, l) for l, w in zip(nodes, net.W[k - 1]) if w != 0] for k in nodes}
-    d = {k: Series.zero(1, 0) for k in nodes}
+    # Each node's in-edges as (weight numerator, weight denominator, source node).
+    inputs = {k: tuple((w.numerator, w.denominator, l) for l, w in zip(nodes, net.W[k - 1]) if w)
+              for k in nodes}
+    # One feedback per distinct in-edge list, shared by the nodes that have it. It
+    # starts as a zero exact to any degree, which a node with no in-edges keeps.
+    feedback = dict.fromkeys(inputs.values(), Series.zero(1, degree))
+    d = {}
     try:
         for n in range(degree + 1):
-            below, d = d, {}
+            # Every node has settled degree n - 1, the one grade each feedback gains.
+            for edges, old in feedback.items():
+                if n and edges:
+                    grade = _combine([(p, q, d[l]._grades[n - 1]) for p, q, l in edges
+                                      if n - 1 in d[l]._grades])
+                    grades = old._grades if grade is None else {**old._grades, n - 1: grade}
+                    exact_to = min(d[l].exact_to for _, _, l in edges)
+                    feedback[edges] = Series._graded(1, n - 1, grades, exact_to)
             for k in nodes:
-                pairs = [(w, below[l]) for w, l in inputs[k]]
-                # A node with no in-edges has feedback that is structurally
-                # zero, hence exact to any degree.
-                feedback = linear_combine(pairs) if pairs else Series.zero(1, n)
-                d[k] = routes[k](feedback, n)
+                d[k] = routes[k](feedback[inputs[k]], n)
                 held = sum(layer.terms for layer in layers.values())
                 held += sum(map(len, memo.values()))
                 if held > TERM_CAP:

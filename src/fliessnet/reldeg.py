@@ -319,6 +319,8 @@ def sample_network(
     m = len(nodes)
     if len(pattern) != m or any(len(row) != m for row in pattern):
         raise DomainError("pattern must be an m-by-m 0/1 matrix")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise DomainError("seed must be an integer >= 0")
     rng = np.random.default_rng([seed, index])
     W: list[list[Coeff]] = [[0] * m for _ in range(m)]
     for r in range(m):
@@ -359,10 +361,11 @@ def genericity_sample(
     degree): each sample index owns an independent RNG stream, so the job
     count changes only the wall time.
     """
-    if samples < 1:
-        raise DomainError("samples must be >= 1")
-    if bins < 1:
-        raise DomainError("bins must be >= 1")
+    for name, value in (("samples", samples), ("bins", bins)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise DomainError(f"{name} must be an integer")
+        if value < 1:
+            raise DomainError(f"{name} must be >= 1")
     designated_key: Optional[tuple[int, int, Word]] = None
     if designated is not None:
         designated_key = (designated[0], designated[1], tuple(designated[2]))

@@ -143,10 +143,10 @@ class Series:
     __slots__ = ("m", "max_degree", "exact_to", "_grades", "_flat")
 
     def __init__(self, m: int, max_degree: int, terms=None, exact_to=None):
-        if m < 1:
-            raise AlphabetError("alphabet needs at least x0 and x1")
-        if max_degree < 0:
-            raise DomainError("max_degree must be >= 0")
+        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+            raise AlphabetError("alphabet needs at least x0 and x1: m must be an integer >= 1")
+        if not isinstance(max_degree, int) or isinstance(max_degree, bool) or max_degree < 0:
+            raise DomainError("max_degree must be an integer >= 0")
         coeffs: dict[int, dict[Word, Coeff]] = {}
         if terms:
             for word, raw in terms.items():

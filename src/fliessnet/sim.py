@@ -50,8 +50,8 @@ class Grid:
             raise DomainError("t0 must be finite")
         if not (np.isfinite(self.T) and self.T > 0):
             raise DomainError("horizon T must be positive")
-        if self.n < 1:
-            raise DomainError("grid needs at least one step")
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
+            raise DomainError("grid needs an integer number n >= 1 of steps")
 
     @property
     def times(self) -> np.ndarray:
@@ -222,6 +222,10 @@ def simulate_picard(
     """
     if not net.all_polynomial():
         raise ModelError("Picard iteration needs polynomial node series")
+    if not isinstance(max_iter, int) or isinstance(max_iter, bool) or max_iter < 1:
+        raise DomainError("max_iter must be an integer >= 1")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise DomainError("tol must be finite and >= 0")
     m = net.m
     times = grid.times
     v_arr = _input_table(net, grid, v)

@@ -189,6 +189,18 @@ class TestErrors:
         assert json.loads(proc.stdout)["error"]["type"] == "ParseError"
         assert "Traceback" not in proc.stderr
 
+    def test_negative_seed_is_a_structured_domain_error(self, four_node_file):
+        """numpy's seed sequence once ended the process in a ValueError traceback."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "fliessnet.cli", "montecarlo", "--net", four_node_file,
+             "--degree", "3", "--samples", "2", "--seed", "-1"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["error"]["type"] == "DomainError"
+        assert "Traceback" not in proc.stderr
+
 
 class TestIomap:
     def test_json_terms(self, four_node_file, capsys):

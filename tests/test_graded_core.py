@@ -17,6 +17,7 @@ import json
 import math
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -600,6 +601,67 @@ def test_closed_loop_matches_full_recompute(name, make, i, degree):
     assert sorted(got) == sorted(want)
     for k in want:
         assert_same(got[k], want[k])
+
+
+# The nets whose natural loop (no input channel) runs against the oracle.
+NATURAL_LOOPS = [
+    (name, make, degree)
+    for name, make, _, degree in CLOSED_LOOPS
+    if name in {"double_diamond", "mixed", "sparse_poly_n4", "sparse_poly_n5", "sparse_poly_n6",
+                "truncated_cycle"}
+]
+
+
+@pytest.mark.parametrize("name,make,degree", NATURAL_LOOPS, ids=[c[0] for c in NATURAL_LOOPS])
+def test_natural_loop_matches_full_recompute(name, make, degree):
+    net = make()
+    got = network._closed_loop(net, None, degree)
+    want = flat_closed_loop(net, None, degree)
+    assert sorted(got) == sorted(want)
+    for k in want:
+        assert_same(got[k], want[k])
+
+
+@pytest.mark.parametrize("name,make,i,degree", CLOSED_LOOPS, ids=[c[0] for c in CLOSED_LOOPS])
+def test_feedback_gains_one_grade_per_degree(monkeypatch, name, make, i, degree):
+    """Once every node has settled degree n, the feedback of each node with
+    in-edges gains one grade, combined from its sources' grade n, at most
+    once per node; the grades below n are the very ones the earlier degrees
+    built, no feedback series handed to a composition is changed afterwards,
+    and linear_combine is not called."""
+    net = make()
+    fed = [k for k in range(1, net.m + 1) if any(net.W[k - 1])]
+    handed: dict[int, list] = {}  # degree -> (feedback, its grades then), in node order
+    combined: list[int] = []  # the degree last composed, at each combine
+
+    def spy(route):
+        def composed(c, d, n_out, mixed, layers):
+            handed.setdefault(n_out, []).append((d, dict(d._grades)))
+            return route(c, d, n_out, mixed, layers)
+        return composed
+
+    def counted(parts):
+        combined.append(max(handed))
+        return series._combine(parts)
+
+    def refused(pairs):
+        raise AssertionError("the closed loop called linear_combine")
+
+    monkeypatch.setattr(network, "compose_at", spy(compose_at))
+    monkeypatch.setattr(network, "compose_maximal", spy(compose_maximal))
+    monkeypatch.setattr(network, "_combine", counted)
+    monkeypatch.setattr(network, "linear_combine", refused)
+    closed_loop_series(net, i, degree)
+    assert sorted(handed) == list(range(degree + 1))
+    assert all(len(calls) == net.m for calls in handed.values())
+    assert all(count <= len(fed) for count in Counter(combined).values())
+    for n in range(1, degree + 1):
+        for (before, _), (after, _) in zip(handed[n - 1], handed[n]):
+            assert set(after._grades) - set(before._grades) <= {n - 1}
+            assert all(after._grades[j] is grade for j, grade in before._grades.items())
+    for calls in handed.values():
+        for d, grades in calls:
+            assert d._grades == grades
 
 
 @pytest.mark.parametrize("kernel", sorted(KERNELS))

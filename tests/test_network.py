@@ -231,6 +231,11 @@ class TestNaturalResponse:
         drift = Series(1, degree, {(0,) * k: c for k, c in enumerate(a)})
         assert check_growth(drift, 1, m_inf_bound(1, 1, m).M_inf).passed
 
+    def test_all_ones_m3_at_degree_120_meets_the_envelope(self):
+        """Deep enough that rebuilding every feedback grade at every degree
+        would dominate the loop; each degree now adds one grade."""
+        assert natural_response(all_ones_maximal(3), 1, 120) == list(abel_taylor(3, 1, 1, 120).a)
+
 
 def test_forced_all_ones_at_depth_meets_the_envelope_and_its_bound():
     """The forced all-ones m=1 loop at degree 15, whose node series hold

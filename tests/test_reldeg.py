@@ -315,6 +315,29 @@ class TestGenericity:
             genericity_sample(self.PATTERN, self.NODES, **kwargs)
         assert drawn == []
 
+    @pytest.mark.parametrize("field,value", [
+        ("samples", True), ("samples", 2.0), ("bins", 2.5), ("bins", True), ("bins", "4"),
+    ])
+    def test_samples_and_bins_must_be_ints(self, field, value, monkeypatch):
+        """samples=True once ran one sample and bins=2.5 failed in numpy's
+        histogram; both are rejected before any sample is drawn."""
+        drawn = []
+        monkeypatch.setattr(reldeg, "sample_network", lambda *a: drawn.append(a))
+        kwargs = dict(samples=4, seed=1, degree=3, bins=4)
+        kwargs[field] = value
+        with pytest.raises(DomainError, match=f"{field} must be"):
+            genericity_sample(self.PATTERN, self.NODES, **kwargs)
+        assert drawn == []
+
+    @pytest.mark.parametrize("seed", [-1, True, 2.0, "7", None])
+    def test_seed_must_be_a_nonnegative_int(self, seed):
+        """numpy's seed sequence once raised its own ValueError on -1 and
+        read True as 1."""
+        with pytest.raises(DomainError, match="seed must be"):
+            sample_network(self.PATTERN, self.NODES, seed, 0)
+        with pytest.raises(DomainError, match="seed must be"):
+            genericity_sample(self.PATTERN, self.NODES, 2, seed=seed, degree=3)
+
     @pytest.mark.parametrize("designated,error", [
         ((9, 1, (1,)), NodeIndexError),
         ((0, 4, (0, 0, 1)), NodeIndexError),

@@ -11,7 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fliessnet import (
+    AlphabetError,
     DomainError,
+    Grid,
+    NetworkSpec,
     ParseError,
     Series,
     as_coeff,
@@ -76,6 +79,25 @@ class TestSeriesContainer:
     def test_rejects_bad_letter(self):
         with pytest.raises(Exception):
             Series(1, 3, {(2,): 1})
+
+    @pytest.mark.parametrize("make,error", [
+        (lambda: Series(1, 2.5, {(1,): 1}), DomainError),
+        (lambda: Series(1, 2.0), DomainError),
+        (lambda: Series(1, True), DomainError),
+        (lambda: Series(True, 2), AlphabetError),
+        (lambda: Series(1.0, 2), AlphabetError),
+        (lambda: NetworkSpec(True, [[0]], [Series(1, 1, {(1,): 1})]), DomainError),
+        (lambda: NetworkSpec(1.0, [[0]], [Series(1, 1, {(1,): 1})]), DomainError),
+        (lambda: Grid(0.0, 1.0, 2.5), DomainError),
+        (lambda: Grid(0.0, 1.0, True), DomainError),
+    ], ids=["Series degree 2.5", "Series degree 2.0", "Series degree True", "Series m True",
+            "Series m 1.0", "NetworkSpec m True", "NetworkSpec m 1.0", "Grid n 2.5", "Grid n True"])
+    def test_rejects_sizes_that_are_not_ints(self, make, error):
+        """A size must be an int, not a bool, as for the closed-loop degree:
+        Series(1, 2.5) once built a series of max_degree 2.5, and Grid(0, 1, 2.5)
+        failed only later, in its times."""
+        with pytest.raises(error, match="integer"):
+            make()
 
     def test_items_graded_lex(self):
         c = Series(1, 3, {(1, 1): 1, (0,): 2, (): 3, (1,): 4})

@@ -236,6 +236,22 @@ class TestPicard:
         with pytest.raises(NoConvergence):
             simulate_picard(net, grid, v={1: np.ones(101)}, max_iter=2)
 
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(max_iter=0), "max_iter"),
+        (dict(max_iter=-1), "max_iter"),
+        (dict(max_iter=2.5), "max_iter"),
+        (dict(max_iter=True), "max_iter"),
+        (dict(tol=float("nan")), "tol"),
+        (dict(tol=float("inf")), "tol"),
+        (dict(tol=-1e-3), "tol"),
+    ])
+    def test_budget_and_tolerance_are_checked(self, kwargs, message):
+        """max_iter=0 once raised IndexError from the empty list of sweep
+        deltas, and tol=nan reported 'still moving by 0.000e+00'."""
+        net = NetworkSpec(1, [[1]], [X1])
+        with pytest.raises(DomainError, match=message):
+            simulate_picard(net, Grid(0.0, 1.0, 10), **kwargs)
+
 
 class TestValidation:
     def test_halving_law_on_self_loop(self):
