@@ -22,7 +22,7 @@ from typing import Optional
 
 from .errors import AlphabetError
 from .series import Grade, Grades, MaximalSeriesSpec, Series
-from .series import _combine, _pair_den, _reduced, _shuffle_terms
+from .series import _check_size, _combine, _pair_den, _reduced, _shuffle_terms
 
 _ONE: Grade = (1, {(): 1})
 
@@ -97,6 +97,7 @@ def compose_at(
     registered on the first call whatever its n_out, so it serves one c.
     """
     _require_siso(c, d)
+    _check_size(1, n_out)
     if layers is None:
         layers = ComposeLayers()
     if layers.state is None:
@@ -151,6 +152,7 @@ def compose_maximal(
     spec and mixed flag.
     """
     _require_siso(d)
+    _check_size(1, n_out)
     Mp, Mq = spec.M.numerator, spec.M.denominator
     if layers is None:
         layers = ComposeLayers()

@@ -136,9 +136,14 @@ def m_inf_bound(Kbar, Mbar, m: int) -> GrowthBound:
     by the (Kbar, Mbar) envelope.
     """
     Kbar, Mbar = _envelope_constants(Kbar, Mbar, m)
-    x = float(Fraction(m) * Fraction(Kbar))
-    m_inf = float(Fraction(Mbar)) / _lambda(x)
-    return GrowthBound(Kbar, Mbar, m, m_inf, 1.0 / m_inf)
+    try:
+        m_inf = float(Fraction(Mbar)) / _lambda(float(Fraction(m) * Fraction(Kbar)))
+        t_star = 1.0 / m_inf
+    except (OverflowError, ZeroDivisionError):
+        m_inf = t_star = math.inf
+    if not (math.isfinite(m_inf) and math.isfinite(t_star)):
+        raise DomainError("M_inf or t_star of these K, M and m lies outside the float range")
+    return GrowthBound(Kbar, Mbar, m, m_inf, t_star)
 
 
 @dataclass(frozen=True)

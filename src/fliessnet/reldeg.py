@@ -25,7 +25,7 @@ from .network import (
     NetworkSpec,
     Subgraph,
     closed_loop_series,
-    restrict_to_subgraph,
+    restrict_to_subgraph,  # unused here; bench/spans.py wraps it and tests pin the binding
     subgraph_extract,
 )
 from .series import Coeff, MaximalSeriesSpec, Series, as_coeff
@@ -136,13 +136,8 @@ def accumulated_degrees(sub: Subgraph, node_degrees: dict[int, int]) -> Accumula
         for v in succ[u]:
             if v not in dist:
                 heapq.heappush(heap, (d + node_degrees[v], v))
-    incoming = {
-        v: tuple(
-            sorted((u, dist[u]) for u in sub.predecessors(v))
-        )
-        for v in sub.nodes
-        if sub.predecessors(v)
-    }
+    incoming = {v: tuple((u, dist[u]) for u in sub.predecessors(v))
+                for v in sub.nodes if sub.predecessors(v)}
     return AccumulatedDegrees(sub.source, dist, incoming)
 
 
@@ -178,6 +173,29 @@ def _repeated_groups(acc: AccumulatedDegrees) -> dict[int, dict[int, list[int]]]
     return repeated
 
 
+def _subgraph_leads(
+    net: NetworkSpec, acc: AccumulatedDegrees, degrees: dict[int, int], leads: dict[int, Coeff]
+) -> dict[int, Coeff]:
+    """l_v = <d_v, x0^(R_v-1) x1> for each node v of G_ji: d_v is the closed loop
+    restricted to G_ji with input i = acc.source, R_v = acc.r_plus[v], and r_v,
+    K_v are node v's own degree and leading coefficient.
+
+    l_i = K_i, as no simple path from i returns to i; else l_v = K_v sum W_vu l_u
+    over the tight edges u -> v (R_u + r_v = R_v). A word with one x1 takes it from
+    one feedback factor carrying an input word, all others drift words. Each extra
+    x1 of c_v's word and each letter after its x1 lengthens the output, and the
+    feedback has no input word below degree R_v - r_v: at degree R_v only c_v's
+    x0^(r_v-1) x1 meets the tight l_u, which ascending R settles first (r_v >= 1).
+    """
+    R = acc.r_plus
+    ell: dict[int, Coeff] = {}
+    for v in sorted(R, key=R.__getitem__):
+        tight = [net.weight(v, u) * ell[u]
+                 for u, value in acc.incoming.get(v, ()) if value + degrees[v] == R[v]]
+        ell[v] = leads[v] * (sum(tight) if v != acc.source else 1)
+    return ell
+
+
 def predict_io_reldeg(net: NetworkSpec, i: int, j: int) -> PredictionReport:
     """Predict the relative degree of the map from an input at node i to the
     output of node j, with a certificate naming the condition that holds.
@@ -189,57 +207,37 @@ def predict_io_reldeg(net: NetworkSpec, i: int, j: int) -> PredictionReport:
                           pairwise distinct accumulated degrees, so the
                           shortest one survives with a nonzero coefficient;
       repeated_sum_nonzero ties exist but each tied group's weighted leading
-                          coefficients sum to a nonzero value (checked on the
-                          restriction of the network to the subgraph);
+                          coefficients sum to a nonzero value (read off the
+                          subgraph by _subgraph_leads, with no closed loop);
       violated_unknown    a tie cancels, or no forward path exists; r_pred is
                           the shortest-path value when a path exists, else None.
     """
-    net.check_node(i)
-    net.check_node(j)
     if i == j:
         r, lead = node_degree_report(net, i).require_defined()
-        return PredictionReport(
-            i, j, r, CONDITION_DISTINCT, {i: r}, {"self_pair": True, "leading": lead}
-        )
+        details = {"self_pair": True, "leading": lead}
+        return PredictionReport(i, j, r, CONDITION_DISTINCT, {i: r}, details)
     sub = subgraph_extract(net, i, j)
     if sub.is_empty():
         return PredictionReport(i, j, None, CONDITION_UNKNOWN, {}, {"no_forward_path": True})
-    degrees: dict[int, int] = {}
-    for v in sorted(sub.nodes):
-        r, _ = node_degree_report(net, v).require_defined()
-        degrees[v] = r
+    reports = {v: node_degree_report(net, v).require_defined() for v in sorted(sub.nodes)}
+    degrees = {v: r for v, (r, _) in reports.items()}
     if all(net.weight(j, k) != 0 for k in range(1, net.m + 1) if k != j):
         return PredictionReport(
-            i,
-            j,
-            degrees[j] + degrees[i],
-            CONDITION_FULLY_CONNECTED,
-            degrees,
-            {},
+            i, j, degrees[j] + degrees[i], CONDITION_FULLY_CONNECTED, degrees, {}
         )
     acc = accumulated_degrees(sub, degrees)
     details = {"accumulated": dict(acc.r_plus), "incoming": dict(acc.incoming)}
-    r_pred = acc.r_plus[j]
     repeated = _repeated_groups(acc)
     if not repeated:
-        return PredictionReport(i, j, r_pred, CONDITION_DISTINCT, degrees, details)
-    needed = max(value for ties in repeated.values() for value in ties)
-    restricted = restrict_to_subgraph(net, sub)
-    d_sub = closed_loop_series(restricted, i, needed)
-    sums: dict[str, Coeff] = {}
-    all_nonzero = True
-    for v, ties in sorted(repeated.items()):
-        for value, preds in sorted(ties.items()):
-            word = (0,) * (value - 1) + (1,)
-            total = sum(
-                Fraction(net.weight(v, u)) * Fraction(d_sub[u].coeff(word)) for u in preds
-            )
-            sums[f"node {v} at degree {value}"] = as_coeff(total)
-            if total == 0:
-                all_nonzero = False
+        return PredictionReport(i, j, acc.r_plus[j], CONDITION_DISTINCT, degrees, details)
+    ell = _subgraph_leads(net, acc, degrees, {v: lead for v, (_, lead) in reports.items()})
+    sums: dict[str, Coeff] = {
+        f"node {v} at degree {value}": as_coeff(sum(net.weight(v, u) * ell[u] for u in preds))
+        for v, ties in sorted(repeated.items()) for value, preds in sorted(ties.items())
+    }
     details["repeated_sums"] = sums
-    condition = CONDITION_REPEATED_SUM if all_nonzero else CONDITION_UNKNOWN
-    return PredictionReport(i, j, r_pred, condition, degrees, details)
+    condition = CONDITION_REPEATED_SUM if all(sums.values()) else CONDITION_UNKNOWN
+    return PredictionReport(i, j, acc.r_plus[j], condition, degrees, details)
 
 
 @dataclass(frozen=True)
@@ -267,12 +265,12 @@ def _consistency(measured: RelDegReport, predicted: Optional[PredictionReport]) 
 
 def pair_report(net: NetworkSpec, i: int, j: int, measured: RelDegReport) -> PairReport:
     """Predict the pair (i, j) and judge the prediction against a measurement;
-    a ConditionError, DomainError or SubgraphBudgetError (a forward-path
-    subgraph over network.NODE_BUDGET candidate nodes) is kept as
-    prediction_error, not raised."""
+    a ConditionError (a node without a defined relative degree) or
+    SubgraphBudgetError (a forward-path subgraph over network.NODE_BUDGET
+    candidate nodes) is kept as prediction_error, not raised."""
     try:
         predicted = predict_io_reldeg(net, i, j)
-    except (ConditionError, DomainError, SubgraphBudgetError) as exc:
+    except (ConditionError, SubgraphBudgetError) as exc:
         return PairReport(i, j, measured, None, str(exc), None)
     return PairReport(i, j, measured, predicted, None, _consistency(measured, predicted))
 
@@ -317,7 +315,9 @@ def sample_network(
     """Network with the given sparsity pattern and weights drawn uniformly
     from (0, 1], one independent stream per (seed, index) pair."""
     m = len(nodes)
-    if len(pattern) != m or any(len(row) != m for row in pattern):
+    if len(pattern) != m or any(len(row) != m for row in pattern) or any(
+        isinstance(e, bool) or e not in (0, 1) for row in pattern for e in row
+    ):
         raise DomainError("pattern must be an m-by-m 0/1 matrix")
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise DomainError("seed must be an integer >= 0")

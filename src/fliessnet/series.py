@@ -125,6 +125,14 @@ def _pair_den(a: Grades, b: Grades, n: int) -> int:
     return math.lcm(*[da * b[n - i][0] for i, (da, _) in a.items() if n - i in b])
 
 
+def _check_size(m, max_degree) -> None:
+    """The rule for every series built: integers (not bool) m >= 1 and max_degree >= 0."""
+    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+        raise AlphabetError("alphabet needs at least x0 and x1: m must be an integer >= 1")
+    if not isinstance(max_degree, int) or isinstance(max_degree, bool) or max_degree < 0:
+        raise DomainError("max_degree must be an integer >= 0")
+
+
 class Series:
     """A formal power series truncated at max_degree.
 
@@ -143,10 +151,7 @@ class Series:
     __slots__ = ("m", "max_degree", "exact_to", "_grades", "_flat")
 
     def __init__(self, m: int, max_degree: int, terms=None, exact_to=None):
-        if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-            raise AlphabetError("alphabet needs at least x0 and x1: m must be an integer >= 1")
-        if not isinstance(max_degree, int) or isinstance(max_degree, bool) or max_degree < 0:
-            raise DomainError("max_degree must be an integer >= 0")
+        _check_size(m, max_degree)
         coeffs: dict[int, dict[Word, Coeff]] = {}
         if terms:
             for word, raw in terms.items():
@@ -264,8 +269,7 @@ class Series:
     # -- degree bookkeeping ----------------------------------------------------
 
     def truncate(self, degree: int) -> "Series":
-        if degree < 0:
-            raise DomainError("max_degree must be >= 0")
+        _check_size(self.m, degree)
         grades = {n: g for n, g in self._grades.items() if n <= degree}
         return Series._graded(self.m, degree, grades, min(self.exact_to, degree))
 
@@ -276,6 +280,7 @@ class Series:
         explicitly for genuinely polynomial series, which are exact at every
         degree.
         """
+        _check_size(self.m, max_degree)
         if max_degree < self.max_degree:
             return self.truncate(max_degree)
         if exact_to is None:
@@ -539,6 +544,7 @@ class MaximalSeriesSpec:
 def maximal_series(K, M, m: int, max_degree: int) -> Series:
     """The series with <c, eta> = K M^|eta| |eta|! for every word eta."""
     K, M = positive_constants(K, M)
+    _check_size(m, max_degree)
     Kp, Kq, Mp, Mq = K.numerator, K.denominator, M.numerator, M.denominator
     grades: Grades = {}
     for k in range(max_degree + 1):

@@ -50,6 +50,8 @@ class Grid:
             raise DomainError("t0 must be finite")
         if not (np.isfinite(self.T) and self.T > 0):
             raise DomainError("horizon T must be positive")
+        if not np.isfinite(self.t0 + self.T):
+            raise DomainError("grid end t0 + T must be finite")
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise DomainError("grid needs an integer number n >= 1 of steps")
 

@@ -140,6 +140,46 @@ def ladder_net(n: int):
     return NetworkSpec(n, W, [Series(1, 1, {(1,): 1})] * n)
 
 
+def criterion7_sample(index: int) -> NetworkSpec:
+    """A criterion-7 Monte Carlo network: float weights, power-of-two denominators."""
+    from fliessnet import sample_network
+
+    pattern = [[0, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0], [0, 1, 1, 0]]
+    x1 = Series(1, 1, {(1,): 1})
+    return sample_network(pattern, [x1, x1, Series(1, 1, {(1,): -1}), x1], 7, index)
+
+
+def sparse_poly_net(seed: int, n: int) -> NetworkSpec:
+    """n polynomial nodes of relative degree 1 or 2 with signed rational
+    coefficients on a sparse seeded graph, drawn until the net has a
+    self-loop and a node without in-edges."""
+    from fliessnet import NetworkSpec
+
+    r = random.Random(seed)
+
+    def rational(top: int, q_max: int) -> Fraction:
+        q = r.randint(2, q_max)
+        return Fraction(r.randint(1, top * q), q)
+
+    def signed() -> Fraction:
+        return rational(2, 5) * r.choice((-1, 1))
+
+    while True:
+        nodes = []
+        for _ in range(n):
+            rd = r.randint(1, 2)
+            lead = (0,) * (rd - 1) + (1,)
+            terms = {lead: signed()}
+            for _ in range(r.randint(0, 2)):
+                word = r.choice([(), (0,) * rd, lead + (1,), (0,) + lead])
+                terms[word] = terms.get(word, 0) + signed()
+            nodes.append(Series(1, max(map(len, terms)), terms))
+        W = [[rational(1, 9) if r.random() < (0.1 if k == l else 0.35) else 0
+              for l in range(n)] for k in range(n)]
+        if any(W[k][k] for k in range(n)) and any(not any(row) for row in W):
+            return NetworkSpec(n, W, nodes)
+
+
 def all_ones_maximal(m: int, K=1, M=1):
     from fliessnet import MaximalSeriesSpec, NetworkSpec
 

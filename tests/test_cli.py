@@ -201,6 +201,19 @@ class TestErrors:
         assert json.loads(proc.stdout)["error"]["type"] == "DomainError"
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("K,M", [("1e400", "1"), ("1e-400", "1"), ("1", "1e-400")])
+    def test_bounds_outside_the_float_range_are_a_structured_domain_error(self, K, M):
+        """These once ended the process in an OverflowError or
+        ZeroDivisionError traceback."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "fliessnet.cli", "bounds", "--m", "1", "--K", K, "--M", M],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["error"]["type"] == "DomainError"
+        assert "Traceback" not in proc.stderr
+
 
 class TestIomap:
     def test_json_terms(self, four_node_file, capsys):

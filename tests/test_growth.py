@@ -192,6 +192,16 @@ class TestGrowthRate:
         with pytest.raises(DomainError):
             m_inf_bound(1, 1, True)
 
+    @pytest.mark.parametrize("K,M,m", [
+        ("1e400", 1, 1), ("1e-400", 1, 1), (1, "1e-400", 1), (1, "1e-310", 1),
+        ("1e308", 1, 1), (1, 1, 10**400),
+    ])
+    def test_constants_outside_the_float_range_are_a_domain_error(self, K, M, m):
+        """These once raised OverflowError or ZeroDivisionError, or gave an
+        infinite M_inf or t_star."""
+        with pytest.raises(DomainError, match="float range"):
+            m_inf_bound(K, M, m)
+
 
 class TestTaylorRecursion:
     def test_matches_picard_oracle(self):
@@ -283,3 +293,6 @@ class TestClosedForm:
             closed_form_natural_response(1, 1, 1, t_star)
         with pytest.raises(DomainError):
             closed_form_natural_response(1, 1, 1, -0.1)
+        for K, M in [("1e400", 1), ("1e-400", 1), (1, "1e-400")]:
+            with pytest.raises(DomainError, match="float range"):
+                closed_form_natural_response(1, K, M, 0.0)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import warnings
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -30,7 +32,17 @@ from fliessnet import (
     subgraph_extract,
     sum_reldeg_predict,
 )
-from conftest import DD_GAINS, double_diamond_net, four_node_net, ladder_net
+from conftest import (
+    DD_GAINS,
+    criterion7_sample,
+    double_diamond_net,
+    five_node_net,
+    four_node_net,
+    ladder_net,
+    mixed_net,
+    sparse_poly_net,
+)
+from subgraph_loop_oracle import loop_leads, loop_predict_io_reldeg
 
 X1 = Series(1, 1, {(1,): 1})
 
@@ -294,6 +306,13 @@ class TestGenericity:
         assert len(drawn) == 4
         assert all(0 < w <= 1 for w in drawn)
 
+    @pytest.mark.parametrize("entry", [2, 0.5, "a", True])
+    def test_sample_network_rejects_pattern_entries_other_than_0_and_1(self, entry):
+        pattern = [row[:] for row in self.PATTERN]
+        pattern[1][0] = entry
+        with pytest.raises(DomainError, match="0/1 matrix"):
+            sample_network(pattern, self.NODES, 7, 3)
+
     def test_designated_pair_defined(self):
         stats = genericity_sample(
             self.PATTERN, self.NODES, 20, seed=99, degree=3, designated=(1, 4, (0, 0, 1))
@@ -360,3 +379,130 @@ class TestGenericity:
         assert serial.values == parallel.values
         assert serial.pair_status == parallel.pair_status
         assert serial.histogram == parallel.histogram
+
+
+# -- tied groups read off the subgraph, against the restricted loop ---------------------
+
+
+def polynomial_ladder(L: int) -> NetworkSpec:
+    """Node 1, two disjoint paths of L - 1 nodes each, node 2L; weights 1/2 and
+    every node x0^4 x1 - (2/3) x0^4 x1 x1 + x0^4 x1 x0 x1 (r = 5), so node 2L
+    sees one tie at degree 5 L."""
+    node = Series(1, 7, {(0,) * 4 + (1,): 1, (0,) * 4 + (1, 1): Fraction(-2, 3),
+                         (0,) * 4 + (1, 0, 1): 1})
+    n = 2 * L
+    W = [[0] * n for _ in range(n)]
+    for path in (range(2, L + 1), range(L + 1, n)):
+        for u, v in zip([1, *path], [*path, n]):
+            W[v - 1][u - 1] = Fraction(1, 2)
+    return NetworkSpec(n, W, [node] * n)
+
+
+def sparse_maximal_net(seed: int, n: int) -> NetworkSpec:
+    """n maximal nodes with seeded (K, M) on a sparse seeded graph, self-loops included."""
+    r = random.Random(seed)
+    specs = [MaximalSeriesSpec(Fraction(r.randint(1, 9), 4), Fraction(r.randint(1, 9), 5))
+             for _ in range(n)]
+    W = [[Fraction(r.randint(1, 7), 8) if r.random() < 0.4 else 0 for _ in range(n)]
+         for _ in range(n)]
+    return NetworkSpec(n, W, specs)
+
+
+def signed_poly_net(seed: int, n: int) -> NetworkSpec:
+    """Signed polynomial nodes with words of several x1, drift and constant
+    terms, on a seeded graph with self-loops and weights up to 4."""
+    r = random.Random(seed)
+    nodes = []
+    for _ in range(n):
+        rd = r.randint(1, 2)
+        lead = (0,) * (rd - 1) + (1,)
+        terms = {lead: Fraction(r.choice([-3, -2, -1, 1, 2, 3]), r.randint(1, 4))}
+        pool = [(), (0,) * rd, lead + (1,), lead + (0, 1), (0,) + lead + (1,), (1,) + lead]
+        for word in r.sample(pool, 3):
+            terms[word] = Fraction(r.choice([-2, -1, 1, 3]), r.randint(1, 3))
+        nodes.append(Series(1, max(map(len, terms)), terms))
+    W = [[Fraction(r.randint(1, 16), 4) if r.random() < (0.2 if k == l else 0.4) else 0
+          for l in range(n)] for k in range(n)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return NetworkSpec(n, W, nodes)
+
+
+def cancelling_net() -> NetworkSpec:
+    """Two tied paths into node 4 whose leading terms cancel, then node 5."""
+    base = four_node_net(1, 1, Fraction(1, 2), Fraction(1, 2))
+    W = [list(row) + [0] for row in base.W] + [[0, 0, 0, 1, 0]]
+    return NetworkSpec(5, W, list(base.nodes) + [X1])
+
+
+ORACLE_NETS = (
+    [sparse_poly_net(seed, 4 + seed % 3) for seed in range(60)]
+    + [double_diamond_net(tuple(Fraction(r.randint(1, 20), 7) for _ in range(7)))
+       for r in map(random.Random, range(6))]
+    + [sparse_maximal_net(seed, 4 + seed % 2) for seed in range(20)]
+    + [criterion7_sample(index) for index in range(10)]
+    + [signed_poly_net(seed, 4 + seed % 2) for seed in range(40)]
+    + [cancelling_net(), five_node_net(), polynomial_ladder(2), mixed_net()]
+)
+
+
+def outcome(predict, net, i, j):
+    try:
+        return predict(net, i, j)
+    except ConditionError as exc:
+        return str(exc)
+
+
+class TestSubgraphLeads:
+    def test_predictions_match_the_restricted_loop(self):
+        conditions = Counter()
+        for net in ORACLE_NETS:
+            for i in range(1, net.m + 1):
+                for j in range(1, net.m + 1):
+                    got = outcome(predict_io_reldeg, net, i, j)
+                    assert got == outcome(loop_predict_io_reldeg, net, i, j), (i, j)
+                    conditions[getattr(got, "condition", "error")] += 1
+        assert set(conditions) == {"distinct", "fully_connected", "repeated_sum_nonzero",
+                                   "violated_unknown", "error"}
+
+    def test_every_lead_matches_the_restricted_loop(self):
+        compared = zeros = 0
+        for net in ORACLE_NETS:
+            for i in range(1, net.m + 1):
+                for j in range(1, net.m + 1):
+                    sub = subgraph_extract(net, i, j)
+                    if i == j or sub.is_empty():
+                        continue
+                    try:
+                        reports = {v: reldeg.node_degree_report(net, v).require_defined()
+                                   for v in sub.nodes}
+                    except ConditionError:
+                        continue
+                    degrees = {v: r for v, (r, _) in reports.items()}
+                    leads = {v: lead for v, (_, lead) in reports.items()}
+                    acc = accumulated_degrees(sub, degrees)
+                    got = reldeg._subgraph_leads(net, acc, degrees, leads)
+                    assert got == loop_leads(net, i, j), (i, j)
+                    compared += len(got)
+                    zeros += sum(value == 0 for value in got.values())
+        assert compared > 3000 and zeros > 0
+
+    def test_prediction_runs_no_closed_loop(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("predict_io_reldeg ran a closed loop")
+
+        monkeypatch.setattr(reldeg, "closed_loop_series", refuse)
+        monkeypatch.setattr(network, "_closed_loop", refuse)
+        for net, i, j in [(polynomial_ladder(6), 1, 12), (cancelling_net(), 1, 5),
+                          (four_node_net(Fraction(1, 2), Fraction(2, 3), 1, 1), 1, 4)]:
+            assert predict_io_reldeg(net, i, j).details["repeated_sums"]
+
+    @pytest.mark.parametrize("L,r,value", [(6, 35, Fraction(1, 32)), (12, 65, Fraction(1, 2048))])
+    def test_polynomial_ladder_gets_a_prediction(self, L, r, value):
+        """The tie at node 2L needs degree 5 L, past what the restricted loop
+        can hold under TERM_CAP at L = 6."""
+        measured = RelDegReport("undetermined_at_truncation", None, None, 4)
+        rep = pair_report(polynomial_ladder(L), 1, 2 * L, measured)
+        assert rep.prediction_error is None
+        assert (rep.predicted.r_pred, rep.predicted.condition) == (r, "repeated_sum_nonzero")
+        assert rep.predicted.details["repeated_sums"] == {f"node {2 * L} at degree {5 * L}": value}

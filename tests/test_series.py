@@ -14,12 +14,15 @@ from fliessnet import (
     AlphabetError,
     DomainError,
     Grid,
+    MaximalSeriesSpec,
     NetworkSpec,
     ParseError,
     Series,
     as_coeff,
     check_growth,
     coeff_str,
+    compose_at,
+    compose_maximal,
     concat_product,
     linear_combine,
     maximal_series,
@@ -29,6 +32,9 @@ from fliessnet import (
     shuffle_product,
 )
 from conftest import make_random_series
+
+
+X1 = Series(1, 3, {(1,): 1})
 
 
 def series_st(m=1, degree=3):
@@ -96,6 +102,24 @@ class TestSeriesContainer:
         """A size must be an int, not a bool, as for the closed-loop degree:
         Series(1, 2.5) once built a series of max_degree 2.5, and Grid(0, 1, 2.5)
         failed only later, in its times."""
+        with pytest.raises(error, match="integer"):
+            make()
+
+    @pytest.mark.parametrize("make,error", [
+        (lambda: X1.truncate(2.5), DomainError),
+        (lambda: X1.truncate(True), DomainError),
+        (lambda: X1.extended(5.5), DomainError),
+        (lambda: X1.extended(True), DomainError),
+        (lambda: maximal_series(1, 1, 0, 2), AlphabetError),
+        (lambda: maximal_series(1, 1, 1, -1), DomainError),
+        (lambda: compose_at(X1, X1, -1), DomainError),
+        (lambda: compose_at(X1, X1, 2.5), DomainError),
+        (lambda: compose_maximal(MaximalSeriesSpec(1, 1), X1, -2, False), DomainError),
+    ], ids=["truncate 2.5", "truncate True", "extended 5.5", "extended True", "maximal m 0",
+            "maximal degree -1", "compose_at -1", "compose_at 2.5", "compose_maximal -2"])
+    def test_degree_and_alphabet_arguments_follow_the_constructor_rule(self, make, error):
+        """Each of these once built a series of max_degree 2.5, True, -1 or -2,
+        or over an alphabet without x1, or raised a bare TypeError."""
         with pytest.raises(error, match="integer"):
             make()
 

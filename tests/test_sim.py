@@ -49,6 +49,12 @@ class TestGrid:
         with pytest.raises(DomainError):
             Grid(float("inf"), 1.0, 10)
 
+    def test_end_outside_the_float_range_is_rejected(self):
+        """Grid(1e308, 1e308, 4) once sampled [nan, inf, ...]."""
+        with pytest.raises(DomainError, match="t0 \\+ T"):
+            Grid(1e308, 1e308, 4)
+        assert Grid(-1e308, 1.5e308, 2).times[-1] == 0.5e308
+
 
 class TestEvalFliess:
     def test_drift_words_integrate_time(self):
