@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, NoConvergence
-from .series import Coeff, as_coeff, positive_constants
+from .series import Coeff, _check_int, as_coeff, positive_constants
 
 _BRANCH_POINT = -math.exp(-1.0)
 _BRANCH_GUARD = 1e-12
@@ -115,8 +115,7 @@ def _lambda(x: float) -> float:
 def _envelope_constants(K, M, m) -> tuple[Coeff, Coeff]:
     """Check the envelope's inputs: positive (K, M) and a positive node count m."""
     K, M = positive_constants(K, M)
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise DomainError("node count m must be a positive integer")
+    _check_int(m, "node count m", 1)
     return K, M
 
 
@@ -176,8 +175,7 @@ def abel_taylor(m: int, K, M, n_max: int) -> AbelSequence:
     So a_k = K M^k N_k / q^k, and only the outputs are Fractions.
     """
     K, M = _envelope_constants(K, M, m)
-    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 0:
-        raise DomainError("n_max must be an integer >= 0")
+    _check_int(n_max, "n_max", 0)
     p, q = (m * K).as_integer_ratio()
     N, S, row = [1], [], [1]  # row = C(k, .)
     for k in range(n_max):

@@ -25,6 +25,7 @@ from .series import (
     Coeff,
     MaximalSeriesSpec,
     Series,
+    _check_int,
     _combine,
     _json_field,
     as_coeff,
@@ -50,8 +51,7 @@ class NetworkSpec:
     nodes: list[NodeSource] = field(default_factory=list)
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 1:
-            raise DomainError("a network needs an integer number m >= 1 of nodes")
+        _check_int(self.m, "node count m", 1)
         if len(self.W) != self.m or any(len(row) != self.m for row in self.W):
             raise DomainError(f"weight matrix must be {self.m}x{self.m}")
         if len(self.nodes) != self.m:
@@ -151,10 +151,7 @@ def closed_loop_series(net: NetworkSpec, i: int, degree: int) -> dict[int, Serie
 
 def _closed_loop(net: NetworkSpec, i: Optional[int], degree: int) -> dict[int, Series]:
     """closed_loop_series from input node i, or with no input channel if i is None."""
-    if not isinstance(degree, int) or isinstance(degree, bool):
-        raise DomainError("truncation degree must be an integer")
-    if degree < 0:
-        raise DomainError("truncation degree must be >= 0")
+    _check_int(degree, "truncation degree", 0)
     memo = words._shuffle_cache
     nodes = range(1, net.m + 1)
     layers = {k: ComposeLayers(memo) for k in nodes}

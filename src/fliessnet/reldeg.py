@@ -28,7 +28,7 @@ from .network import (
     restrict_to_subgraph,  # unused here; bench/spans.py wraps it and tests pin the binding
     subgraph_extract,
 )
-from .series import Coeff, MaximalSeriesSpec, Series, as_coeff
+from .series import Coeff, MaximalSeriesSpec, Series, _check_int, as_coeff
 from .words import Word, check_word, leading_zeros
 
 STATUS_DEFINED = "defined"
@@ -319,8 +319,8 @@ def sample_network(
         isinstance(e, bool) or e not in (0, 1) for row in pattern for e in row
     ):
         raise DomainError("pattern must be an m-by-m 0/1 matrix")
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise DomainError("seed must be an integer >= 0")
+    _check_int(seed, "seed", 0)
+    _check_int(index, "index", 0)
     rng = np.random.default_rng([seed, index])
     W: list[list[Coeff]] = [[0] * m for _ in range(m)]
     for r in range(m):
@@ -361,13 +361,13 @@ def genericity_sample(
     degree): each sample index owns an independent RNG stream, so the job
     count changes only the wall time.
     """
-    for name, value in (("samples", samples), ("bins", bins)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise DomainError(f"{name} must be an integer")
-        if value < 1:
-            raise DomainError(f"{name} must be >= 1")
+    _check_int(samples, "samples", 1)
+    _check_int(bins, "bins", 1)
     designated_key: Optional[tuple[int, int, Word]] = None
     if designated is not None:
+        if not (isinstance(designated, Sequence) and len(designated) == 3
+                and isinstance(designated[2], Sequence)):
+            raise DomainError("designated must be a (from, to, word) triple")
         designated_key = (designated[0], designated[1], tuple(designated[2]))
         edgeless = NetworkSpec(len(nodes), [[0] * len(nodes)] * len(nodes), list(nodes))
         edgeless.check_node(designated_key[0])

@@ -125,12 +125,17 @@ def _pair_den(a: Grades, b: Grades, n: int) -> int:
     return math.lcm(*[da * b[n - i][0] for i, (da, _) in a.items() if n - i in b])
 
 
+def _check_int(value, what: str, low: int, error: type = DomainError) -> int:
+    """The rule for every integer argument: an int, not a bool, at least low."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < low:
+        raise error(f"{what} must be an integer >= {low}")
+    return value
+
+
 def _check_size(m, max_degree) -> None:
-    """The rule for every series built: integers (not bool) m >= 1 and max_degree >= 0."""
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise AlphabetError("alphabet needs at least x0 and x1: m must be an integer >= 1")
-    if not isinstance(max_degree, int) or isinstance(max_degree, bool) or max_degree < 0:
-        raise DomainError("max_degree must be an integer >= 0")
+    """The sizes of every series built: an alphabet x0..xm with m >= 1, and max_degree >= 0."""
+    _check_int(m, "m", 1, AlphabetError)
+    _check_int(max_degree, "max_degree", 0)
 
 
 class Series:
@@ -166,7 +171,9 @@ class Series:
                     coeffs.setdefault(len(word), {})[word] = coeff
         self.m = m
         self.max_degree = max_degree
-        self.exact_to = max_degree if exact_to is None else min(exact_to, max_degree)
+        self.exact_to = (
+            max_degree if exact_to is None else min(_check_int(exact_to, "exact_to", 0), max_degree)
+        )
         self._grades = {n: _grade(coeffs[n]) for n in sorted(coeffs)}
         self._flat = None
 
@@ -281,10 +288,9 @@ class Series:
         degree.
         """
         _check_size(self.m, max_degree)
+        exact_to = self.exact_to if exact_to is None else _check_int(exact_to, "exact_to", 0)
         if max_degree < self.max_degree:
             return self.truncate(max_degree)
-        if exact_to is None:
-            exact_to = self.exact_to
         return Series._graded(self.m, max_degree, self._grades, exact_to)
 
     # -- linear structure --------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import AlphabetError, DomainError, ModelError, NoConvergence
 from .network import NetworkSpec, io_map
-from .series import Series
+from .series import Series, _check_int
 from .words import Word
 
 # At an escape stop, a node other than the one at the threshold is treated as
@@ -48,12 +48,11 @@ class Grid:
     def __post_init__(self):
         if not np.isfinite(self.t0):
             raise DomainError("t0 must be finite")
-        if not (np.isfinite(self.T) and self.T > 0):
-            raise DomainError("horizon T must be positive")
         if not np.isfinite(self.t0 + self.T):
             raise DomainError("grid end t0 + T must be finite")
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise DomainError("grid needs an integer number n >= 1 of steps")
+        _check_int(self.n, "n", 1)
+        if not np.all(np.diff(self.times) > 0):
+            raise DomainError("horizon T must be positive and resolvable at t0")
 
     @property
     def times(self) -> np.ndarray:
@@ -224,8 +223,7 @@ def simulate_picard(
     """
     if not net.all_polynomial():
         raise ModelError("Picard iteration needs polynomial node series")
-    if not isinstance(max_iter, int) or isinstance(max_iter, bool) or max_iter < 1:
-        raise DomainError("max_iter must be an integer >= 1")
+    _check_int(max_iter, "max_iter", 1)
     if not (np.isfinite(tol) and tol >= 0):
         raise DomainError("tol must be finite and >= 0")
     m = net.m

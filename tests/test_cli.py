@@ -407,6 +407,17 @@ class TestSimulate:
                          "message": "escape threshold must be finite and positive"}
         assert not out.exists() and not (tmp_path / "p.csv.meta.json").exists()
 
+    def test_horizon_the_start_cannot_resolve(self, maximal_file, tmp_path, capsys):
+        """At t0 = 1e16 the steps of T = 0.1 round away: five rows at one time
+        were once written with exit 0."""
+        out = tmp_path / "o.csv"
+        code = run(["simulate", "--net", maximal_file, "--T", "0.1", "--n", "4",
+                    "--t0", "1e16", "--out", str(out)])
+        assert code == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "DomainError"
+        assert not out.exists()
+
 
 class TestMontecarlo:
     def test_designated_histogram(self, four_node_file, capsys):
@@ -428,7 +439,7 @@ class TestMontecarlo:
                     "--samples", samples, "--bins", bins])
         assert code == 1
         error = json.loads(capsys.readouterr().out)["error"]
-        assert error == {"type": "DomainError", "message": f"{flag[2:]} must be >= 1"}
+        assert error == {"type": "DomainError", "message": f"{flag[2:]} must be an integer >= 1"}
 
     @pytest.mark.parametrize("i,j,bad", [("1", "9", 9), ("9", "4", 9), ("0", "4", 0)])
     def test_designated_node_outside_the_net(self, i, j, bad, four_node_file, capsys):

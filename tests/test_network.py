@@ -177,7 +177,7 @@ class TestClosedLoop:
         (2.0, "must be an integer"),
         ("3", "must be an integer"),
         (None, "must be an integer"),
-        (-1, "must be >= 0"),
+        (-1, "must be an integer >= 0"),
     ])
     def test_degree_must_be_a_nonnegative_int(self, entry, degree, message):
         """A bool once ran as degree 1 or 0, and a float, string or None

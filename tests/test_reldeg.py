@@ -330,7 +330,7 @@ class TestGenericity:
         monkeypatch.setattr(reldeg, "sample_network", lambda *a: drawn.append(a))
         kwargs = dict(samples=4, seed=1, degree=3, bins=4)
         kwargs[field] = 0
-        with pytest.raises(DomainError, match=f"{field} must be >= 1"):
+        with pytest.raises(DomainError, match=f"{field} must be an integer >= 1"):
             genericity_sample(self.PATTERN, self.NODES, **kwargs)
         assert drawn == []
 
@@ -369,6 +369,17 @@ class TestGenericity:
         drawn = []
         monkeypatch.setattr(reldeg, "sample_network", lambda *a: drawn.append(a))
         with pytest.raises(error):
+            genericity_sample(self.PATTERN, self.NODES, 4, seed=1, degree=3, designated=designated)
+        assert drawn == []
+
+    @pytest.mark.parametrize("designated", [
+        (1, 4), (1,), (), (1, 4, 5), (1, 4, None), (1, 4, (1,), 0), 7,
+    ], ids=["pair", "single", "empty", "word 5", "word None", "quadruple", "int"])
+    def test_designated_must_be_a_triple(self, designated, monkeypatch):
+        """(1, 4) and (1,) once raised IndexError and (1, 4, 5) TypeError."""
+        drawn = []
+        monkeypatch.setattr(reldeg, "sample_network", lambda *a: drawn.append(a))
+        with pytest.raises(DomainError, match=r"designated must be a \(from, to, word\) triple"):
             genericity_sample(self.PATTERN, self.NODES, 4, seed=1, degree=3, designated=designated)
         assert drawn == []
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,23 +19,60 @@ from fliessnet import (
     NetworkSpec,
     ParseError,
     Series,
+    abel_taylor,
     as_coeff,
     check_growth,
+    closed_loop_series,
     coeff_str,
     compose_at,
     compose_maximal,
     concat_product,
+    genericity_sample,
     linear_combine,
+    m_inf_bound,
     maximal_series,
+    sample_network,
     scalar_product,
     series_from_json,
     series_to_json,
     shuffle_product,
+    simulate_picard,
 )
 from conftest import make_random_series
 
 
 X1 = Series(1, 3, {(1,): 1})
+
+# (name, call taking the value, argument name in the message, lower bound, error type)
+INT_ARGUMENTS = [
+    ("Series m", lambda v: Series(v, 2), "m", 1, AlphabetError),
+    ("Series max_degree", lambda v: Series(1, v), "max_degree", 0, DomainError),
+    ("Series exact_to", lambda v: Series(1, 3, {(1,): 1}, exact_to=v), "exact_to", 0, DomainError),
+    ("truncate", lambda v: X1.truncate(v), "max_degree", 0, DomainError),
+    ("extended", lambda v: X1.extended(v), "max_degree", 0, DomainError),
+    ("extended exact_to", lambda v: X1.extended(5, exact_to=v), "exact_to", 0, DomainError),
+    ("maximal_series m", lambda v: maximal_series(1, 1, v, 2), "m", 1, AlphabetError),
+    ("maximal_series degree", lambda v: maximal_series(1, 1, 1, v), "max_degree", 0, DomainError),
+    ("compose_at", lambda v: compose_at(X1, X1, v), "n_out", 0, DomainError),
+    ("compose_maximal", lambda v: compose_maximal(MaximalSeriesSpec(1, 1), X1, v, False),
+     "n_out", 0, DomainError),
+    ("NetworkSpec m", lambda v: NetworkSpec(v, [[0]], [X1]), "node count m", 1, DomainError),
+    ("closed_loop_series", lambda v: closed_loop_series(NetworkSpec(1, [[1]], [X1]), 1, v),
+     "truncation degree", 0, DomainError),
+    ("m_inf_bound m", lambda v: m_inf_bound(1, 1, v), "node count m", 1, DomainError),
+    ("abel_taylor m", lambda v: abel_taylor(v, 1, 1, 3), "node count m", 1, DomainError),
+    ("abel_taylor n_max", lambda v: abel_taylor(1, 1, 1, v), "n_max", 0, DomainError),
+    ("sample_network seed", lambda v: sample_network([[1]], [X1], v, 0), "seed", 0, DomainError),
+    ("sample_network index", lambda v: sample_network([[1]], [X1], 1, v), "index", 0, DomainError),
+    ("genericity_sample samples", lambda v: genericity_sample([[1]], [X1], v, 1, 2),
+     "samples", 1, DomainError),
+    ("genericity_sample bins", lambda v: genericity_sample([[1]], [X1], 1, 1, 2, bins=v),
+     "bins", 1, DomainError),
+    ("Grid n", lambda v: Grid(0.0, 1.0, v), "n", 1, DomainError),
+    ("simulate_picard max_iter",
+     lambda v: simulate_picard(NetworkSpec(1, [[0]], [X1]), Grid(0.0, 1.0, 2), max_iter=v),
+     "max_iter", 1, DomainError),
+]
 
 
 def series_st(m=1, degree=3):
@@ -86,42 +124,19 @@ class TestSeriesContainer:
         with pytest.raises(Exception):
             Series(1, 3, {(2,): 1})
 
-    @pytest.mark.parametrize("make,error", [
-        (lambda: Series(1, 2.5, {(1,): 1}), DomainError),
-        (lambda: Series(1, 2.0), DomainError),
-        (lambda: Series(1, True), DomainError),
-        (lambda: Series(True, 2), AlphabetError),
-        (lambda: Series(1.0, 2), AlphabetError),
-        (lambda: NetworkSpec(True, [[0]], [Series(1, 1, {(1,): 1})]), DomainError),
-        (lambda: NetworkSpec(1.0, [[0]], [Series(1, 1, {(1,): 1})]), DomainError),
-        (lambda: Grid(0.0, 1.0, 2.5), DomainError),
-        (lambda: Grid(0.0, 1.0, True), DomainError),
-    ], ids=["Series degree 2.5", "Series degree 2.0", "Series degree True", "Series m True",
-            "Series m 1.0", "NetworkSpec m True", "NetworkSpec m 1.0", "Grid n 2.5", "Grid n True"])
-    def test_rejects_sizes_that_are_not_ints(self, make, error):
-        """A size must be an int, not a bool, as for the closed-loop degree:
-        Series(1, 2.5) once built a series of max_degree 2.5, and Grid(0, 1, 2.5)
-        failed only later, in its times."""
-        with pytest.raises(error, match="integer"):
-            make()
-
-    @pytest.mark.parametrize("make,error", [
-        (lambda: X1.truncate(2.5), DomainError),
-        (lambda: X1.truncate(True), DomainError),
-        (lambda: X1.extended(5.5), DomainError),
-        (lambda: X1.extended(True), DomainError),
-        (lambda: maximal_series(1, 1, 0, 2), AlphabetError),
-        (lambda: maximal_series(1, 1, 1, -1), DomainError),
-        (lambda: compose_at(X1, X1, -1), DomainError),
-        (lambda: compose_at(X1, X1, 2.5), DomainError),
-        (lambda: compose_maximal(MaximalSeriesSpec(1, 1), X1, -2, False), DomainError),
-    ], ids=["truncate 2.5", "truncate True", "extended 5.5", "extended True", "maximal m 0",
-            "maximal degree -1", "compose_at -1", "compose_at 2.5", "compose_maximal -2"])
-    def test_degree_and_alphabet_arguments_follow_the_constructor_rule(self, make, error):
-        """Each of these once built a series of max_degree 2.5, True, -1 or -2,
-        or over an alphabet without x1, or raised a bare TypeError."""
-        with pytest.raises(error, match="integer"):
-            make()
+    @pytest.mark.parametrize("call,what,low,error,value", [
+        pytest.param(call, what, low, error, value, id=f"{name}-{value!r}")
+        for name, call, what, low, error in INT_ARGUMENTS
+        for value in (True, 2.0, "3", None, low - 1)
+        if not (value is None and what == "exact_to")
+    ])
+    def test_rejects_sizes_that_are_not_ints(self, call, what, low, error, value):
+        """Every integer argument is an int, not a bool, at least its bound, with
+        one message. Series(1, 2.5) once built a series of max_degree 2.5,
+        exact_to=-1 a series reported undetermined at truncation -1, and
+        sample_network read index True as sample 1."""
+        with pytest.raises(error, match=f"^{re.escape(what)} must be an integer >= {low}$"):
+            call(value)
 
     def test_items_graded_lex(self):
         c = Series(1, 3, {(1, 1): 1, (0,): 2, (): 3, (1,): 4})
@@ -139,6 +154,8 @@ class TestSeriesContainer:
         e = c.extended(5)
         assert e.max_degree == 5
         assert e.exact_to == 2
+        assert c.extended(5, exact_to=None).exact_to == 2
+        assert Series(1, 2, {(1,): 1}, exact_to=None).exact_to == 2
         p = c.extended(5, exact_to=5)
         assert p.exact_to == 5
 

@@ -55,6 +55,13 @@ class TestGrid:
             Grid(1e308, 1e308, 4)
         assert Grid(-1e308, 1.5e308, 2).times[-1] == 0.5e308
 
+    @pytest.mark.parametrize("t0,T,n", [(1e16, 1.0, 4), (1e16, 4.0, 4), (1.0, 1e-17, 1)])
+    def test_sample_times_must_strictly_increase(self, t0, T, n):
+        """Grid(1e16, 1.0, 4).times was once five copies of 1e16."""
+        with pytest.raises(DomainError, match="horizon T must be positive"):
+            Grid(t0, T, n)
+        assert np.all(np.diff(Grid(t0, 1e3 * T, n).times) > 0)
+
 
 class TestEvalFliess:
     def test_drift_words_integrate_time(self):
