@@ -119,7 +119,7 @@ class NetworkSpec:
 # checked after each node's composition, so a loop overshoots the cap by at
 # most one node's newest degree. On a 2-core host, degree-30 requests stop at
 # degree 20 on all-ones m=1 (24 s, 1.8 GB peak), 19 on m=2 and m=3
-# (1.1-1.2 GB), 26 on the double diamond.
+# (1.1-1.2 GB), 26 on the double diamond (3.0 s, 762 MiB).
 TERM_CAP = 2_000_000
 
 # Candidate nodes a forward-path subgraph may span before subgraph_extract
@@ -218,9 +218,6 @@ class Subgraph:
 
     def is_empty(self) -> bool:
         return not self.nodes
-
-    def predecessors(self, v: int) -> list[int]:
-        return sorted(u for (u, w) in self.edges if w == v)
 
 
 def subgraph_extract(net: NetworkSpec, i: int, j: int) -> Subgraph:

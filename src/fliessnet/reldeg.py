@@ -71,14 +71,13 @@ def relative_degree(c: Series) -> RelDegReport:
     if c.m != 1:
         raise AlphabetError("relative degree is defined for single-input series")
     n = c.exact_to
-    visible = {w: v for w, v in c.terms.items() if len(w) <= n}
-    forced = [w for w in visible if any(letter != 0 for letter in w)]
+    forced = [w for w in c.support() if len(w) <= n and any(w)]
     if not forced:
         if c.is_zero():
             return RelDegReport(STATUS_UNDEFINED, None, None, n)
         return RelDegReport(STATUS_UNDETERMINED, None, None, n)
     rho = min(leading_zeros(w) for w in forced)
-    lead = visible.get((0,) * rho + (1,), 0)
+    lead = c.coeff((0,) * rho + (1,))
     if lead != 0:
         return RelDegReport(STATUS_DEFINED, rho + 1, lead, n)
     return RelDegReport(STATUS_UNDEFINED, None, None, n)
@@ -124,8 +123,10 @@ def accumulated_degrees(sub: Subgraph, node_degrees: dict[int, int]) -> Accumula
         if r is None or r < 1:
             raise ConditionError(f"node {v} lacks a positive relative degree")
     succ: dict[int, list[int]] = defaultdict(list)
-    for u, v in sub.edges:
+    pred: dict[int, list[int]] = defaultdict(list)
+    for u, v in sorted(sub.edges):
         succ[u].append(v)
+        pred[v].append(u)
     dist: dict[int, int] = {}
     heap: list[tuple[int, int]] = [(node_degrees[sub.source], sub.source)]
     while heap:
@@ -136,8 +137,7 @@ def accumulated_degrees(sub: Subgraph, node_degrees: dict[int, int]) -> Accumula
         for v in succ[u]:
             if v not in dist:
                 heapq.heappush(heap, (d + node_degrees[v], v))
-    incoming = {v: tuple((u, dist[u]) for u in sub.predecessors(v))
-                for v in sub.nodes if sub.predecessors(v)}
+    incoming = {v: tuple((u, dist[u]) for u in preds) for v, preds in pred.items()}
     return AccumulatedDegrees(sub.source, dist, incoming)
 
 
@@ -154,10 +154,10 @@ class PredictionReport:
 
 
 def node_degree_report(net: NetworkSpec, k: int) -> RelDegReport:
-    """Relative degree of node k's own series."""
+    """Relative degree of node k's own series; a maximal node reads K + K M x0 + K M x1."""
     src = net.node(k)
     if isinstance(src, MaximalSeriesSpec):
-        return RelDegReport(STATUS_DEFINED, 1, as_coeff(Fraction(src.K) * Fraction(src.M)), 1)
+        src = src.expand(1, 1)
     return relative_degree(src)
 
 

@@ -222,7 +222,7 @@ class Series:
         return _value(grade[1].get(word, 0), grade[0]) if grade else 0
 
     def support(self) -> set[Word]:
-        return set(self.terms)
+        return {word for _, nums in self._grades.values() for word in nums}
 
     def is_zero(self) -> bool:
         return not self._grades
@@ -448,14 +448,18 @@ def _shuffle_terms(
     pair through words._memo_shuffle and memo, which the caller owns. The
     dense one takes one array operation on s^n elements per quotient step
     of _dense_shuffle, (n + 1)(n + 2) / 2 of them, and uses no memo; it runs
-    when that costs less for the pairs taken together (letters are read as
-    bytes, so it needs s <= 256). Returns a flat word -> numerator dict of
-    Python ints (zeros from cancellation included). Hot path.
+    when that costs less for the pairs taken together, and when the
+    word-pair kernel's floor of one update per word pair reaches s^n too,
+    as C(n, i) overcounts drift-heavy words (x0^a sh x0^b is one word).
+    Letters are read as bytes, so it needs s <= 256. Returns a flat word ->
+    numerator dict of Python ints (zeros from cancellation included). Hot path.
     """
     s = m + 1
     pairs = [(i, a[i], b[n - i]) for i in a if n - i in b]
-    updates = sum(len(left) * len(right) * math.comb(n, i) for i, (_, left), (_, right) in pairs)
-    if s <= 256 and 2 * _WORD_UPDATE * updates > (n + 1) * (n + 2) * (s**n + _ARRAY_CALL):
+    sizes = {i: len(left) * len(right) for i, (_, left), (_, right) in pairs}
+    updates = sum(size * math.comb(n, i) for i, size in sizes.items())
+    if (s <= 256 and 2 * _WORD_UPDATE * updates > (n + 1) * (n + 2) * (s**n + _ARRAY_CALL)
+            and _WORD_UPDATE * sum(sizes.values()) >= s**n):
         arrays = {
             i: (_dense(left, i, s, den // (da * db)), _dense(right, n - i, s, 1))
             for i, (da, left), (db, right) in pairs

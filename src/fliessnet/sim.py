@@ -50,7 +50,8 @@ class Grid:
             raise DomainError("t0 must be finite")
         if not np.isfinite(self.t0 + self.T):
             raise DomainError("grid end t0 + T must be finite")
-        _check_int(self.n, "n", 1)
+        if _check_int(self.n, "n", 1) >= np.iinfo(np.intp).max // np.dtype(float).itemsize:
+            raise DomainError(f"grid size n = {self.n} exceeds what a numpy array can hold")
         if not np.all(np.diff(self.times) > 0):
             raise DomainError("horizon T must be positive and resolvable at t0")
 

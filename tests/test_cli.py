@@ -407,6 +407,20 @@ class TestSimulate:
                          "message": "escape threshold must be finite and positive"}
         assert not out.exists() and not (tmp_path / "p.csv.meta.json").exists()
 
+    def test_grid_size_numpy_cannot_build(self, maximal_file, tmp_path):
+        """numpy's 'Maximum allowed size exceeded' once ended the process in a traceback."""
+        out = tmp_path / "o.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "fliessnet.cli", "simulate", "--net", maximal_file,
+             "--T", "0.1", "--n", str(10**30), "--out", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["error"]["type"] == "DomainError"
+        assert not out.exists() and not (tmp_path / "o.csv.meta.json").exists()
+
     def test_horizon_the_start_cannot_resolve(self, maximal_file, tmp_path, capsys):
         """At t0 = 1e16 the steps of T = 0.1 round away: five rows at one time
         were once written with exit 0."""

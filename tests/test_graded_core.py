@@ -8,7 +8,9 @@ numerators over one denominator per grade, the layered compositions and the
 closed loop that settles one degree at a time must reproduce them
 coefficient for coefficient, with the same canonical coefficient types and
 the same exact_to. Every stored grade must stay reduced, and each closed
-loop must be a fixed point of its own node compositions.
+loop must be a fixed point of its own node compositions. relative_degree,
+which reads the stored grades, must give the reports that the flat
+coefficient map gave (tests/reldeg_oracle.py).
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from fliessnet import (
     maximal_series,
     natural_response,
     predict_io_reldeg,
+    relative_degree,
     series_from_json,
     series_to_json,
     shuffle_product,
@@ -51,8 +54,10 @@ from fliessnet import (
 )
 from fliessnet.cli import run
 from fliessnet.compose import ComposeLayers, compose, mixed_compose
+from fliessnet.reldeg import node_degree_report
 from fliessnet.series import _pair_den, _reduced
 from quotient_oracle import quotient_compose_maximal
+from reldeg_oracle import flat_relative_degree, formula_node_degree_report
 from conftest import (
     all_ones_maximal,
     assert_fixed_point,
@@ -415,11 +420,14 @@ class TestShuffleKernels:
         assert {kernel for n, kernel in calls if n >= 7} == {"dense"}
         assert {kernel for n, kernel in calls if n <= 4} == {"word_pair"}
 
-    def test_double_diamond_loop_takes_no_dense_kernel(self, monkeypatch):
-        """The double diamond's grades are sparse, so at degree 16 every slice
-        stays on the word-pair kernel."""
+    @pytest.mark.parametrize("degree", [16, 22])
+    def test_double_diamond_loop_takes_no_dense_kernel(self, monkeypatch, degree):
+        """The double diamond's grades are sparse, so every slice stays on the
+        word-pair kernel. Its drift-heavy words shuffle to far fewer than
+        C(n, i) words each, so at degree 22 the binomial count alone once sent
+        the n = 21 slice to the dense kernel and its 2^21-element arrays."""
         calls = spy_kernels(monkeypatch)
-        closed_loop_series(double_diamond_net(), 1, 16)
+        closed_loop_series(double_diamond_net(), 1, degree)
         assert {kernel for _, kernel in calls} == {"word_pair"}
 
     @pytest.mark.parametrize("kernel", ["word_pair", "dense"])
@@ -671,6 +679,65 @@ def test_maximal_nodes_match_the_quotient_route(monkeypatch, name, make, i, degr
 def test_stabilization_check_still_passes():
     net = mixed_net()
     assert_fixed_point(net, 1, closed_loop_series(net, 1, 5))
+
+
+# -- relative degree read off the stored grades ---------------------------------------------
+
+# Seeded loops beside CLOSED_LOOPS: sparse polynomial nets at degree 5,
+# criterion-7 samples at degree 3 and all-maximal nets at degree 5.
+SEEDED_LOOPS = (
+    [(f"sparse_poly_{seed}", lambda seed=seed: sparse_poly_net(seed, 4 + seed % 3),
+      1 + seed % 3, 5) for seed in range(10, 18)]
+    + [(f"criterion7_{index}", lambda index=index: criterion7_sample(index), 1, 3)
+       for index in range(8)]
+    + [(f"seeded_maximal_{seed}", lambda seed=seed: seeded_maximal_net(seed, 3), 1 + seed, 5)
+       for seed in range(3)]
+)
+
+# Series that take the branches few closed loops reach.
+BRANCH_SERIES = {
+    "zero": Series.zero(1, 5),
+    "drift_only": Series(1, 4, {(): 1, (0, 0): Fraction(2, 3)}),
+    "refuted": Series(1, 3, {(0, 1, 1): 1, (0, 0): 2}),
+    "inexact_tail_defined": Series(1, 5, {(0, 1): Fraction(1, 4), (1, 1, 1): 4}, exact_to=2),
+    "inexact_tail_undetermined": Series(1, 5, {(0,): 1, (0, 0, 1): 2, (1, 0): 3}, exact_to=1),
+    "zero_below_exact_to": Series(1, 5, {(1, 0, 0, 1): 2}, exact_to=2),
+}
+
+
+def assert_same_report(got, want) -> None:
+    """Equal reports, with the leading coefficient of the same canonical type."""
+    assert (got, type(got.leading)) == (want, type(want.leading))
+
+
+@pytest.mark.parametrize("name,make,i,degree", CLOSED_LOOPS + SEEDED_LOOPS,
+                         ids=[c[0] for c in CLOSED_LOOPS + SEEDED_LOOPS])
+def test_relative_degree_matches_the_flat_map_oracle(name, make, i, degree):
+    """Every node's closed-loop series gets the report the flat coefficient
+    map gave, and its support is the flat map's word set; every node's own
+    degree matches too, maximal nodes included."""
+    net = make()
+    for d in closed_loop_series(net, i, degree).values():
+        assert d.support() == set(d.terms)
+        assert_same_report(relative_degree(d), flat_relative_degree(d))
+    for k in range(1, net.m + 1):
+        assert_same_report(node_degree_report(net, k), formula_node_degree_report(net, k))
+
+
+@pytest.mark.parametrize("name", sorted(BRANCH_SERIES))
+def test_relative_degree_branches_match_the_flat_map_oracle(name):
+    c = BRANCH_SERIES[name]
+    assert c.support() == set(c.terms)
+    assert_same_report(relative_degree(c), flat_relative_degree(c))
+
+
+@pytest.mark.parametrize("K", [1, Fraction(3, 4), Fraction(7, 3), 5])
+@pytest.mark.parametrize("M", [1, Fraction(3, 4), Fraction(7, 3), 5])
+def test_maximal_node_degree_is_its_expansion_read(K, M):
+    """A maximal node's report, read off its degree-1 expansion, is the
+    K M formula's: defined, r = 1, leading K M of the same type, truncation 1."""
+    net = NetworkSpec(1, [[0]], [MaximalSeriesSpec(K, M)])
+    assert_same_report(node_degree_report(net, 1), formula_node_degree_report(net, 1))
 
 
 # -- term cap --------------------------------------------------------------------------------

@@ -55,6 +55,13 @@ class TestGrid:
             Grid(1e308, 1e308, 4)
         assert Grid(-1e308, 1.5e308, 2).times[-1] == 0.5e308
 
+    @pytest.mark.parametrize("n", [10**30, 2**63])
+    def test_size_numpy_cannot_build_is_rejected(self, n):
+        """numpy once refused these sizes with its own ValueError (10**30) or,
+        as n + 1 overflowed, built an empty grid that raised IndexError (2**63)."""
+        with pytest.raises(DomainError, match=f"grid size n = {n} exceeds"):
+            Grid(0.0, 0.1, n)
+
     @pytest.mark.parametrize("t0,T,n", [(1e16, 1.0, 4), (1e16, 4.0, 4), (1.0, 1e-17, 1)])
     def test_sample_times_must_strictly_increase(self, t0, T, n):
         """Grid(1e16, 1.0, 4).times was once five copies of 1e16."""
