@@ -20,11 +20,39 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .errors import AlphabetError
+from .errors import AlphabetError, DomainError
 from .series import Grade, Grades, MaximalSeriesSpec, Series
 from .series import _check_int, _combine, _pair_den, _reduced, _shuffle_terms
 
 _ONE: Grade = (1, {(): 1})
+
+
+class _Held:
+    """What the compositions that share it hold: the count of the terms in
+    their states and outputs, and the word-pair memo of their shuffles.
+
+    A closed loop gives all its compositions one, with its cap, and each
+    composition calls check after every degree it settles, so the loop stops
+    within one settled degree of the cap. Without a cap check only counts.
+    """
+
+    __slots__ = ("terms", "memo", "cap", "request")
+
+    def __init__(self, memo: Optional[dict] = None, cap: Optional[int] = None, request: int = 0):
+        self.terms = 0
+        self.memo = {} if memo is None else memo
+        self.cap = cap
+        self.request = request
+
+    def check(self, n: int) -> None:
+        """Raise DomainError if the terms and memo words exceed the cap at degree n."""
+        if self.cap is not None:
+            held = self.terms + sum(map(len, self.memo.values()))
+            if held > self.cap:
+                raise DomainError(
+                    f"closed loop holds {held} terms and memo words at degree {n}, over "
+                    f"the cap of {self.cap}; request a lower degree than {self.request}"
+                )
 
 
 class ComposeLayers:
@@ -34,24 +62,29 @@ class ComposeLayers:
     from c (or the maximal spec) and the mixed flag, and every later call
     must pass the same ones, with a d that agrees with the earlier ones
     through their n_out - 1. out holds the output grades settled through
-    degree; terms counts every term held. memo is the word-pair memo of its
-    shuffles, a private one unless the caller passes one to share.
+    degree. held counts every term held and keeps the memo of its shuffles,
+    a private one unless the caller passes one to share.
     """
 
-    __slots__ = ("degree", "state", "out", "terms", "memo")
+    __slots__ = ("degree", "state", "out", "held", "memo")
 
-    def __init__(self, memo: Optional[dict] = None):
+    def __init__(self, held: Optional[_Held] = None):
         self.degree = -1
         self.state = None
         self.out: Grades = {}
-        self.terms = 0
-        self.memo = {} if memo is None else memo
+        self.held = _Held() if held is None else held
+        self.memo = self.held.memo
 
     def store(self, grades: Grades, n: int, grade: Optional[Grade]) -> None:
         """Store grade as degree n of grades (out or a state map) unless None."""
         if grade is not None:
             grades[n] = grade
-            self.terms += len(grade[1])
+            self.held.terms += len(grade[1])
+
+    def settle(self, n: int) -> None:
+        """Mark degree n settled and check what is held."""
+        self.degree = n
+        self.held.check(n)
 
     def result(self, n_out: int, exact_to: int) -> Series:
         """The output settled so far, truncated at n_out."""
@@ -120,7 +153,7 @@ def compose_at(
             if (layer := images[word].get(n)) is not None
         ]
         layers.store(layers.out, n, _combine(parts))
-        layers.degree = n
+        layers.settle(n)
     return layers.result(n_out, min(c.exact_to, d.exact_to + 1, n_out))
 
 
@@ -159,7 +192,7 @@ def compose_maximal(
     if layers.state is None:
         layers.state = {}
         layers.store(layers.out, 0, (spec.K.denominator, {(): spec.K.numerator}))
-        layers.degree = 0
+        layers.settle(0)
     MZ, Y = layers.state, layers.out
     for n in range(layers.degree + 1, n_out + 1):
         z = [(0, g) for g in (_ONE if n == 1 else None, d._grades.get(n - 1)) if g]
@@ -167,5 +200,5 @@ def compose_maximal(
         layers.store(MZ, n, _combine([(Mp, Mq, _prefix(a, g)) for a, g in z]))
         den = _pair_den(MZ, Y, n)
         layers.store(Y, n, _reduced(den, _shuffle_terms(MZ, Y, n, den, layers.memo)))
-        layers.degree = n
+        layers.settle(n)
     return layers.result(n_out, min(d.exact_to + 1, n_out))

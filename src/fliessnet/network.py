@@ -14,7 +14,7 @@ from functools import partial
 from typing import Optional, Union
 
 from . import words
-from .compose import ComposeLayers, compose_at, compose_maximal
+from .compose import ComposeLayers, _Held, compose_at, compose_maximal
 from .errors import (
     DomainError,
     NodeIndexError,
@@ -115,11 +115,14 @@ class NetworkSpec:
 # A maximal node carries 2^(n+1) - 1 terms at degree n and its state M Z half
 # as many; slices that take the dense kernel leave the memo empty, sparse ones
 # (the double diamond's) keep most of their words there. The dense kernel's
-# working arrays for the degree being settled are not counted. The count is
-# checked after each node's composition, so a loop overshoots the cap by at
-# most one node's newest degree. On a 2-core host, degree-30 requests stop at
-# degree 20 on all-ones m=1 (24 s, 1.8 GB peak), 19 on m=2 and m=3
-# (1.1-1.2 GB), 26 on the double diamond (3.0 s, 762 MiB).
+# working arrays for the degree being settled are not counted. Every
+# composition of the loop checks the count after each degree it settles (a
+# node outside every cycle settles all its degrees in one composition), so a
+# loop overshoots the cap by at most one node's newest degree. When one call
+# settles the loops of every input, the part they share is counted in each
+# input's loop. On a 2-core host, degree-30 requests stop at degree 20 on
+# all-ones m=1 (24 s, 1.8 GB peak), 19 on m=2 and m=3 (1.1-1.2 GB), 26 on the
+# double diamond (3.0 s, 762 MiB).
 TERM_CAP = 2_000_000
 
 # Candidate nodes a forward-path subgraph may span before subgraph_extract
@@ -133,17 +136,19 @@ def closed_loop_series(net: NetworkSpec, i: int, degree: int) -> dict[int, Serie
     The map is the fixed point of d_k = c_k o (sum_l W[k][l] d_l), with the
     mixed product at k = i carrying the direct channel. Substitution prepends
     at least one letter, so degree n of every d_k depends on the feedback
-    only through degree n - 1: the loop settles n = 0, ..., degree in turn,
-    each node from the feedback of the series settled below n. Each node
-    series is expanded once and each node keeps its composition state
-    between degrees, so each step computes only degree n. The feedback
-    starts as one zero series; once every node has settled degree n, the
-    feedback of each node with in-edges gains grade n, the weighted sum of
+    only through degree n - 1. The loop settles the strongly connected
+    components of the weight graph in topological order, each from the
+    finished series of the components before it, and expands each node
+    series once. A node outside every cycle is composed once, at the full
+    degree. A cyclic component (two or more nodes, or a self-loop) settles
+    n = 0, ..., degree in turn: each of its nodes keeps its composition state
+    between degrees, so each step computes only degree n, and once all have
+    settled degree n the feedback of each gains grade n, the weighted sum of
     its sources' grade n, and keeps the grades below n. Nodes with the same
-    in-edges share one feedback. All nodes share
-    one word-pair shuffle memo, which the loop empties when it returns or
-    raises; the loop raises DomainError after the node composition that
-    takes it over TERM_CAP terms and memo words.
+    in-edges share one feedback. All nodes share one word-pair shuffle memo,
+    which the loop empties when it returns or raises; after every degree that
+    a composition settles, the loop raises DomainError if its terms and memo
+    words exceed TERM_CAP.
     """
     net.check_node(i)
     return _closed_loop(net, i, degree)
@@ -152,45 +157,135 @@ def closed_loop_series(net: NetworkSpec, i: int, degree: int) -> dict[int, Serie
 def _closed_loop(net: NetworkSpec, i: Optional[int], degree: int) -> dict[int, Series]:
     """closed_loop_series from input node i, or with no input channel if i is None."""
     _check_int(degree, "truncation degree", 0)
-    memo = words._shuffle_cache
+    order, sources, inputs = _plan(net, degree)
+    d: dict[int, Series] = {}
+    held = _Held(words._shuffle_cache, TERM_CAP, degree)
+    try:
+        _settle(sources, inputs, i, degree, order, d, held)
+    finally:
+        held.memo.clear()
+    return {k: d[k] for k in range(1, net.m + 1)}
+
+
+def _closed_loops(net: NetworkSpec, degree: int):
+    """(i, closed_loop_series(net, i, degree)) for each input i = 1, ..., m in turn.
+
+    Each node series is expanded once. The components that some input does
+    not reach are settled once, with no input channel: no ancestor of such a
+    node k is that input i, so none takes the mixed product and the series is
+    d_ki. Each input then settles only the components it reaches.
+    """
+    _check_int(degree, "truncation degree", 0)
+    order, sources, inputs = _plan(net, degree)
+    # Each node's ancestors and itself, as a bit mask over the nodes 1..m.
+    ancestors: dict[int, int] = {}
+    for comp in order:
+        mask = sum(1 << k for k in comp)
+        for k in comp:
+            for _, _, l in inputs[k]:
+                mask |= ancestors.get(l, 0)
+        ancestors.update(dict.fromkeys(comp, mask))
+    everyone = (1 << net.m + 1) - 2
+    held = _Held(words._shuffle_cache, TERM_CAP, degree)
+    natural: dict[int, Series] = {}
+    try:
+        _settle(sources, inputs, None, degree,
+                [comp for comp in order if ancestors[comp[0]] != everyone], natural, held)
+        shared = held.terms
+        for i in range(1, net.m + 1):
+            held.memo.clear()
+            held.terms = shared
+            d = {k: s for k, s in natural.items() if not ancestors[k] >> i & 1}
+            _settle(sources, inputs, i, degree,
+                    [comp for comp in order if ancestors[comp[0]] >> i & 1], d, held)
+            held.memo.clear()
+            yield i, {k: d[k] for k in range(1, net.m + 1)}
+    finally:
+        held.memo.clear()
+
+
+def _plan(net: NetworkSpec, degree: int):
+    """The strongly connected components of the weight graph, sources first
+    (every edge runs within a component or into a later one), each node's
+    left operand (its series expanded to degree, or its maximal spec), and
+    each node's in-edges as (weight numerator, weight denominator, source).
+
+    The components come from Tarjan's algorithm (SIAM J. Comput. 1, 1972),
+    with an explicit stack in place of recursion. It runs along the edges
+    reversed, so it finds every component after those that feed it.
+    """
     nodes = range(1, net.m + 1)
-    layers = {k: ComposeLayers(memo) for k in nodes}
-    # Each node's composition route: its left operand built once, mixed at node i.
-    routes = {
-        k: partial(compose_maximal, src, mixed=k == i, layers=layers[k])
-        if isinstance(src, MaximalSeriesSpec)
-        else partial(compose_at, net.node_series(k, degree), mixed=k == i, layers=layers[k])
-        for k, src in zip(nodes, net.nodes)
-    }
-    # Each node's in-edges as (weight numerator, weight denominator, source node).
+    sources = {k: src if isinstance(src, MaximalSeriesSpec) else net.node_series(k, degree)
+               for k, src in zip(nodes, net.nodes)}
     inputs = {k: tuple((w.numerator, w.denominator, l) for l, w in zip(nodes, net.W[k - 1]) if w)
               for k in nodes}
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}  # of the nodes on the stack
+    stack: list[int] = []
+    comps: list[tuple[int, ...]] = []
+    for root in nodes:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(inputs[root]))]
+        while work:
+            v, edges = work[-1]
+            for _, _, w in edges:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(inputs[w])))
+                    break
+                if w in low:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                if low[v] == index[v]:
+                    comp = [stack.pop()]
+                    while comp[-1] != v:
+                        comp.append(stack.pop())
+                    comps.append(tuple(sorted(comp)))
+                    for w in comp:
+                        del low[w]
+    return comps, sources, inputs
+
+
+def _settle(sources, inputs, i: Optional[int], degree: int, comps, d: dict, held: _Held) -> None:
+    """Settle the components comps, in topological order, of the loop from
+    input i (None: no input channel) into d, which holds the finished series
+    of every source outside them."""
     # One feedback per distinct in-edge list, shared by the nodes that have it. It
     # starts as a zero exact to any degree, which a node with no in-edges keeps.
-    feedback = dict.fromkeys(inputs.values(), Series.zero(1, degree))
-    d = {}
-    try:
-        for n in range(degree + 1):
-            # Every node has settled degree n - 1, the one grade each feedback gains.
-            for edges, old in feedback.items():
+    feedback: dict[tuple, Series] = {}
+    for comp in comps:
+        routes = {k: partial(compose_maximal if isinstance(sources[k], MaximalSeriesSpec)
+                             else compose_at, sources[k], mixed=k == i, layers=ComposeLayers(held))
+                  for k in comp}
+        cyclic = len(comp) > 1 or comp[0] in (l for _, _, l in inputs[comp[0]])
+        fresh = [edges for edges in dict.fromkeys(inputs[k] for k in comp) if edges not in feedback]
+        feedback.update(dict.fromkeys(fresh, Series.zero(1, degree)))
+        for n in range(degree + 1) if cyclic else (degree,):
+            for edges in fresh:
                 if n and edges:
-                    grade = _combine([(p, q, d[l]._grades[n - 1]) for p, q, l in edges
-                                      if n - 1 in d[l]._grades])
-                    grades = old._grades if grade is None else {**old._grades, n - 1: grade}
-                    exact_to = min(d[l].exact_to for _, _, l in edges)
-                    feedback[edges] = Series._graded(1, n - 1, grades, exact_to)
-            for k in nodes:
+                    feedback[edges] = _feedback(feedback[edges]._grades, edges, d,
+                                                n - 1 if cyclic else 0, n)
+            for k in comp:
                 d[k] = routes[k](feedback[inputs[k]], n)
-                held = sum(layer.terms for layer in layers.values())
-                held += sum(map(len, memo.values()))
-                if held > TERM_CAP:
-                    raise DomainError(
-                        f"closed loop holds {held} terms and memo words at degree {n}, over "
-                        f"the cap of {TERM_CAP}; request a lower degree than {degree}"
-                    )
-    finally:
-        memo.clear()
-    return d
+
+
+def _feedback(grades, edges, d: dict, lo: int, n: int) -> Series:
+    """The feedback through degree n - 1 over the in-edges (p, q, l): grades
+    below lo as given, and each grade from lo to n - 1 the weighted sum of
+    that grade of the sources, which d holds settled through n - 1."""
+    grades = dict(grades)
+    for g in range(lo, n):
+        grade = _combine([(p, q, d[l]._grades[g]) for p, q, l in edges if g in d[l]._grades])
+        if grade is not None:
+            grades[g] = grade
+    return Series._graded(1, n - 1, grades, min(d[l].exact_to for _, _, l in edges))
 
 
 def io_map(net: NetworkSpec, i: int, j: int, degree: int) -> Series:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import os
 from collections import Counter, defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ from .errors import AlphabetError, ConditionError, DomainError, SubgraphBudgetEr
 from .network import (
     NetworkSpec,
     Subgraph,
-    closed_loop_series,
+    _closed_loops,
     restrict_to_subgraph,  # unused here; bench/spans.py wraps it and tests pin the binding
     subgraph_extract,
 )
@@ -278,8 +279,7 @@ def pair_report(net: NetworkSpec, i: int, j: int, measured: RelDegReport) -> Pai
 def _measure_pairs(net: NetworkSpec, degree: int):
     """For each input i in turn: i, its closed loop, and the measured relative
     degree of every output j (a dict keyed by j)."""
-    for i in range(1, net.m + 1):
-        closed = closed_loop_series(net, i, degree)
+    for i, closed in _closed_loops(net, degree):
         yield i, closed, {j: relative_degree(closed[j]) for j in range(1, net.m + 1)}
 
 
@@ -359,10 +359,12 @@ def genericity_sample(
 
     The result is a deterministic function of (pattern, nodes, samples, seed,
     degree): each sample index owns an independent RNG stream, so the job
-    count changes only the wall time.
+    count changes only the wall time. At most one worker process runs per
+    sample and per CPU.
     """
     _check_int(samples, "samples", 1)
     _check_int(bins, "bins", 1)
+    _check_int(jobs, "jobs", 1)
     designated_key: Optional[tuple[int, int, Word]] = None
     if designated is not None:
         if not (isinstance(designated, Sequence) and len(designated) == 3
@@ -374,7 +376,7 @@ def genericity_sample(
         edgeless.check_node(designated_key[1])
         check_word(designated_key[2], 1)
     one = partial(_genericity_one, pattern, list(nodes), seed, degree, designated_key)
-    workers = min(jobs, samples)
+    workers = min(jobs, samples, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(one, range(samples), chunksize=math.ceil(samples / workers)))

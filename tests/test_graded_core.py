@@ -19,13 +19,14 @@ import json
 import math
 import random
 import re
-from collections import Counter
+import sys
 from fractions import Fraction
 
 import pytest
 
 import fliessnet.compose as compose_module
 import fliessnet.network as network
+import fliessnet.reldeg as reldeg_module
 import fliessnet.series as series
 import fliessnet.words as words
 from fliessnet import (
@@ -56,6 +57,7 @@ from fliessnet.cli import run
 from fliessnet.compose import ComposeLayers, compose, mixed_compose
 from fliessnet.reldeg import node_degree_report
 from fliessnet.series import _pair_den, _reduced
+from global_loop_oracle import global_closed_loop
 from quotient_oracle import quotient_compose_maximal
 from reldeg_oracle import flat_relative_degree, formula_node_degree_report
 from conftest import (
@@ -63,6 +65,7 @@ from conftest import (
     assert_fixed_point,
     criterion7_sample,
     double_diamond_net,
+    ladder_net,
     make_random_series,
     mixed_net,
     sparse_poly_net,
@@ -595,26 +598,36 @@ def test_natural_loop_matches_full_recompute(name, make, degree):
         assert_same(got[k], want[k])
 
 
+def on_a_cycle(net: NetworkSpec) -> set[int]:
+    """The nodes that reach themselves along one or more edges."""
+    reach = {k: {l for l in range(1, net.m + 1) if net.W[l - 1][k - 1]} for k in range(1, net.m + 1)}
+    for _ in range(net.m):
+        for k in reach:
+            reach[k] |= {far for near in reach[k] for far in reach[near]}
+    return {k for k in reach if k in reach[k]}
+
+
 @pytest.mark.parametrize("name,make,i,degree", CLOSED_LOOPS, ids=[c[0] for c in CLOSED_LOOPS])
 def test_feedback_gains_one_grade_per_degree(monkeypatch, name, make, i, degree):
-    """Once every node has settled degree n, the feedback of each node with
-    in-edges gains one grade, combined from its sources' grade n, at most
-    once per node; the grades below n are the very ones the earlier degrees
-    built, no feedback series handed to a composition is changed afterwards,
-    and linear_combine is not called."""
+    """Each node on a cycle is composed once per degree, each other node once,
+    at the full degree. Between two degrees of a node on a cycle, its feedback
+    gains at most the grade below the new degree and keeps the very grades
+    built before; each feedback grade is combined at most once, no feedback
+    series handed to a composition is changed afterwards, and linear_combine
+    is not called."""
     net = make()
-    fed = [k for k in range(1, net.m + 1) if any(net.W[k - 1])]
-    handed: dict[int, list] = {}  # degree -> (feedback, its grades then), in node order
-    combined: list[int] = []  # the degree last composed, at each combine
+    handed: dict[int, list] = {}  # one list per composition: (n_out, feedback, its grades then)
+    combined = 0
 
     def spy(route):
         def composed(c, d, n_out, mixed, layers):
-            handed.setdefault(n_out, []).append((d, dict(d._grades)))
+            handed.setdefault(id(layers), []).append((n_out, d, dict(d._grades)))
             return route(c, d, n_out, mixed, layers)
         return composed
 
     def counted(parts):
-        combined.append(max(handed))
+        nonlocal combined
+        combined += 1
         return series._combine(parts)
 
     def refused(pairs):
@@ -625,16 +638,106 @@ def test_feedback_gains_one_grade_per_degree(monkeypatch, name, make, i, degree)
     monkeypatch.setattr(network, "_combine", counted)
     monkeypatch.setattr(network, "linear_combine", refused)
     closed_loop_series(net, i, degree)
-    assert sorted(handed) == list(range(degree + 1))
-    assert all(len(calls) == net.m for calls in handed.values())
-    assert all(count <= len(fed) for count in Counter(combined).values())
-    for n in range(1, degree + 1):
-        for (before, _), (after, _) in zip(handed[n - 1], handed[n]):
+    cyclic = len(on_a_cycle(net))
+    schedules = sorted(tuple(n for n, _, _ in calls) for calls in handed.values())
+    assert schedules == sorted([tuple(range(degree + 1))] * cyclic + [(degree,)] * (net.m - cyclic))
+    in_edges = {tuple((l, w) for l, w in enumerate(row) if w) for row in net.W if any(row)}
+    assert combined <= len(in_edges) * degree
+    for calls in handed.values():
+        for (_, before, _), (n, after, _) in zip(calls, calls[1:]):
             assert set(after._grades) - set(before._grades) <= {n - 1}
             assert all(after._grades[j] is grade for j, grade in before._grades.items())
-    for calls in handed.values():
-        for d, grades in calls:
+        for _, d, grades in calls:
             assert d._grades == grades
+
+
+# -- the global loop as an oracle --------------------------------------------------------------
+
+
+def x1_chain(m: int) -> NetworkSpec:
+    """m nodes x1 on the path 1 -> 2 -> ... -> m."""
+    W = [[1 if l == k - 1 else 0 for l in range(m)] for k in range(m)]
+    return NetworkSpec(m, W, [Series(1, 1, {(1,): 1})] * m)
+
+
+def maximal_chain() -> NetworkSpec:
+    """Two maximal nodes K = M = 1 on the edge 1 -> 2."""
+    return NetworkSpec(2, [[0, 0], [1, 0]], [MaximalSeriesSpec(1, 1)] * 2)
+
+
+# Every closed loop above, seeded criterion-7 samples, seeded sparse polynomial
+# nets (each has a self-loop), and acyclic chains of polynomial and maximal nodes.
+ORACLE_NETS = (
+    [(name, make, degree) for name, make, i, degree in CLOSED_LOOPS if "_from_" not in name]
+    + [(f"criterion7_{index}", lambda index=index: criterion7_sample(index), 4)
+       for index in range(4)]
+    + [(f"sparse_poly_{seed}", lambda seed=seed: sparse_poly_net(seed, 4 + seed % 3), 5)
+       for seed in range(20, 26)]
+    + [("x1_chain", lambda: x1_chain(5), 6), ("maximal_chain", maximal_chain, 7),
+       ("ladder", lambda: ladder_net(5), 6)]
+)
+
+
+def assert_same_loop(got: dict, want: dict) -> None:
+    assert list(got) == list(want)
+    for k in want:
+        assert got[k]._grades == want[k]._grades
+        assert (got[k].max_degree, got[k].exact_to) == (want[k].max_degree, want[k].exact_to)
+
+
+@pytest.mark.parametrize("name,make,degree", ORACLE_NETS, ids=[c[0] for c in ORACLE_NETS])
+def test_components_match_the_global_loop(name, make, degree):
+    """Settled by component, alone or with the input-free part shared across
+    inputs, every loop has the grades and exact_to of the global loop: from
+    each input, and with no input channel."""
+    net = make()
+    shared = dict(network._closed_loops(net, degree))
+    assert list(shared) == list(range(1, net.m + 1))
+    for i in shared:
+        want = global_closed_loop(net, i, degree)
+        assert_same_loop(closed_loop_series(net, i, degree), want)
+        assert_same_loop(shared[i], want)
+    assert_same_loop(network._closed_loop(net, None, degree), global_closed_loop(net, None, degree))
+    assert len(words._shuffle_cache) == 0
+
+
+def drive_by_the_global_loop(monkeypatch) -> None:
+    def loops(net, degree):
+        for i in range(1, net.m + 1):
+            yield i, global_closed_loop(net, i, degree)
+    monkeypatch.setattr(reldeg_module, "_closed_loops", loops)
+
+
+@pytest.mark.parametrize("make,degree", [(double_diamond_net, 8), (mixed_net, 5),
+                                         (lambda: sparse_poly_net(21, 5), 5),
+                                         (lambda: criterion7_sample(2), 4)],
+                         ids=["double_diamond", "mixed", "sparse_poly_21", "criterion7_2"])
+def test_complete_reldeg_is_the_global_loops(monkeypatch, make, degree):
+    net = make()
+    got = complete_reldeg(net, degree)
+    drive_by_the_global_loop(monkeypatch)
+    assert got == complete_reldeg(net, degree)
+
+
+def test_genericity_sample_is_the_global_loops(monkeypatch):
+    pattern = [[0, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0], [0, 1, 1, 0]]
+    x1 = Series(1, 1, {(1,): 1})
+    nodes = [x1, x1, Series(1, 1, {(1,): -1}), x1]
+    runs = [(pattern, nodes, (1, 4, (0, 0, 1))), (CYCLE, [X1X1, X1X1], (2, 1, (0, 1)))]
+    got = [genericity_sample(p, n, 12, seed=3, degree=4, designated=des) for p, n, des in runs]
+    drive_by_the_global_loop(monkeypatch)
+    assert got == [genericity_sample(p, n, 12, seed=3, degree=4, designated=des)
+                   for p, n, des in runs]
+
+
+def test_a_chain_deeper_than_the_recursion_limit_settles():
+    """The components come from an iterative search, so a path of more nodes
+    than Python's recursion limit settles."""
+    m = sys.getrecursionlimit() + 100
+    d = closed_loop_series(x1_chain(m), 1, 2)
+    assert dict(d[1].terms) == {(1,): 1}
+    assert dict(d[2].terms) == {(0, 1): 1}
+    assert all(d[k].is_zero() for k in range(3, m + 1))
 
 
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
@@ -749,28 +852,41 @@ class TestTermCap:
         with pytest.raises(DomainError, match=r"at degree [3-6], over the cap of 200"):
             closed_loop_series(all_ones_maximal(1), 1, 30)
 
-    @pytest.mark.parametrize("cap", [200, 2000, 20000])
-    def test_loop_overshoots_the_cap_by_at_most_one_composition(self, monkeypatch, cap):
-        """The cap is checked after each node's composition, so without the
-        terms and memo words the last composition added the loop was still
-        under it."""
+    @pytest.mark.parametrize(
+        "make,cap",
+        [(lambda: all_ones_maximal(3), cap) for cap in (200, 2000, 20000)]
+        + [(maximal_chain, cap) for cap in (200, 2000, 20000)],
+        ids=["200", "2000", "20000", "chain-200", "chain-2000", "chain-20000"],
+    )
+    def test_loop_overshoots_the_cap_by_at_most_one_composition(self, monkeypatch, make, cap):
+        """The cap is checked after every degree that a composition settles,
+        also within the one composition of a node outside every cycle; so
+        without the terms and memo words the last settled degree added the
+        loop was still under it."""
         monkeypatch.setattr(network, "TERM_CAP", cap)
-        added = []
+        counts = []
+        check = compose_module._Held.check
 
-        def held(layers):
-            return layers.terms + sum(map(len, words._shuffle_cache.values()))
+        def counted(held, n):
+            counts.append(held.terms + sum(map(len, held.memo.values())))
+            check(held, n)
 
-        def counted(spec, d, n_out, mixed, layers):
-            before = held(layers)
-            out = compose_maximal(spec, d, n_out, mixed, layers)
-            added.append(held(layers) - before)
-            return out
-
-        monkeypatch.setattr(network, "compose_maximal", counted)
+        monkeypatch.setattr(compose_module._Held, "check", counted)
         with pytest.raises(DomainError, match=f"over the cap of {cap}") as err:
-            closed_loop_series(all_ones_maximal(3), 1, 30)
+            closed_loop_series(make(), 1, 30)
         held = int(re.search(r"holds (\d+) terms", str(err.value)).group(1))
-        assert held - added[-1] <= cap < held
+        assert counts[-1] == held
+        assert counts[-2] <= cap < held
+
+    @pytest.mark.parametrize("make", [
+        lambda: NetworkSpec(1, [[0]], [MaximalSeriesSpec(1, 1)]), maximal_chain,
+    ], ids=["one_node", "chain"])
+    def test_acyclic_maximal_loop_stops_at_degree_5(self, monkeypatch, make):
+        """A maximal node off every cycle is composed once, to degree 30; the
+        cap stops it after degree 5, where it holds 221 terms and memo words."""
+        monkeypatch.setattr(network, "TERM_CAP", 200)
+        with pytest.raises(DomainError, match="holds 221 terms and memo words at degree 5,"):
+            closed_loop_series(make(), 1, 30)
 
     def test_cap_counts_the_shuffle_memo(self, monkeypatch):
         """The double diamond's grade pairs stay on the word-pair kernel,

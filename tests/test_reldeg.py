@@ -383,6 +383,43 @@ class TestGenericity:
             genericity_sample(self.PATTERN, self.NODES, 4, seed=1, degree=3, designated=designated)
         assert drawn == []
 
+    @pytest.mark.parametrize("jobs", ["3", -5, 0, True, 2.0, None])
+    def test_jobs_must_be_a_positive_int(self, jobs, monkeypatch):
+        """jobs="3" once raised TypeError, and -5 and True ran one sample at a time."""
+        drawn = []
+        monkeypatch.setattr(reldeg, "sample_network", lambda *a: drawn.append(a))
+        with pytest.raises(DomainError, match="jobs must be an integer >= 1"):
+            genericity_sample(self.PATTERN, self.NODES, 4, seed=1, degree=3, jobs=jobs)
+        assert drawn == []
+
+    def test_workers_are_capped_by_samples_and_cpus(self, monkeypatch):
+        """A pool that only records its size stands in for the process pool,
+        so no process starts."""
+        started = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(reldeg, "ProcessPoolExecutor", Pool)
+        kwargs = dict(seed=1, degree=3, jobs=10**6)
+        serial = genericity_sample(self.PATTERN, self.NODES, 6, seed=1, degree=3)
+        monkeypatch.setattr(reldeg.os, "cpu_count", lambda: 4)
+        assert genericity_sample(self.PATTERN, self.NODES, 6, **kwargs) == serial
+        genericity_sample(self.PATTERN, self.NODES, 3, **kwargs)
+        monkeypatch.setattr(reldeg.os, "cpu_count", lambda: None)
+        assert genericity_sample(self.PATTERN, self.NODES, 6, **kwargs) == serial
+        assert started == [4, 3]
+
     def test_jobs_do_not_change_results(self):
         kwargs = dict(samples=12, seed=424242, degree=3, designated=(1, 4, (0, 0, 1)))
         serial = genericity_sample(self.PATTERN, self.NODES, **kwargs)
@@ -502,8 +539,7 @@ class TestSubgraphLeads:
         def refuse(*args):
             raise AssertionError("predict_io_reldeg ran a closed loop")
 
-        monkeypatch.setattr(reldeg, "closed_loop_series", refuse)
-        monkeypatch.setattr(network, "_closed_loop", refuse)
+        monkeypatch.setattr(network, "_settle", refuse)
         for net, i, j in [(polynomial_ladder(6), 1, 12), (cancelling_net(), 1, 5),
                           (four_node_net(Fraction(1, 2), Fraction(2, 3), 1, 1), 1, 4)]:
             assert predict_io_reldeg(net, i, j).details["repeated_sums"]

@@ -38,7 +38,9 @@ def load_spans():
 
 
 def test_only_the_cli_prediction_binding_is_absent():
-    assert load_spans().Tracer().absent == ["cli.predict_io_reldeg"]
+    """Besides the CLI's prediction, only reldeg's closed_loop_series is
+    unbound: reldeg settles the loops of all inputs in one network routine."""
+    assert load_spans().Tracer().absent == ["cli.predict_io_reldeg", "reldeg.closed_loop_series"]
 
 
 def test_shuffle_memo_is_a_dict():
