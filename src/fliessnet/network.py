@@ -119,7 +119,7 @@ class NetworkSpec:
 # composition of the loop checks the count after each degree it settles (a
 # node outside every cycle settles all its degrees in one composition), so a
 # loop overshoots the cap by at most one node's newest degree. When one call
-# settles the loops of every input, the part they share is counted in each
+# settles the loops of several inputs, the part they share is counted in each
 # input's loop. On a 2-core host, degree-30 requests stop at degree 20 on
 # all-ones m=1 (24 s, 1.8 GB peak), 19 on m=2 and m=3 (1.1-1.2 GB), 26 on the
 # double diamond (3.0 s, 762 MiB).
@@ -136,70 +136,60 @@ def closed_loop_series(net: NetworkSpec, i: int, degree: int) -> dict[int, Serie
     The map is the fixed point of d_k = c_k o (sum_l W[k][l] d_l), with the
     mixed product at k = i carrying the direct channel. Substitution prepends
     at least one letter, so degree n of every d_k depends on the feedback
-    only through degree n - 1. The loop settles the strongly connected
-    components of the weight graph in topological order, each from the
-    finished series of the components before it, and expands each node
-    series once. A node outside every cycle is composed once, at the full
-    degree. A cyclic component (two or more nodes, or a self-loop) settles
-    n = 0, ..., degree in turn: each of its nodes keeps its composition state
-    between degrees, so each step computes only degree n, and once all have
-    settled degree n the feedback of each gains grade n, the weighted sum of
-    its sources' grade n, and keeps the grades below n. Nodes with the same
-    in-edges share one feedback. All nodes share one word-pair shuffle memo,
-    which the loop empties when it returns or raises; after every degree that
-    a composition settles, the loop raises DomainError if its terms and memo
-    words exceed TERM_CAP.
+    only through degree n - 1. The loop (_closed_loops) settles the strongly
+    connected components of the weight graph in topological order, each from
+    the finished series of the components before it; those that i does not
+    reach settle as in the loop with no input channel. A node outside every
+    cycle is composed once, at the full degree. A cyclic component (two or
+    more nodes, or a self-loop) settles n = 0, ..., degree in turn: each of
+    its nodes keeps its composition state between degrees, so each step
+    computes only degree n, and once all have settled degree n the feedback
+    of each gains grade n, the weighted sum of its sources' grade n, and
+    keeps the grades below n. Nodes with the same in-edges share one
+    feedback. All nodes share one word-pair shuffle memo, which the loop
+    empties when it returns or raises; after every degree that a composition
+    settles, the loop raises DomainError if its terms and memo words exceed
+    TERM_CAP.
     """
     net.check_node(i)
-    return _closed_loop(net, i, degree)
+    [d] = _closed_loops(net, degree, (i,))
+    return d
 
 
-def _closed_loop(net: NetworkSpec, i: Optional[int], degree: int) -> dict[int, Series]:
-    """closed_loop_series from input node i, or with no input channel if i is None."""
-    _check_int(degree, "truncation degree", 0)
-    order, sources, inputs = _plan(net, degree)
-    d: dict[int, Series] = {}
-    held = _Held(words._shuffle_cache, TERM_CAP, degree)
-    try:
-        _settle(sources, inputs, i, degree, order, d, held)
-    finally:
-        held.memo.clear()
-    return {k: d[k] for k in range(1, net.m + 1)}
-
-
-def _closed_loops(net: NetworkSpec, degree: int):
-    """(i, closed_loop_series(net, i, degree)) for each input i = 1, ..., m in turn.
+def _closed_loops(net: NetworkSpec, degree: int, inputs):
+    """The closed loop of each input node i in inputs in turn, as
+    closed_loop_series(net, i, degree) gives it; i = None is the loop with no
+    input channel, which reaches no component.
 
     Each node series is expanded once. The components that some input does
-    not reach are settled once, with no input channel: no ancestor of such a
-    node k is that input i, so none takes the mixed product and the series is
-    d_ki. Each input then settles only the components it reaches.
+    not reach are settled first, once, with no input channel: no ancestor of
+    such a node k is that input i, so none takes the mixed product and the
+    series is d_ki. Each input then settles the components it reaches, its
+    cap counting the shared part's terms and its own, and empties the memo.
     """
     _check_int(degree, "truncation degree", 0)
-    order, sources, inputs = _plan(net, degree)
+    order, sources, edges = _plan(net, degree)
     # Each node's ancestors and itself, as a bit mask over the nodes 1..m.
     ancestors: dict[int, int] = {}
     for comp in order:
         mask = sum(1 << k for k in comp)
         for k in comp:
-            for _, _, l in inputs[k]:
+            for _, _, l in edges[k]:
                 mask |= ancestors.get(l, 0)
         ancestors.update(dict.fromkeys(comp, mask))
-    everyone = (1 << net.m + 1) - 2
+    bits = [(i, 0 if i is None else 1 << i) for i in inputs]
     held = _Held(words._shuffle_cache, TERM_CAP, degree)
     natural: dict[int, Series] = {}
     try:
-        _settle(sources, inputs, None, degree,
-                [comp for comp in order if ancestors[comp[0]] != everyone], natural, held)
+        _settle(sources, edges, None, degree,
+                [c for c in order if any(not ancestors[c[0]] & b for _, b in bits)], natural, held)
         shared = held.terms
-        for i in range(1, net.m + 1):
-            held.memo.clear()
+        for i, bit in bits:
             held.terms = shared
-            d = {k: s for k, s in natural.items() if not ancestors[k] >> i & 1}
-            _settle(sources, inputs, i, degree,
-                    [comp for comp in order if ancestors[comp[0]] >> i & 1], d, held)
+            d = {k: s for k, s in natural.items() if not ancestors[k] & bit}
+            _settle(sources, edges, i, degree, [c for c in order if ancestors[c[0]] & bit], d, held)
             held.memo.clear()
-            yield i, {k: d[k] for k in range(1, net.m + 1)}
+            yield {k: d[k] for k in range(1, net.m + 1)}
     finally:
         held.memo.clear()
 
@@ -298,8 +288,8 @@ def natural_response(net: NetworkSpec, j: int, degree: int) -> list[Coeff]:
     """Zero-input output derivatives a_k = <d_j, x0^k> at node j, read off the
     closed loop with no input channel, whose series hold only drift words."""
     net.check_node(j)
-    d = _closed_loop(net, None, degree)[j]
-    return [d.coeff((0,) * k) for k in range(degree + 1)]
+    [d] = _closed_loops(net, degree, (None,))
+    return [d[j].coeff((0,) * k) for k in range(degree + 1)]
 
 
 @dataclass(frozen=True)
@@ -353,26 +343,24 @@ def subgraph_extract(net: NetworkSpec, i: int, j: int) -> Subgraph:
             f"{len(candidates)} candidate nodes exceed the budget of {NODE_BUDGET}"
         )
 
-    on_nodes: set[int] = set()
+    # Successors among the candidates, none for j: a path that reaches j is
+    # recorded, not extended. branches[-1] holds path[-1]'s untried successors.
+    succ = {k: [nxt for nxt in succ[k] if nxt in candidates and k != j] for k in candidates}
     on_edges: set[tuple[int, int]] = set()
-    path: list[int] = [i]
-    visited = {i}
-
-    def dfs(u: int) -> None:
-        if u == j:
-            on_nodes.update(path)
+    path, branches = [i], [iter(succ[i])]
+    while branches:
+        for nxt in branches[-1]:
+            if nxt not in path:
+                break
+        else:
+            path.pop()
+            branches.pop()
+            continue
+        path.append(nxt)
+        branches.append(iter(succ[nxt]))
+        if nxt == j:
             on_edges.update(zip(path, path[1:]))
-            return
-        for nxt in succ[u]:
-            if nxt in candidates and nxt not in visited:
-                visited.add(nxt)
-                path.append(nxt)
-                dfs(nxt)
-                path.pop()
-                visited.remove(nxt)
-
-    dfs(i)
-    return Subgraph(i, j, frozenset(on_nodes), frozenset(on_edges))
+    return Subgraph(i, j, frozenset(k for edge in on_edges for k in edge), frozenset(on_edges))
 
 
 def restrict_to_subgraph(net: NetworkSpec, sub: Subgraph) -> NetworkSpec:

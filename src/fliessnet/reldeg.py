@@ -279,7 +279,7 @@ def pair_report(net: NetworkSpec, i: int, j: int, measured: RelDegReport) -> Pai
 def _measure_pairs(net: NetworkSpec, degree: int):
     """For each input i in turn: i, its closed loop, and the measured relative
     degree of every output j (a dict keyed by j)."""
-    for i, closed in _closed_loops(net, degree):
+    for i, closed in enumerate(_closed_loops(net, degree, range(1, net.m + 1)), 1):
         yield i, closed, {j: relative_degree(closed[j]) for j in range(1, net.m + 1)}
 
 

@@ -78,10 +78,9 @@ def leading_zeros(word: Word) -> int:
 
 
 # The word-pair memo of the closed loop: network hands it to every node's
-# composition, in every component and for every input of a call that settles
-# the loops of all inputs. Each composition counts its words against TERM_CAP
-# after every degree it settles, and the loop empties it when it returns or
-# raises (a call over all inputs also after the input-free part they share).
+# composition, in every component and for every input the call settles. Each
+# composition counts its words against TERM_CAP after every degree it
+# settles, and the loop empties it after each input and when it raises.
 # Every other shuffle passes a memo of its own. It is a module global only
 # because bench/spans.py reads its size as words.memo_entries.
 _shuffle_cache: dict[tuple[Word, Word], dict[Word, int]] = {}

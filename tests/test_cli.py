@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import fliessnet
 from fliessnet import (
     MaximalSeriesSpec,
     NetworkSpec,
@@ -21,6 +24,15 @@ from fliessnet import (
 )
 from fliessnet.cli import COMMANDS, run
 from conftest import double_diamond_net, five_node_net, four_node_net, ladder_net
+
+SRC = str(Path(fliessnet.__file__).resolve().parents[1])
+
+
+def run_cli(*argv: str) -> subprocess.CompletedProcess:
+    """The command line in a child process that imports fliessnet from SRC."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "fliessnet.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
 
 
 @pytest.fixture
@@ -179,24 +191,15 @@ class TestErrors:
         """Both files once ended the process in a decode traceback."""
         path = tmp_path / "bad.json"
         path.write_bytes(raw)
-        proc = subprocess.run(
-            [sys.executable, "-m", "fliessnet.cli", "iomap", "--net", str(path),
-             "--from", "1", "--to", "1", "--degree", "2"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_cli("iomap", "--net", str(path), "--from", "1", "--to", "1", "--degree", "2")
         assert proc.returncode == 1
         assert json.loads(proc.stdout)["error"]["type"] == "ParseError"
         assert "Traceback" not in proc.stderr
 
     def test_negative_seed_is_a_structured_domain_error(self, four_node_file):
         """numpy's seed sequence once ended the process in a ValueError traceback."""
-        proc = subprocess.run(
-            [sys.executable, "-m", "fliessnet.cli", "montecarlo", "--net", four_node_file,
-             "--degree", "3", "--samples", "2", "--seed", "-1"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_cli("montecarlo", "--net", four_node_file,
+                       "--degree", "3", "--samples", "2", "--seed", "-1")
         assert proc.returncode == 1
         assert json.loads(proc.stdout)["error"]["type"] == "DomainError"
         assert "Traceback" not in proc.stderr
@@ -205,11 +208,7 @@ class TestErrors:
     def test_bounds_outside_the_float_range_are_a_structured_domain_error(self, K, M):
         """These once ended the process in an OverflowError or
         ZeroDivisionError traceback."""
-        proc = subprocess.run(
-            [sys.executable, "-m", "fliessnet.cli", "bounds", "--m", "1", "--K", K, "--M", M],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_cli("bounds", "--m", "1", "--K", K, "--M", M)
         assert proc.returncode == 1
         assert json.loads(proc.stdout)["error"]["type"] == "DomainError"
         assert "Traceback" not in proc.stderr
@@ -368,6 +367,15 @@ class TestSimulate:
         assert meta["result"]["method"] == "picard"
         assert meta["result"]["escape_time"] is None
 
+    def test_word_past_the_recursion_limit(self, tmp_path, capsys):
+        """A node x0^1100 x1 once ended the Picard route in a RecursionError."""
+        net = NetworkSpec(1, [[1]], [Series(1, 1101, {(0,) * 1100 + (1,): 1})])
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(network_to_json(net)))
+        out = tmp_path / "o.csv"
+        assert run(["simulate", "--net", str(path), "--T", "0.1", "--n", "50", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 4 + 1 + 51
+
     def test_mixed_net_needs_one_node_kind(self, tmp_path, capsys):
         net = NetworkSpec(2, [[0, 0], [1, 0]], [MaximalSeriesSpec(1, 1), Series(1, 1, {(1,): 1})])
         path = tmp_path / "mixed.json"
@@ -410,12 +418,8 @@ class TestSimulate:
     def test_grid_size_numpy_cannot_build(self, maximal_file, tmp_path):
         """numpy's 'Maximum allowed size exceeded' once ended the process in a traceback."""
         out = tmp_path / "o.csv"
-        proc = subprocess.run(
-            [sys.executable, "-m", "fliessnet.cli", "simulate", "--net", maximal_file,
-             "--T", "0.1", "--n", str(10**30), "--out", str(out)],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_cli("simulate", "--net", maximal_file,
+                       "--T", "0.1", "--n", str(10**30), "--out", str(out))
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert json.loads(proc.stdout)["error"]["type"] == "DomainError"
@@ -470,6 +474,16 @@ class TestMontecarlo:
 
 
 class TestValidate:
+    def test_degree_past_the_float_range_is_a_structured_domain_error(self, tmp_path):
+        """2.0 ** (degree + 1) once ended the process in an OverflowError traceback."""
+        path = tmp_path / "one_x1.json"
+        path.write_text(json.dumps(network_to_json(NetworkSpec(1, [[1]], [Series(1, 1, {(1,): 1})]))))
+        proc = run_cli("validate", "--net", str(path), "--from", "1", "--to", "1",
+                       "--degree", "1023", "--T", "0.1", "--n", "50")
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["error"]["type"] == "DomainError"
+        assert "Traceback" not in proc.stderr
+
     def test_reports_tiny_error(self, four_node_file, capsys):
         doc = run_json(
             ["validate", "--net", four_node_file, "--from", "1", "--to", "4",
@@ -505,10 +519,6 @@ class TestDeterminism:
 
 class TestEntryPoint:
     def test_console_script_runs(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "fliessnet.cli", "--version"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_cli("--version")
         assert proc.returncode == 0
         assert "fliessnet" in proc.stdout

@@ -15,6 +15,7 @@ coefficient map gave (tests/reldeg_oracle.py).
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import random
@@ -51,12 +52,14 @@ from fliessnet import (
     series_to_json,
     shuffle_product,
     shuffle_words,
+    subgraph_extract,
     words_of_length,
 )
 from fliessnet.cli import run
 from fliessnet.compose import ComposeLayers, compose, mixed_compose
 from fliessnet.reldeg import node_degree_report
 from fliessnet.series import _pair_den, _reduced
+from fliessnet.sim import Grid, eval_fliess
 from global_loop_oracle import global_closed_loop
 from quotient_oracle import quotient_compose_maximal
 from reldeg_oracle import flat_relative_degree, formula_node_degree_report
@@ -526,6 +529,33 @@ def test_public_shuffles_leave_the_memo_empty(monkeypatch, entry):
     assert entries == 0
 
 
+# A nested function that calls itself holds itself through its closure cell,
+# a reference cycle that only the collector frees. These entries, and
+# subgraph_extract under complete_reldeg, must free all they build by
+# reference counting alone.
+CYCLE_FREE = {
+    "closed_loop_series": lambda: closed_loop_series(mixed_net(), 2, 5),
+    "natural_response": lambda: natural_response(double_diamond_net(), 7, 6),
+    "complete_reldeg": lambda: complete_reldeg(criterion7_sample(0), 3),
+    "subgraph_extract": lambda: subgraph_extract(double_diamond_net(), 1, 7),
+    "eval_fliess": lambda: eval_fliess(MEMO_D, None, Grid(0.0, 0.1, 10)),
+}
+
+
+@pytest.mark.parametrize("entry", CYCLE_FREE)
+def test_entries_leave_no_cyclic_garbage(entry):
+    """With the collector off, an entry frees all it built by reference
+    counting alone, so a collection afterwards finds nothing."""
+    CYCLE_FREE[entry]()  # first imports and module-level caches
+    gc.collect()
+    gc.disable()
+    try:
+        CYCLE_FREE[entry]()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 # -- closed loops ----------------------------------------------------------------------------
 
 
@@ -591,7 +621,7 @@ NATURAL_LOOPS = [
 @pytest.mark.parametrize("name,make,degree", NATURAL_LOOPS, ids=[c[0] for c in NATURAL_LOOPS])
 def test_natural_loop_matches_full_recompute(name, make, degree):
     net = make()
-    got = network._closed_loop(net, None, degree)
+    [got] = network._closed_loops(net, degree, (None,))
     want = flat_closed_loop(net, None, degree)
     assert sorted(got) == sorted(want)
     for k in want:
@@ -617,10 +647,12 @@ def test_feedback_gains_one_grade_per_degree(monkeypatch, name, make, i, degree)
     is not called."""
     net = make()
     handed: dict[int, list] = {}  # one list per composition: (n_out, feedback, its grades then)
+    kept = []  # every composition's layers, so that no id is reused by a later one
     combined = 0
 
     def spy(route):
         def composed(c, d, n_out, mixed, layers):
+            kept.append(layers)
             handed.setdefault(id(layers), []).append((n_out, d, dict(d._grades)))
             return route(c, d, n_out, mixed, layers)
         return composed
@@ -691,20 +723,21 @@ def test_components_match_the_global_loop(name, make, degree):
     inputs, every loop has the grades and exact_to of the global loop: from
     each input, and with no input channel."""
     net = make()
-    shared = dict(network._closed_loops(net, degree))
-    assert list(shared) == list(range(1, net.m + 1))
-    for i in shared:
+    shared = list(network._closed_loops(net, degree, range(1, net.m + 1)))
+    assert len(shared) == net.m
+    for i, loop in enumerate(shared, 1):
         want = global_closed_loop(net, i, degree)
         assert_same_loop(closed_loop_series(net, i, degree), want)
-        assert_same_loop(shared[i], want)
-    assert_same_loop(network._closed_loop(net, None, degree), global_closed_loop(net, None, degree))
+        assert_same_loop(loop, want)
+    [natural] = network._closed_loops(net, degree, (None,))
+    assert_same_loop(natural, global_closed_loop(net, None, degree))
     assert len(words._shuffle_cache) == 0
 
 
 def drive_by_the_global_loop(monkeypatch) -> None:
-    def loops(net, degree):
-        for i in range(1, net.m + 1):
-            yield i, global_closed_loop(net, i, degree)
+    def loops(net, degree, inputs):
+        for i in inputs:
+            yield global_closed_loop(net, i, degree)
     monkeypatch.setattr(reldeg_module, "_closed_loops", loops)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import time
 import warnings
 from fractions import Fraction
@@ -35,6 +36,7 @@ from conftest import (
     four_node_net,
     mixed_net,
 )
+from subgraph_path_oracle import recursive_subgraph_extract
 
 
 def integrator_chain(weights):
@@ -290,6 +292,27 @@ class TestSubgraph:
         net = double_diamond_net()
         with pytest.raises(SubgraphBudgetError):
             subgraph_extract(net, 1, 7)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_stack_search_matches_the_recursive_one(self, monkeypatch, seed):
+        """On seeded nets with cycles and self-loops, every pair has the
+        subgraph of the recursive search, and a candidate set over the budget
+        raises in both."""
+        r = random.Random(seed)
+        m = r.randint(2, 9)
+        density = r.uniform(0.2, 0.7)
+        W = [[int(r.random() < density) for _ in range(m)] for _ in range(m)]
+        net = NetworkSpec(m, W, [Series(1, 1, {(1,): 1})] * m)
+        monkeypatch.setattr(network, "NODE_BUDGET", 8)
+        for i in range(1, m + 1):
+            for j in range(1, m + 1):
+                try:
+                    want = recursive_subgraph_extract(net, i, j)
+                except SubgraphBudgetError:
+                    with pytest.raises(SubgraphBudgetError):
+                        subgraph_extract(net, i, j)
+                else:
+                    assert subgraph_extract(net, i, j) == want
 
     def test_restriction_zeroes_off_path_weights(self):
         net = double_diamond_net()

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import fliessnet
+import fliessnet.sim as sim
 from fliessnet import (
     AlphabetError,
     DomainError,
@@ -133,6 +134,19 @@ class TestEvalFliess:
             expected = cumulative_trapezoid(integrand, t, initial=0.0)
         y = eval_fliess(Series(1, 4, {(1, 0, 1, 1): 1}), u, grid)
         np.testing.assert_array_equal(y, expected)
+
+    def test_word_past_the_recursion_limit(self):
+        """Each word's integrals are built in a loop, so a word of 1,101
+        letters evaluates; under u = 1 its input letter integrates as x0 does,
+        and a second word reuses its suffixes."""
+        grid = Grid(0.0, 100.0, 50)  # a step of 2 keeps 1,101 nested trapezoid sums finite
+        long = (0,) * 1100 + (1,)
+        y = eval_fliess(Series(1, 1101, {long: 1}), np.ones(51), grid)
+        np.testing.assert_array_equal(y, eval_fliess(Series(1, 1101, {(0,) * 1101: 1}), None, grid))
+        assert np.all(np.isfinite(y)) and np.all(np.diff(y) >= 0) and y[-1] > 0
+        both = eval_fliess(Series(1, 1102, {long: 1, (1,) + long: 2}), np.ones(51), grid)
+        alone = eval_fliess(Series(1, 1102, {(1,) + long: 2}), np.ones(51), grid)
+        np.testing.assert_allclose(both, y + alone, rtol=1e-15)
 
     def test_input_validation(self):
         grid = Grid(0.0, 1.0, 10)
@@ -285,6 +299,21 @@ class TestValidation:
         assert wide.expected_halving_factor == 16.0
         ratio = wide.max_abs_error / narrow.max_abs_error
         assert 0.8 * 16 < ratio < 1.2 * 16
+
+    def test_degree_past_the_float_range_is_a_domain_error(self, monkeypatch):
+        """The halving factor 2**(degree + 1) overflows a float from degree
+        1023; that degree, like one that is not an integer >= 0, is refused
+        before any closed loop runs."""
+        def refused(*args):
+            raise AssertionError("validate_io_map ran the closed loop")
+
+        monkeypatch.setattr(sim, "io_map", refused)
+        net, grid = NetworkSpec(1, [[1]], [X1]), Grid(0.0, 0.1, 50)
+        with pytest.raises(DomainError, match="2\\*\\*1024 lies outside the float range"):
+            validate_io_map(net, 1, 1, 1023, grid)
+        for degree in (-1, 2.0, True):
+            with pytest.raises(DomainError, match="truncation degree must be an integer >= 0"):
+                validate_io_map(net, 1, 1, degree, grid)
 
     def test_error_shrinks_with_degree(self):
         net = NetworkSpec(1, [[1]], [X1])
