@@ -13,7 +13,6 @@ import heapq
 import math
 import os
 from collections import Counter, defaultdict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -378,6 +377,10 @@ def genericity_sample(
     one = partial(_genericity_one, pattern, list(nodes), seed, degree, designated_key)
     workers = min(jobs, samples, os.cpu_count() or 1)
     if workers > 1:
+        # Imported here: the process pool's modules would cost every import of
+        # the package about 10 ms.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(one, range(samples), chunksize=math.ceil(samples / workers)))
     else:

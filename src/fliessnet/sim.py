@@ -5,12 +5,18 @@ cross-check each other: direct evaluation of a truncated series through
 iterated trapezoid quadrature, the exact cubic ODE realization available for
 all-maximal networks, and Picard iteration on the interconnection equations
 for polynomial networks.
+
+The cubic ODE runs on an in-module RK45, the Dormand-Prince 5(4) pair with
+its step-size rules and a Brent root for the escape event. It performs
+scipy's RK45 operation for operation and returns the same floats, so the
+package needs numpy alone at run time; scipy serves only as a test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -29,12 +35,175 @@ _DIVERGENCE_FLOOR = 1e4
 _ODE_TOLERANCES = {"rtol": 1e-9, "atol": 1e-12}
 
 
-def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on first use: scipy.integrate
-    dominates the import time of the package and only the ODE route needs it."""
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
+# Dormand-Prince 5(4) pair with Shampine's quartic dense output (Hairer,
+# Norsett and Wanner, Solving Ordinary Differential Equations I, Sec. II.4),
+# entry for entry as scipy's RK45 writes it.
+_RK45_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_RK45_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_RK45_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_RK45_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_RK45_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
+])
 
-    return scipy_solve_ivp(*args, **kwargs)
+
+def _rms(x: np.ndarray):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _step_interpolant(t_old, t, y_old: np.ndarray, K: np.ndarray):
+    """Dense output of one step, evaluated at a time or at an array of times."""
+    h = t - t_old
+    Q = K.T.dot(_RK45_P)
+
+    def at(s):
+        x = np.asarray((s - t_old) / h)
+        p = np.cumprod(np.repeat(x[None], Q.shape[1], axis=0), axis=0)
+        return h * np.dot(Q, p) + (y_old[:, None] if x.ndim else y_old)
+
+    return at
+
+
+def _brentq(f, xpre, xcur):
+    """Root of f bracketed by [xpre, xcur], by Brent's method with the control
+    flow of scipy's brentq.c at xtol = rtol = 4 eps and 100 iterations."""
+    tol = 4 * np.finfo(float).eps
+    xpre, xcur = np.float64(xpre), np.float64(xcur)
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ModelError("the escape event is not bracketed by its step")
+    xblk = fblk = spre = scur = np.float64(0.0)
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (tol + tol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = None
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            # A zero divisor gives an infinite or NaN trial step, which bisects.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                if xpre == xblk:
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        if stry is not None and 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise ModelError("the escape time did not converge in 100 iterations")
+
+
+def solve_ivp(fun, t_span, y0: np.ndarray, event, rtol: float, atol: float) -> SimpleNamespace:
+    """Integrate y' = fun(t, y) forward over t_span with the Dormand-Prince
+    5(4) pair, stopping where event(t, y) first rises through zero.
+
+    Each operation is that of scipy 1.17 solve_ivp(method="RK45",
+    dense_output=True, events=event) with a terminal upward event, so t, y,
+    nfev and the dense output are scipy's floats bit for bit. status is 0 at
+    the end of t_span, 1 at the event and -1 once the step would fall below
+    ten spacings of t; sol(times) evaluates the dense output at sorted times
+    up to t[-1], each on the step that ends at or after it.
+    """
+    t, t_bound = map(float, t_span)
+    nfev = 0
+
+    def f(t, y):
+        nonlocal nfev
+        nfev += 1
+        return fun(t, y)
+
+    y = y0
+    fy = f(t, y)
+    # Initial step: Hairer, Norsett and Wanner's rule for an error of order 5.
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(fy / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound - t)
+    d2 = _rms((f(t + h0, y + h0 * fy) - fy) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100 * h0, h1, t_bound - t)
+    K = np.empty((7, y.size))
+    ts, ys, steps = [t], [y0], []
+    g = event(t, y0)
+    status = None
+    while status is None:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while not h_abs < min_step:
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = fy
+            for s in range(1, 6):
+                K[s] = f(t + _RK45_C[s] * h, y + np.dot(K[:s].T, _RK45_A[s, :s]) * h)
+            y_new = y + h * np.dot(K[:-1].T, _RK45_B)
+            K[-1] = f_new = f(t + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _rms(np.dot(K.T, _RK45_E) * h / scale)
+            # Safety factor 0.9; a step grows at most 10-fold, and not right
+            # after a rejection, and shrinks at most 5-fold.
+            if error_norm < 1:
+                factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** -0.2)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * error_norm ** -0.2)
+            rejected = True
+        else:
+            status = -1
+            break
+        steps.append(_step_interpolant(t, t_new, y, K))
+        t_old, t, y, fy = t, t_new, y_new, f_new
+        if t - t_bound >= 0:
+            status = 0
+        g_new = event(t, y)
+        if g <= 0 and g_new >= 0:
+            status = 1
+            t = _brentq(lambda s: event(s, steps[-1](s)), t_old, t)
+            y = steps[-1](t)
+        g = g_new
+        if len(ts) > 1 and ts[-1] == t:
+            steps.pop()
+        else:
+            ts.append(t)
+            ys.append(y)
+    knots = np.array(ts)
+
+    def sol(times: np.ndarray) -> np.ndarray:
+        step = np.clip(np.searchsorted(knots, times) - 1, 0, len(steps) - 1)
+        return np.hstack([steps[k](times[step == k]) for k in np.unique(step)])
+
+    return SimpleNamespace(t=knots, y=np.vstack(ys).T, sol=sol, status=status, nfev=nfev)
 
 
 @dataclass(frozen=True)
@@ -167,20 +336,7 @@ def simulate_maximal_ode(
     def first_escape(t, z):
         return np.max(np.abs(z)) - threshold
 
-    first_escape.terminal = True
-    first_escape.direction = 1
-
-    sol = solve_ivp(
-        rhs,
-        (times[0], times[-1]),
-        K,
-        method="RK45",
-        **_ODE_TOLERANCES,
-        dense_output=True,
-        events=first_escape,
-    )
-    if sol.status not in (-1, 0, 1):
-        raise ModelError(f"integration failed: {sol.message}")
+    sol = solve_ivp(rhs, (times[0], times[-1]), K, first_escape, **_ODE_TOLERANCES)
     t_end = float(sol.t[-1])
     halted = sol.status == -1
     escape_time = None if sol.status == 0 else t_end
@@ -216,7 +372,8 @@ def simulate_picard(
     iteration on the node inputs, starting from u = v.
 
     Converges on horizons where the loop is a contraction; raises
-    NoConvergence otherwise rather than returning a half-settled answer.
+    NoConvergence otherwise rather than returning a half-settled answer, and
+    names the sweep at which a diverging iteration leaves the floats.
     """
     if not net.all_polynomial():
         raise ModelError("Picard iteration needs polynomial node series")
@@ -232,10 +389,16 @@ def simulate_picard(
     y = np.zeros_like(u)
     deltas: list[float] = []
     converged = False
-    for _ in range(max_iter):
-        for k in range(m):
-            y[k] = eval_fliess(node_series[k], u[k], grid)
-        u_next = v_arr + W @ y
+    for sweep in range(1, max_iter + 1):
+        # A diverging sweep overflows; it is reported below rather than warned about.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(m):
+                y[k] = eval_fliess(node_series[k], u[k], grid)
+            u_next = v_arr + W @ y
+        if not np.all(np.isfinite(u_next)):
+            raise NoConvergence(
+                f"Picard iteration diverged: sweep {sweep} left the node inputs non-finite"
+            )
         delta = float(np.max(np.abs(u_next - u)))
         deltas.append(delta)
         u = u_next

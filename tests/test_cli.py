@@ -367,6 +367,21 @@ class TestSimulate:
         assert meta["result"]["method"] == "picard"
         assert meta["result"]["escape_time"] is None
 
+    @pytest.mark.filterwarnings("error")
+    def test_diverging_picard_is_no_convergence(self, tmp_path, capsys):
+        """The sec^2 t net past its escape at pi/2 once printed numpy's overflow
+        warning and failed with DomainError('input signal must be finite')."""
+        net = NetworkSpec(1, [[1]], [Series(1, 2, {(): 1, (1, 1): 2})])
+        path = tmp_path / "sec2.json"
+        path.write_text(json.dumps(network_to_json(net)))
+        out = tmp_path / "o.csv"
+        assert run(["simulate", "--net", str(path), "--T", "2", "--out", str(out)]) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "NoConvergence"
+        assert re.fullmatch(r"Picard iteration diverged: sweep \d+ left the node inputs non-finite",
+                            error["message"])
+        assert not out.exists()
+
     def test_word_past_the_recursion_limit(self, tmp_path, capsys):
         """A node x0^1100 x1 once ended the Picard route in a RecursionError."""
         net = NetworkSpec(1, [[1]], [Series(1, 1101, {(0,) * 1100 + (1,): 1})])

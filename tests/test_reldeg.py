@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import random
 import warnings
 from collections import Counter
@@ -410,7 +411,7 @@ class TestGenericity:
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
-        monkeypatch.setattr(reldeg, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         kwargs = dict(seed=1, degree=3, jobs=10**6)
         serial = genericity_sample(self.PATTERN, self.NODES, 6, seed=1, degree=3)
         monkeypatch.setattr(reldeg.os, "cpu_count", lambda: 4)

@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import json
 import math
 import os
+import random
 import subprocess
 import sys
+import textwrap
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import fliessnet
 import fliessnet.sim as sim
+from conftest import four_node_net
 from fliessnet import (
     AlphabetError,
     DomainError,
@@ -160,19 +165,116 @@ class TestEvalFliess:
             eval_fliess(X1, bad, grid)
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
+# One call of each subcommand, run in the directory holding four.json and one.json.
+SEVEN_COMMANDS = [
+    ["iomap", "--net", "four.json", "--from", "1", "--to", "4", "--degree", "3"],
+    ["reldeg", "--net", "four.json", "--from", "1", "--to", "4", "--degree", "3"],
+    ["montecarlo", "--net", "four.json", "--degree", "3", "--samples", "2", "--seed", "1"],
+    ["bounds", "--m", "2", "--K", "1", "--M", "1"],
+    ["abel", "--m", "2", "--K", "1", "--M", "1", "--n", "6"],
+    ["simulate", "--net", "one.json", "--T", "0.4", "--n", "40", "--out", "traj.csv"],
+    ["validate", "--net", "four.json", "--from", "1", "--to", "4", "--degree", "3",
+     "--T", "0.2", "--n", "20"],
+]
+
+
+def test_no_command_loads_scipy_or_the_process_pool(tmp_path):
+    """In a fresh process, the seven subcommands through cli.run and a call of
+    simulate_maximal_ode load no scipy module and no process pool."""
+    four = four_node_net(Fraction(2, 3), Fraction(1, 5), Fraction(3, 7), Fraction(4, 9))
+    (tmp_path / "four.json").write_text(json.dumps(fliessnet.network_to_json(four)))
+    (tmp_path / "one.json").write_text(json.dumps(fliessnet.network_to_json(single_maximal())))
     src = os.path.dirname(os.path.dirname(fliessnet.__file__))
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    probe = "import sys, fliessnet.cli; print('scipy.integrate' in sys.modules)"
+    probe = textwrap.dedent("""
+        import contextlib, io, json, sys
+        import fliessnet, fliessnet.cli as cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [cli.run(argv) for argv in json.loads(sys.argv[1])]
+        net = fliessnet.NetworkSpec(1, [[1]], [fliessnet.MaximalSeriesSpec(1, 1)])
+        fliessnet.simulate_maximal_ode(net, fliessnet.Grid(0.0, 0.4, 40))
+        loaded = [name for name in sys.modules
+                  if name.split(".")[0] == "scipy" or name == "concurrent.futures.process"]
+        print(json.dumps([codes, loaded]))
+    """)
     out = subprocess.run(
-        [sys.executable, "-c", probe],
-        env=env, capture_output=True, text=True, check=True, timeout=120,
+        [sys.executable, "-c", probe, json.dumps(SEVEN_COMMANDS)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, check=True, timeout=120,
     )
-    assert out.stdout.strip() == "False"
+    assert json.loads(out.stdout) == [[0] * 7, []]
+
+
+def over(rng: random.Random, q: int, top: int) -> Fraction:
+    """A rational p/q in (0, top) with p not a multiple of the prime q."""
+    p = rng.randint(1, top * q - 1)
+    while p % q == 0:
+        p = rng.randint(1, top * q - 1)
+    return Fraction(p, q)
+
+
+def seeded_escape_case(seed: int):
+    """An all-maximal net drawn as the benchmark's maximal_net draws one (K
+    over 5, M over 7, weights over 11), with a horizon from well inside to
+    well past the escape, a grid, a threshold and, for odd seeds, a forcing
+    input at every node."""
+    rng = random.Random(seed)
+    m = rng.randint(1, 4)
+    top = rng.choice((1, 2, 3))
+    specs = [MaximalSeriesSpec(over(rng, 5, top), over(rng, 7, top)) for _ in range(m)]
+    W = [[over(rng, 11, 1) if rng.random() < 0.7 else 0 for _ in range(m)] for _ in range(m)]
+    horizon = rng.choice((0.05, 1.05, 3.0)) * max(1 / float(s.M) for s in specs)
+    grid = Grid(rng.choice((0.0, 0.7)), horizon, rng.choice((40, 400)))
+    threshold = rng.choice((10.0, 1e3, 1e6, 1e9, 1e12))
+    v = None
+    if seed % 2:
+        t = grid.times
+        v = {k: rng.uniform(-1.5, 1.0) * np.sin(rng.uniform(0.0, 6.0) * t) + rng.uniform(-1.0, 0.5)
+             for k in range(1, m + 1)}
+    return NetworkSpec(m, W, specs), grid, v, threshold
 
 
 class TestMaximalOde:
+    def test_same_floats_as_scipy_rk45(self, monkeypatch):
+        """sim.solve_ivp against scipy's RK45 with the same terminal upward
+        event: the same bytes in every output, escape time, per-node escape
+        and metadata, and the same steps and evaluation count, on nets that
+        end at the horizon, at the threshold and at the singularity, with and
+        without forcing."""
+        from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+        def scipy_rk45(fun, t_span, y0, event, rtol, atol):
+            event.terminal, event.direction = True, 1
+            return scipy_solve_ivp(fun, t_span, y0, method="RK45", rtol=rtol, atol=atol,
+                                   dense_output=True, events=event)
+
+        def run(solver, case):
+            solved = []
+
+            def recorded(*args, **kwargs):
+                solved.append(solver(*args, **kwargs))
+                return solved[0]
+
+            monkeypatch.setattr(sim, "solve_ivp", recorded)
+            return simulate_maximal_ode(*case), solved[0]
+
+        rk45 = sim.solve_ivp
+        endings = set()
+        for seed in range(30):
+            case = seeded_escape_case(seed)
+            ours, ours_sol = run(rk45, case)
+            theirs, their_sol = run(scipy_rk45, case)
+            assert repr(ours.escape_time) == repr(theirs.escape_time)
+            assert repr(ours.per_node_escape) == repr(theirs.per_node_escape)
+            assert repr(ours.metadata) == repr(theirs.metadata)
+            assert [y.tobytes() for y in ours.outputs.values()] == [
+                y.tobytes() for y in theirs.outputs.values()]
+            assert ours_sol.t.tobytes() == their_sol.t.tobytes()
+            assert ours_sol.y.tobytes() == their_sol.y.tobytes()
+            assert (ours_sol.nfev, ours_sol.status) == (their_sol.nfev, their_sol.status)
+            endings.add((ours_sol.status, case[2] is not None))
+        assert endings == {(status, forced) for status in (-1, 0, 1) for forced in (False, True)}
+
     def test_rejects_polynomial_nodes(self):
         net = NetworkSpec(1, [[1]], [X1])
         with pytest.raises(ModelError):
@@ -269,6 +371,16 @@ class TestPicard:
         grid = Grid(0.0, 1.0, 100)
         with pytest.raises(NoConvergence):
             simulate_picard(net, grid, v={1: np.ones(101)}, max_iter=2)
+
+    @pytest.mark.filterwarnings("error")
+    def test_diverging_sweep_is_no_convergence(self):
+        """1 + 2 x1 x1 under unit self-feedback outputs sec^2 t, which escapes
+        at pi/2. On [0, 2] the sweeps overflow: that once printed numpy's
+        RuntimeWarning and raised DomainError('input signal must be finite')."""
+        net = NetworkSpec(1, [[1]], [Series(1, 2, {(): 1, (1, 1): 2})])
+        message = r"diverged: sweep \d+ left the node inputs non-finite"
+        with pytest.raises(NoConvergence, match=message):
+            simulate_picard(net, Grid(0.0, 2.0, 200))
 
     @pytest.mark.parametrize("kwargs,message", [
         (dict(max_iter=0), "max_iter"),
