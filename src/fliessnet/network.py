@@ -137,8 +137,9 @@ def closed_loop_series(net: NetworkSpec, i: int, degree: int) -> dict[int, Serie
     mixed product at k = i carrying the direct channel. Substitution prepends
     at least one letter, so degree n of every d_k depends on the feedback
     only through degree n - 1. The loop (_closed_loops) settles the strongly
-    connected components of the weight graph in topological order, each from
-    the finished series of the components before it; those that i does not
+    connected components of the weight graph, the classes of nodes with
+    equal ancestor sets (_plan), in topological order, each from the
+    finished series of the components before it; those that i does not
     reach settle as in the loop with no input channel. A node outside every
     cycle is composed once, at the full degree. A cyclic component (two or
     more nodes, or a self-loop) settles n = 0, ..., degree in turn: each of
@@ -168,15 +169,7 @@ def _closed_loops(net: NetworkSpec, degree: int, inputs):
     cap counting the shared part's terms and its own, and empties the memo.
     """
     _check_int(degree, "truncation degree", 0)
-    order, sources, edges = _plan(net, degree)
-    # Each node's ancestors and itself, as a bit mask over the nodes 1..m.
-    ancestors: dict[int, int] = {}
-    for comp in order:
-        mask = sum(1 << k for k in comp)
-        for k in comp:
-            for _, _, l in edges[k]:
-                mask |= ancestors.get(l, 0)
-        ancestors.update(dict.fromkeys(comp, mask))
+    order, sources, edges, ancestors = _plan(net, degree)
     bits = [(i, 0 if i is None else 1 << i) for i in inputs]
     held = _Held(words._shuffle_cache, TERM_CAP, degree)
     natural: dict[int, Series] = {}
@@ -194,53 +187,44 @@ def _closed_loops(net: NetworkSpec, degree: int, inputs):
         held.memo.clear()
 
 
+def _ancestors(net: NetworkSpec) -> list[int]:
+    """Entry k is node k and every node with a path into it, as a bit mask
+    with bit l for node l; entry 0 is 0. Warshall's closure (J. ACM 9, 1962)
+    over the rows of the weight matrix: taking each node v in turn as a
+    waypoint, every node that v reaches gains v's ancestors."""
+    nodes = range(1, net.m + 1)
+    ancestors = [0] + [sum(1 << l for l, w in zip(nodes, row) if w) | 1 << k
+                       for k, row in zip(nodes, net.W)]
+    for v in nodes:
+        for k in nodes:
+            if ancestors[k] >> v & 1:
+                ancestors[k] |= ancestors[v]
+    return ancestors
+
+
 def _plan(net: NetworkSpec, degree: int):
     """The strongly connected components of the weight graph, sources first
     (every edge runs within a component or into a later one), each node's
-    left operand (its series expanded to degree, or its maximal spec), and
-    each node's in-edges as (weight numerator, weight denominator, source).
+    left operand (its series expanded to degree, or its maximal spec), each
+    node's in-edges as (weight numerator, weight denominator, source), and
+    the ancestor masks of _ancestors.
 
-    The components come from Tarjan's algorithm (SIAM J. Comput. 1, 1972),
-    with an explicit stack in place of recursion. It runs along the edges
-    reversed, so it finds every component after those that feed it.
+    Two nodes share a component exactly when their ancestor masks are equal,
+    and an edge into another component makes the target's mask a strict
+    superset of the source's, so ordering the components by the size of
+    their mask (then by smallest node) puts each after those that feed it.
     """
     nodes = range(1, net.m + 1)
     sources = {k: src if isinstance(src, MaximalSeriesSpec) else net.node_series(k, degree)
                for k, src in zip(nodes, net.nodes)}
     inputs = {k: tuple((w.numerator, w.denominator, l) for l, w in zip(nodes, net.W[k - 1]) if w)
               for k in nodes}
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}  # of the nodes on the stack
-    stack: list[int] = []
-    comps: list[tuple[int, ...]] = []
-    for root in nodes:
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        work = [(root, iter(inputs[root]))]
-        while work:
-            v, edges = work[-1]
-            for _, _, w in edges:
-                if w not in index:
-                    index[w] = low[w] = len(index)
-                    stack.append(w)
-                    work.append((w, iter(inputs[w])))
-                    break
-                if w in low:
-                    low[v] = min(low[v], index[w])
-            else:
-                work.pop()
-                if work:
-                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
-                if low[v] == index[v]:
-                    comp = [stack.pop()]
-                    while comp[-1] != v:
-                        comp.append(stack.pop())
-                    comps.append(tuple(sorted(comp)))
-                    for w in comp:
-                        del low[w]
-    return comps, sources, inputs
+    ancestors = _ancestors(net)
+    comps: dict[int, tuple[int, ...]] = {}
+    for k in nodes:
+        comps[ancestors[k]] = comps.get(ancestors[k], ()) + (k,)
+    order = sorted(comps.values(), key=lambda comp: (ancestors[comp[0]].bit_count(), comp[0]))
+    return order, sources, inputs, ancestors
 
 
 def _settle(sources, inputs, i: Optional[int], degree: int, comps, d: dict, held: _Held) -> None:
@@ -308,36 +292,20 @@ class Subgraph:
 def subgraph_extract(net: NetworkSpec, i: int, j: int) -> Subgraph:
     """Forward-path subgraph G_ji by exhaustive simple-path enumeration.
 
-    Self-loops never lie on a simple path and are dropped up front. A
-    candidate set (reachable from i, co-reachable to j) larger than
-    NODE_BUDGET, read at call time, raises SubgraphBudgetError before
-    enumeration.
+    The candidates are the nodes k that i reaches and that reach j, read off
+    the ancestor masks of _ancestors; there is no path when i is not an
+    ancestor of j. A candidate set larger than NODE_BUDGET, read at call
+    time, raises SubgraphBudgetError before enumeration. Self-loops never lie
+    on a simple path: the enumeration skips every node already on the path.
     """
     net.check_node(i)
     net.check_node(j)
     if i == j:
         return Subgraph(i, j, frozenset({i}), frozenset())
-    succ: dict[int, list[int]] = {k: [] for k in range(1, net.m + 1)}
-    pred: dict[int, list[int]] = {k: [] for k in range(1, net.m + 1)}
-    for k, row in enumerate(net.W, 1):
-        for l, w in enumerate(row, 1):
-            if k != l and w != 0:
-                succ[l].append(k)
-                pred[k].append(l)
-
-    def closure(start: int, neighbors: dict[int, list[int]]) -> set[int]:
-        seen = {start}
-        stack = [start]
-        while stack:
-            for nxt in neighbors[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
-
-    candidates = closure(i, succ) & closure(j, pred)
-    if i not in candidates or j not in candidates:
+    ancestors = _ancestors(net)
+    if not ancestors[j] >> i & 1:
         return Subgraph(i, j, frozenset(), frozenset())
+    candidates = [k for k in range(1, net.m + 1) if ancestors[k] >> i & 1 and ancestors[j] >> k & 1]
     if len(candidates) > NODE_BUDGET:
         raise SubgraphBudgetError(
             f"{len(candidates)} candidate nodes exceed the budget of {NODE_BUDGET}"
@@ -345,7 +313,7 @@ def subgraph_extract(net: NetworkSpec, i: int, j: int) -> Subgraph:
 
     # Successors among the candidates, none for j: a path that reaches j is
     # recorded, not extended. branches[-1] holds path[-1]'s untried successors.
-    succ = {k: [nxt for nxt in succ[k] if nxt in candidates and k != j] for k in candidates}
+    succ = {l: [k for k in candidates if l != j and net.W[k - 1][l - 1]] for l in candidates}
     on_edges: set[tuple[int, int]] = set()
     path, branches = [i], [iter(succ[i])]
     while branches:

@@ -310,7 +310,8 @@ def simulate_maximal_ode(
     can still resolve. The stop time is then the escape time, and a node
     escapes at it if its |z_k| is the maximum at a threshold stop or has
     passed _DIVERGENCE_FLOOR at either kind of stop; other nodes report None.
-    Samples past the stop time are reported as NaN.
+    Samples past the stop time are reported as NaN. A right-hand side that
+    is not finite at t0 (K = M = 1e200, say) raises DomainError.
     """
     if not net.all_maximal():
         raise ModelError("the cubic ODE realization needs every node maximal")
@@ -336,7 +337,12 @@ def simulate_maximal_ode(
     def first_escape(t, z):
         return np.max(np.abs(z)) - threshold
 
-    sol = solve_ivp(rhs, (times[0], times[-1]), K, first_escape, **_ODE_TOLERANCES)
+    # A state that overflows on the way to a singularity halts the integrator
+    # (status -1) quietly; a right-hand side not finite at t0 is refused.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(rhs(times[0], K)).all():
+            raise DomainError("the ODE right-hand side leaves the float range at t0")
+        sol = solve_ivp(rhs, (times[0], times[-1]), K, first_escape, **_ODE_TOLERANCES)
     t_end = float(sol.t[-1])
     halted = sol.status == -1
     escape_time = None if sol.status == 0 else t_end
@@ -346,8 +352,8 @@ def simulate_maximal_ode(
     valid = times <= t_end
     outputs: dict[int, np.ndarray] = {}
     states = np.full((m, times.size), np.nan)
-    if valid.any():
-        states[:, valid] = sol.sol(times[valid])
+    # With no step taken, the only sample up to the stop is t0's.
+    states[:, valid] = sol.sol(times[valid]) if sol.t.size > 1 else sol.y
     for k in range(m):
         outputs[k + 1] = states[k]
     metadata = {

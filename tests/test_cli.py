@@ -382,6 +382,20 @@ class TestSimulate:
                             error["message"])
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_ode_past_the_floats_at_t0_is_a_domain_error(self, tmp_path, capsys):
+        """One maximal node with K = M = 10**200 once printed numpy overflow
+        warnings and a traceback ending in IndexError."""
+        net = NetworkSpec(1, [[0]], [MaximalSeriesSpec(10**200, 10**200)])
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(network_to_json(net)))
+        out = tmp_path / "big.csv"
+        assert run(["simulate", "--net", str(path), "--T", "0.3", "--out", str(out)]) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"type": "DomainError",
+                         "message": "the ODE right-hand side leaves the float range at t0"}
+        assert not out.exists()
+
     def test_word_past_the_recursion_limit(self, tmp_path, capsys):
         """A node x0^1100 x1 once ended the Picard route in a RecursionError."""
         net = NetworkSpec(1, [[1]], [Series(1, 1101, {(0,) * 1100 + (1,): 1})])

@@ -36,6 +36,7 @@ from conftest import (
     four_node_net,
     mixed_net,
 )
+from scc_oracle import tarjan_components
 from subgraph_path_oracle import recursive_subgraph_extract
 
 
@@ -254,6 +255,33 @@ def test_forced_all_ones_at_depth_meets_the_envelope_and_its_bound():
     assert check_growth(d, 1, m_inf_bound(1, 1, 1).M_inf).passed
 
 
+def plan_test_nets():
+    """Seeded 0/1 nets, m = 1..12: random ones with cycles and self-loops,
+    chains numbered against the edges, and complete graphs."""
+    r = random.Random(33)
+    for m in range(1, 13):
+        for _ in range(6):
+            density = r.uniform(0.05, 0.6)
+            yield [[int(r.random() < density) for _ in range(m)] for _ in range(m)]
+        yield [[int(l == k + 1) for l in range(m)] for k in range(m)]
+        yield [[1] * m for _ in range(m)]
+
+
+@pytest.mark.parametrize("W", plan_test_nets())
+def test_components_match_tarjan_and_run_sources_first(W):
+    """_plan reads the components that Tarjan's search found, and every
+    weighted edge runs within a component or into a later one."""
+    m = len(W)
+    net = NetworkSpec(m, W, [Series(1, 1, {(1,): 1})] * m)
+    order, _, _, _ = network._plan(net, 1)
+    assert sorted(order) == sorted(tarjan_components(net))
+    position = {k: p for p, comp in enumerate(order) for k in comp}
+    for k in range(1, m + 1):
+        for l in range(1, m + 1):
+            if W[k - 1][l - 1]:
+                assert position[l] <= position[k]
+
+
 class TestSubgraph:
     def test_single_node_pair(self):
         net = integrator_chain([1])
@@ -295,24 +323,25 @@ class TestSubgraph:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_stack_search_matches_the_recursive_one(self, monkeypatch, seed):
-        """On seeded nets with cycles and self-loops, every pair has the
-        subgraph of the recursive search, and a candidate set over the budget
-        raises in both."""
+        """On seeded nets with cycles and self-loops, and on each with its
+        nodes numbered in reverse, every pair has the subgraph of the
+        recursive search, and a candidate set over the budget raises in both."""
         r = random.Random(seed)
         m = r.randint(2, 9)
         density = r.uniform(0.2, 0.7)
         W = [[int(r.random() < density) for _ in range(m)] for _ in range(m)]
-        net = NetworkSpec(m, W, [Series(1, 1, {(1,): 1})] * m)
         monkeypatch.setattr(network, "NODE_BUDGET", 8)
-        for i in range(1, m + 1):
-            for j in range(1, m + 1):
-                try:
-                    want = recursive_subgraph_extract(net, i, j)
-                except SubgraphBudgetError:
-                    with pytest.raises(SubgraphBudgetError):
-                        subgraph_extract(net, i, j)
-                else:
-                    assert subgraph_extract(net, i, j) == want
+        for W in (W, [row[::-1] for row in W[::-1]]):
+            net = NetworkSpec(m, W, [Series(1, 1, {(1,): 1})] * m)
+            for i in range(1, m + 1):
+                for j in range(1, m + 1):
+                    try:
+                        want = recursive_subgraph_extract(net, i, j)
+                    except SubgraphBudgetError:
+                        with pytest.raises(SubgraphBudgetError):
+                            subgraph_extract(net, i, j)
+                    else:
+                        assert subgraph_extract(net, i, j) == want
 
     def test_restriction_zeroes_off_path_weights(self):
         net = double_diamond_net()

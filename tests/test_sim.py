@@ -330,6 +330,30 @@ class TestMaximalOde:
         expected = 1.0 / np.sqrt(1.0 - 2.0 * grid.times[early])
         np.testing.assert_allclose(traj.outputs[1][early], expected, rtol=1e-6)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("K, M, w", [(10**200, 10**200, 0), (10**200, 1, 1)],
+                             ids=["K=M=1e200", "K=1e200-self-loop"])
+    def test_right_hand_side_past_the_floats_at_t0_is_a_domain_error(self, K, M, w):
+        """These nets once printed numpy overflow warnings and ended in an
+        IndexError from the dense output, no step having been taken."""
+        net = NetworkSpec(1, [[w]], [MaximalSeriesSpec(K, M)])
+        with pytest.raises(DomainError, match="right-hand side leaves the float range at t0"):
+            simulate_maximal_ode(net, Grid(0.0, 0.3, 30))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t0, K, M", [(1e10, 1, 10**6), (0.0, 10**154, 10**154)],
+                             ids=["t0=1e10", "K=M=1e154"])
+    def test_halt_before_the_first_step_stops_at_t0(self, t0, K, M):
+        """A singularity within the smallest step of t0, or a state that
+        overflows in the first step, halts at t0 with t0's sample only; both
+        once ended in an IndexError."""
+        net = NetworkSpec(1, [[0]], [MaximalSeriesSpec(K, M)])
+        traj = simulate_maximal_ode(net, Grid(t0, 0.3, 30))
+        assert traj.metadata["status"] == -1
+        assert traj.escape_time == traj.metadata["stop_time"] == t0
+        assert traj.outputs[1][0] == float(K)
+        assert np.all(np.isnan(traj.outputs[1][1:]))
+
     def test_nan_past_stop_time(self):
         traj = simulate_maximal_ode(single_maximal(), Grid(0.0, 0.4, 100))
         times = traj.times
