@@ -331,20 +331,6 @@ def subgraph_extract(net: NetworkSpec, i: int, j: int) -> Subgraph:
     return Subgraph(i, j, frozenset(k for edge in on_edges for k in edge), frozenset(on_edges))
 
 
-def restrict_to_subgraph(net: NetworkSpec, sub: Subgraph) -> NetworkSpec:
-    """Copy of the network with every weight off the subgraph edges zeroed."""
-    W = [
-        [
-            net.W[k][l] if (l + 1, k + 1) in sub.edges else 0
-            for l in range(net.m)
-        ]
-        for k in range(net.m)
-    ]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return NetworkSpec(net.m, W, list(net.nodes))
-
-
 # -- JSON ------------------------------------------------------------------------
 
 

@@ -10,12 +10,9 @@ certifies the result with one of three structural conditions.
 from __future__ import annotations
 
 import heapq
-import math
-import os
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -25,7 +22,6 @@ from .network import (
     NetworkSpec,
     Subgraph,
     _closed_loops,
-    restrict_to_subgraph,  # unused here; bench/spans.py wraps it and tests pin the binding
     subgraph_extract,
 )
 from .series import Coeff, MaximalSeriesSpec, Series, _check_int, as_coeff
@@ -202,7 +198,8 @@ def predict_io_reldeg(net: NetworkSpec, i: int, j: int) -> PredictionReport:
 
     Certificates, in order of strength:
       fully_connected     sink j receives an edge from every other node, so
-                          every input path is dominated by r_j + r_i;
+                          every input path is dominated by r_j + r_i; G_ji is
+                          then read off a walk from i, with no path search;
       distinct            along the forward-path subgraph every node sees
                           pairwise distinct accumulated degrees, so the
                           shortest one survives with a nonzero coefficient;
@@ -216,15 +213,23 @@ def predict_io_reldeg(net: NetworkSpec, i: int, j: int) -> PredictionReport:
         r, lead = node_degree_report(net, i).require_defined()
         details = {"self_pair": True, "leading": lead}
         return PredictionReport(i, j, r, CONDITION_DISTINCT, {i: r}, details)
+    net.check_node(i)
+    if all(net.weight(j, k) != 0 for k in range(1, net.m + 1) if k != j):
+        # G_ji is j and each node that i reaches short of j: its edge into j closes a simple path.
+        nodes, stack = {i, j}, [i]
+        while stack:
+            l = stack.pop()
+            reached = {k for k, row in enumerate(net.W, 1) if row[l - 1]} - nodes
+            nodes |= reached
+            stack.extend(reached)
+        degrees = {v: node_degree_report(net, v).require_defined()[0] for v in sorted(nodes)}
+        r = degrees[j] + degrees[i]
+        return PredictionReport(i, j, r, CONDITION_FULLY_CONNECTED, degrees, {})
     sub = subgraph_extract(net, i, j)
     if sub.is_empty():
         return PredictionReport(i, j, None, CONDITION_UNKNOWN, {}, {"no_forward_path": True})
     reports = {v: node_degree_report(net, v).require_defined() for v in sorted(sub.nodes)}
     degrees = {v: r for v, (r, _) in reports.items()}
-    if all(net.weight(j, k) != 0 for k in range(1, net.m + 1) if k != j):
-        return PredictionReport(
-            i, j, degrees[j] + degrees[i], CONDITION_FULLY_CONNECTED, degrees, {}
-        )
     acc = accumulated_degrees(sub, degrees)
     details = {"accumulated": dict(acc.r_plus), "incoming": dict(acc.incoming)}
     repeated = _repeated_groups(acc)
@@ -329,21 +334,6 @@ def sample_network(
     return NetworkSpec(m, W, list(nodes))
 
 
-def _genericity_one(
-    pattern, nodes, seed: int, degree: int, designated, index: int
-) -> tuple[dict[tuple[int, int], RelDegReport], Optional[float]]:
-    """Relative degree of every pair of sample `index`, and the absolute value
-    of the designated coefficient when one is named."""
-    net = sample_network(pattern, nodes, seed, index)
-    reports: dict[tuple[int, int], RelDegReport] = {}
-    value = None
-    for i, closed, row in _measure_pairs(net, degree):
-        reports.update(((i, j), measured) for j, measured in row.items())
-        if designated is not None and i == designated[0]:
-            value = abs(float(Fraction(closed[designated[1]].coeff(designated[2]))))
-    return reports, value
-
-
 def genericity_sample(
     pattern: Sequence[Sequence[int]],
     nodes: Sequence[Union[Series, MaximalSeriesSpec]],
@@ -357,9 +347,9 @@ def genericity_sample(
     """Measure relative degrees across seeded random weight draws.
 
     The result is a deterministic function of (pattern, nodes, samples, seed,
-    degree): each sample index owns an independent RNG stream, so the job
-    count changes only the wall time. At most one worker process runs per
-    sample and per CPU.
+    degree): each sample index owns an independent RNG stream, and every
+    sample runs in the calling process, one after another. jobs is checked
+    but has no effect.
     """
     _check_int(samples, "samples", 1)
     _check_int(bins, "bins", 1)
@@ -374,27 +364,19 @@ def genericity_sample(
         edgeless.check_node(designated_key[0])
         edgeless.check_node(designated_key[1])
         check_word(designated_key[2], 1)
-    one = partial(_genericity_one, pattern, list(nodes), seed, degree, designated_key)
-    workers = min(jobs, samples, os.cpu_count() or 1)
-    if workers > 1:
-        # Imported here: the process pool's modules would cost every import of
-        # the package about 10 ms.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(samples), chunksize=math.ceil(samples / workers)))
-    else:
-        results = list(map(one, range(samples)))
     status: dict[tuple[int, int], Counter] = defaultdict(Counter)
     r_counts: dict[tuple[int, int], Counter] = defaultdict(Counter)
     values: list[float] = []
-    for reports, value in results:
-        for key, rep in reports.items():
-            status[key][rep.status] += 1
-            if rep.status == STATUS_DEFINED:
-                r_counts[key][rep.r] += 1
-        if value is not None:
-            values.append(value)
+    for index in range(samples):
+        net = sample_network(pattern, nodes, seed, index)
+        for i, closed, row in _measure_pairs(net, degree):
+            for j, rep in row.items():
+                status[(i, j)][rep.status] += 1
+                if rep.status == STATUS_DEFINED:
+                    r_counts[(i, j)][rep.r] += 1
+            if designated_key is not None and i == designated_key[0]:
+                _, k, word = designated_key
+                values.append(abs(float(Fraction(closed[k].coeff(word)))))
     histogram: tuple[tuple[float, float, int], ...] = ()
     if values:
         counts, edges = np.histogram(np.asarray(values), bins=bins)

@@ -221,7 +221,11 @@ class Grid:
             raise DomainError("grid end t0 + T must be finite")
         if _check_int(self.n, "n", 1) >= np.iinfo(np.intp).max // np.dtype(float).itemsize:
             raise DomainError(f"grid size n = {self.n} exceeds what a numpy array can hold")
-        if not np.all(np.diff(self.times) > 0):
+        try:
+            increasing = np.all(np.diff(self.times) > 0)
+        except MemoryError:
+            raise DomainError(f"grid size n = {self.n} is too large to allocate") from None
+        if not increasing:
             raise DomainError("horizon T must be positive and resolvable at t0")
 
     @property

@@ -10,10 +10,10 @@ predict_io_reldeg the same report as loop_predict_io_reldeg.
 
 from __future__ import annotations
 
+import warnings
 from fractions import Fraction
 
-from fliessnet import NetworkSpec, closed_loop_series, subgraph_extract
-from fliessnet.network import restrict_to_subgraph
+from fliessnet import NetworkSpec, Subgraph, closed_loop_series, subgraph_extract
 from fliessnet.reldeg import (
     CONDITION_DISTINCT,
     CONDITION_FULLY_CONNECTED,
@@ -25,6 +25,20 @@ from fliessnet.reldeg import (
     node_degree_report,
 )
 from fliessnet.series import Coeff, as_coeff
+
+
+def restrict_to_subgraph(net: NetworkSpec, sub: Subgraph) -> NetworkSpec:
+    """Copy of the network with every weight off the subgraph edges zeroed."""
+    W = [
+        [
+            net.W[k][l] if (l + 1, k + 1) in sub.edges else 0
+            for l in range(net.m)
+        ]
+        for k in range(net.m)
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return NetworkSpec(net.m, W, list(net.nodes))
 
 
 def loop_leads(net: NetworkSpec, i: int, j: int) -> dict[int, Coeff]:

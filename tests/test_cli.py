@@ -10,6 +10,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fliessnet
@@ -453,6 +454,24 @@ class TestSimulate:
         assert "Traceback" not in proc.stderr
         assert json.loads(proc.stdout)["error"]["type"] == "DomainError"
         assert not out.exists() and not (tmp_path / "o.csv.meta.json").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_grid_too_large_to_allocate(self, command, four_node_file, tmp_path, capsys,
+                                        monkeypatch):
+        """numpy's MemoryError once ended the process in a traceback with no
+        error JSON. linspace raises in its stead, so no memory is requested."""
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        out = tmp_path / "o.csv"
+        argv = {"simulate": ["--out", str(out)],
+                "validate": ["--from", "1", "--to", "4", "--degree", "3"]}[command]
+        code = run([command, "--net", four_node_file, "--T", "0.1", "--n", str(10**12), *argv])
+        assert code == 1
+        assert json.loads(capsys.readouterr().out)["error"] == {
+            "type": "DomainError", "message": f"grid size n = {10**12} is too large to allocate"}
+        assert not out.exists()
 
     def test_horizon_the_start_cannot_resolve(self, maximal_file, tmp_path, capsys):
         """At t0 = 1e16 the steps of T = 0.1 round away: five rows at one time

@@ -26,7 +26,6 @@ from fliessnet import (
     natural_response,
     network_from_json,
     network_to_json,
-    restrict_to_subgraph,
     subgraph_extract,
 )
 from conftest import (
@@ -37,6 +36,7 @@ from conftest import (
     mixed_net,
 )
 from scc_oracle import tarjan_components
+from subgraph_loop_oracle import restrict_to_subgraph
 from subgraph_path_oracle import recursive_subgraph_extract
 
 

@@ -68,6 +68,16 @@ class TestGrid:
         with pytest.raises(DomainError, match=f"grid size n = {n} exceeds"):
             Grid(0.0, 0.1, n)
 
+    def test_size_that_cannot_be_allocated_is_rejected(self, monkeypatch):
+        """numpy's MemoryError once ended `simulate --n 1000000000000` in a
+        traceback. linspace raises in its stead, so no memory is requested."""
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        with pytest.raises(DomainError, match=f"grid size n = {10**12} is too large to allocate"):
+            Grid(0.0, 0.1, 10**12)
+
     @pytest.mark.parametrize("t0,T,n", [(1e16, 1.0, 4), (1e16, 4.0, 4), (1.0, 1e-17, 1)])
     def test_sample_times_must_strictly_increase(self, t0, T, n):
         """Grid(1e16, 1.0, 4).times was once five copies of 1e16."""
@@ -179,8 +189,9 @@ SEVEN_COMMANDS = [
 
 
 def test_no_command_loads_scipy_or_the_process_pool(tmp_path):
-    """In a fresh process, the seven subcommands through cli.run and a call of
-    simulate_maximal_ode load no scipy module and no process pool."""
+    """In a fresh process, the seven subcommands through cli.run, a call of
+    simulate_maximal_ode and a Monte Carlo asked for four jobs load no scipy
+    module and no process pool: every sample runs in the calling process."""
     four = four_node_net(Fraction(2, 3), Fraction(1, 5), Fraction(3, 7), Fraction(4, 9))
     (tmp_path / "four.json").write_text(json.dumps(fliessnet.network_to_json(four)))
     (tmp_path / "one.json").write_text(json.dumps(fliessnet.network_to_json(single_maximal())))
@@ -194,6 +205,8 @@ def test_no_command_loads_scipy_or_the_process_pool(tmp_path):
             codes = [cli.run(argv) for argv in json.loads(sys.argv[1])]
         net = fliessnet.NetworkSpec(1, [[1]], [fliessnet.MaximalSeriesSpec(1, 1)])
         fliessnet.simulate_maximal_ode(net, fliessnet.Grid(0.0, 0.4, 40))
+        fliessnet.genericity_sample([[0, 1], [1, 0]], net.nodes * 2, samples=3, seed=1,
+                                    degree=2, jobs=4)
         loaded = [name for name in sys.modules
                   if name.split(".")[0] == "scipy" or name == "concurrent.futures.process"]
         print(json.dumps([codes, loaded]))

@@ -38,9 +38,12 @@ def load_spans():
 
 
 def test_only_the_cli_prediction_binding_is_absent():
-    """Besides the CLI's prediction, only reldeg's closed_loop_series is
-    unbound: reldeg settles the loops of all inputs in one network routine."""
-    assert load_spans().Tracer().absent == ["cli.predict_io_reldeg", "reldeg.closed_loop_series"]
+    """Besides the CLI's prediction, only reldeg's closed_loop_series and
+    restrict_to_subgraph are unbound: reldeg settles the loops of all inputs
+    in one network routine, and restrict_to_subgraph lives in the tests'
+    subgraph_loop_oracle. No benchmark metric reads either binding."""
+    assert load_spans().Tracer().absent == [
+        "cli.predict_io_reldeg", "reldeg.closed_loop_series", "reldeg.restrict_to_subgraph"]
 
 
 def test_shuffle_memo_is_a_dict():
