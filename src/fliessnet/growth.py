@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, NoConvergence
-from .series import Coeff, _check_int, as_coeff, positive_constants
+from .series import Coeff, _check_int, _float, as_coeff, positive_constants
 
 _BRANCH_POINT = -math.exp(-1.0)
 _BRANCH_GUARD = 1e-12
@@ -136,9 +136,9 @@ def m_inf_bound(Kbar, Mbar, m: int) -> GrowthBound:
     """
     Kbar, Mbar = _envelope_constants(Kbar, Mbar, m)
     try:
-        m_inf = float(Fraction(Mbar)) / _lambda(float(Fraction(m) * Fraction(Kbar)))
+        m_inf = _float(Mbar, "Mbar") / _lambda(_float(m * Kbar, "m Kbar"))
         t_star = 1.0 / m_inf
-    except (OverflowError, ZeroDivisionError):
+    except (DomainError, ZeroDivisionError):
         m_inf = t_star = math.inf
     if not (math.isfinite(m_inf) and math.isfinite(t_star)):
         raise DomainError("M_inf or t_star of these K, M and m lies outside the float range")
@@ -158,12 +158,12 @@ class AbelSequence:
     mhat: tuple[Coeff, ...]
 
     def a_floats(self) -> list[float]:
-        return [float(Fraction(v)) for v in self.a]
+        return [_float(v, f"a_{k}") for k, v in enumerate(self.a)]
 
     def mhat_float(self, n: int) -> float:
         if not 1 <= n <= len(self.mhat):
             raise DomainError(f"mhat defined for 1 <= n <= {len(self.mhat)}")
-        return float(Fraction(self.mhat[n - 1]))
+        return _float(self.mhat[n - 1], f"mhat_{n}")
 
 
 def abel_taylor(m: int, K, M, n_max: int) -> AbelSequence:
@@ -200,8 +200,8 @@ def closed_form_natural_response(m: int, K, M, t: float) -> float:
     t = float(t)
     if not 0.0 <= t < bound.t_star:
         raise DomainError(f"t must lie in [0, t_star) with t_star = {bound.t_star}")
-    k_f = float(Fraction(bound.Kbar))
-    m_f = float(Fraction(bound.Mbar))
+    k_f = _float(bound.Kbar, "Kbar")
+    m_f = _float(bound.Mbar, "Mbar")
     if t == 0.0:
         # W(-s e^{-s}) = -s on the lower branch, so the formula collapses to K
         return k_f

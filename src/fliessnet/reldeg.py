@@ -12,7 +12,6 @@ from __future__ import annotations
 import heapq
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -24,7 +23,7 @@ from .network import (
     _closed_loops,
     subgraph_extract,
 )
-from .series import Coeff, MaximalSeriesSpec, Series, _check_int, as_coeff
+from .series import Coeff, MaximalSeriesSpec, Series, _check_int, _float, as_coeff
 from .words import Word, check_word, leading_zeros
 
 STATUS_DEFINED = "defined"
@@ -376,7 +375,7 @@ def genericity_sample(
                     r_counts[(i, j)][rep.r] += 1
             if designated_key is not None and i == designated_key[0]:
                 _, k, word = designated_key
-                values.append(abs(float(Fraction(closed[k].coeff(word)))))
+                values.append(abs(_float(closed[k].coeff(word), "the designated coefficient")))
     histogram: tuple[tuple[float, float, int], ...] = ()
     if values:
         counts, edges = np.histogram(np.asarray(values), bins=bins)

@@ -132,6 +132,14 @@ def _check_int(value, what: str, low: int, error: type = DomainError) -> int:
     return value
 
 
+def _float(value: Coeff, what: str) -> float:
+    """The rule for every exact value read as a float: one past its range is a DomainError."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"{what} lies outside the float range") from None
+
+
 def _check_size(m, max_degree) -> None:
     """The sizes of every series built: an alphabet x0..xm with m >= 1, and max_degree >= 0."""
     _check_int(m, "m", 1, AlphabetError)

@@ -7,15 +7,15 @@ all-maximal networks, and Picard iteration on the interconnection equations
 for polynomial networks.
 
 The cubic ODE runs on an in-module RK45, the Dormand-Prince 5(4) pair with
-its step-size rules and a Brent root for the escape event. It performs
-scipy's RK45 operation for operation and returns the same floats, so the
-package needs numpy alone at run time; scipy serves only as a test oracle.
+its step-size rules and a Brent root for the escape event, which samples the
+grid as it steps and keeps no step's interpolant. It performs scipy's RK45
+operation for operation and returns the same floats, so the package needs
+numpy alone at run time; scipy serves only as a test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from types import SimpleNamespace
 from typing import Optional
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import AlphabetError, DomainError, ModelError, NoConvergence
 from .network import NetworkSpec, io_map
-from .series import Series, _check_int
+from .series import Series, _check_int, _float
 from .words import Word
 
 # At an escape stop, a node other than the one at the threshold is treated as
@@ -121,18 +121,21 @@ def _brentq(f, xpre, xcur):
     raise ModelError("the escape time did not converge in 100 iterations")
 
 
-def solve_ivp(fun, t_span, y0: np.ndarray, event, rtol: float, atol: float) -> SimpleNamespace:
-    """Integrate y' = fun(t, y) forward over t_span with the Dormand-Prince
-    5(4) pair, stopping where event(t, y) first rises through zero.
+def solve_ivp(fun, times, y0: np.ndarray, event, rtol: float, atol: float) -> SimpleNamespace:
+    """Integrate y' = fun(t, y) forward over the sorted times with the
+    Dormand-Prince 5(4) pair, stopping where event(t, y) first rises through
+    zero, and sample the solution at the times as it steps.
 
     Each operation is that of scipy 1.17 solve_ivp(method="RK45",
-    dense_output=True, events=event) with a terminal upward event, so t, y,
-    nfev and the dense output are scipy's floats bit for bit. status is 0 at
-    the end of t_span, 1 at the event and -1 once the step would fall below
-    ten spacings of t; sol(times) evaluates the dense output at sorted times
-    up to t[-1], each on the step that ends at or after it.
+    t_eval=times, events=event) with a terminal upward event, so the step ends
+    t, their states y, the samples and nfev are scipy's bit for bit: a step
+    evaluates its quartic interpolant, built only when needed, at the times in
+    (t_old, t] (the first step at times[0] too), and at the event only up to
+    the root. status is 0 at times[-1], 1 at the event and -1 once the step
+    would fall below ten spacings of t; a halt before the first step samples
+    times[0] as y0.
     """
-    t, t_bound = map(float, t_span)
+    t, t_bound = float(times[0]), float(times[-1])
     nfev = 0
 
     def f(t, y):
@@ -153,7 +156,7 @@ def solve_ivp(fun, t_span, y0: np.ndarray, event, rtol: float, atol: float) -> S
         h1 = (0.01 / max(d1, d2)) ** 0.2
     h_abs = min(100 * h0, h1, t_bound - t)
     K = np.empty((7, y.size))
-    ts, ys, steps = [t], [y0], []
+    ts, ys, samples, sampled = [t], [y0], [], 0  # times[:sampled] are sampled
     g = event(t, y0)
     status = None
     while status is None:
@@ -182,28 +185,27 @@ def solve_ivp(fun, t_span, y0: np.ndarray, event, rtol: float, atol: float) -> S
         else:
             status = -1
             break
-        steps.append(_step_interpolant(t, t_new, y, K))
-        t_old, t, y, fy = t, t_new, y_new, f_new
+        t_old, y_old, t, y, fy = t, y, t_new, y_new, f_new
         if t - t_bound >= 0:
             status = 0
         g_new = event(t, y)
+        dense = None
         if g <= 0 and g_new >= 0:
             status = 1
-            t = _brentq(lambda s: event(s, steps[-1](s)), t_old, t)
-            y = steps[-1](t)
+            dense = _step_interpolant(t_old, t_new, y_old, K)
+            t = _brentq(lambda s: event(s, dense(s)), t_old, t)
+            y = dense(t)
         g = g_new
-        if len(ts) > 1 and ts[-1] == t:
-            steps.pop()
-        else:
+        if not (len(ts) > 1 and ts[-1] == t):
             ts.append(t)
             ys.append(y)
-    knots = np.array(ts)
-
-    def sol(times: np.ndarray) -> np.ndarray:
-        step = np.clip(np.searchsorted(knots, times) - 1, 0, len(steps) - 1)
-        return np.hstack([steps[k](times[step == k]) for k in np.unique(step)])
-
-    return SimpleNamespace(t=knots, y=np.vstack(ys).T, sol=sol, status=status, nfev=nfev)
+        end = np.searchsorted(times, t, side="right")
+        if end > sampled:
+            dense = dense or _step_interpolant(t_old, t_new, y_old, K)
+            samples.append(dense(times[sampled:end]))
+            sampled = end
+    return SimpleNamespace(t=np.array(ts), y=np.vstack(ys).T, status=status, nfev=nfev,
+                           samples=np.hstack(samples or [y0[:, None]]))
 
 
 @dataclass(frozen=True)
@@ -242,6 +244,16 @@ class Trajectory:
     metadata: dict = field(default_factory=dict)
 
 
+def _signal(sig, n_pts: int, what: str) -> np.ndarray:
+    """A sampled signal: one finite float at each of the n_pts grid times."""
+    arr = np.asarray(sig, dtype=float)
+    if arr.shape != (n_pts,):
+        raise DomainError(f"{what} must have shape ({n_pts},)")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{what} must be finite")
+    return arr
+
+
 def eval_fliess(c: Series, u, grid: Grid) -> np.ndarray:
     """Evaluate the response of a SISO series to the sampled input u.
 
@@ -252,14 +264,7 @@ def eval_fliess(c: Series, u, grid: Grid) -> np.ndarray:
         raise AlphabetError("direct evaluation expects a single-input series")
     times = grid.times
     n_pts = times.size
-    if u is None:
-        u_arr = np.zeros(n_pts)
-    else:
-        u_arr = np.asarray(u, dtype=float)
-        if u_arr.shape != (n_pts,):
-            raise DomainError(f"input signal must have shape ({n_pts},)")
-        if not np.all(np.isfinite(u_arr)):
-            raise DomainError("input signal must be finite")
+    u_arr = np.zeros(n_pts) if u is None else _signal(u, n_pts, "input signal")
     table: dict[Word, np.ndarray] = {(): np.ones(n_pts)}
     steps = np.diff(times)
     y = np.zeros(n_pts)
@@ -274,29 +279,20 @@ def eval_fliess(c: Series, u, grid: Grid) -> np.ndarray:
                 ([0.0], np.cumsum(steps * (integrand[1:] + integrand[:-1]) / 2.0))
             )
             table[word[k:]] = value
-        y += float(Fraction(coeff)) * value
+        y += _float(coeff, "a series coefficient") * value
     return y
 
 
 def _input_table(net: NetworkSpec, grid: Grid, v) -> np.ndarray:
     arr = np.zeros((net.m, grid.n + 1))
-    if v:
-        for k, sig in v.items():
-            net.check_node(k)
-            row = np.asarray(sig, dtype=float)
-            if row.shape != (grid.n + 1,):
-                raise DomainError(f"signal for node {k} must have shape ({grid.n + 1},)")
-            if not np.all(np.isfinite(row)):
-                raise DomainError(f"signal for node {k} must be finite")
-            arr[k - 1] = row
+    for k, sig in (v or {}).items():
+        net.check_node(k)
+        arr[k - 1] = _signal(sig, grid.n + 1, f"signal for node {k}")
     return arr
 
 
 def _weight_matrix(net: NetworkSpec) -> np.ndarray:
-    m = net.m
-    return np.array(
-        [[float(Fraction(net.weight(r, c))) for c in range(1, m + 1)] for r in range(1, m + 1)]
-    )
+    return np.array([[_float(w, "an interconnection weight") for w in row] for row in net.W])
 
 
 def simulate_maximal_ode(
@@ -323,8 +319,8 @@ def simulate_maximal_ode(
         raise DomainError("escape threshold must be finite and positive")
     m = net.m
     times = grid.times
-    K = np.array([float(Fraction(spec.K)) for spec in net.nodes])
-    M = np.array([float(Fraction(spec.M)) for spec in net.nodes])
+    K = np.array([_float(spec.K, "a node constant K") for spec in net.nodes])
+    M = np.array([_float(spec.M, "a node constant M") for spec in net.nodes])
     W = _weight_matrix(net)
     v_arr = _input_table(net, grid, v)
     forced = v is not None and bool(v)
@@ -346,20 +342,16 @@ def simulate_maximal_ode(
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.isfinite(rhs(times[0], K)).all():
             raise DomainError("the ODE right-hand side leaves the float range at t0")
-        sol = solve_ivp(rhs, (times[0], times[-1]), K, first_escape, **_ODE_TOLERANCES)
+        sol = solve_ivp(rhs, times, K, first_escape, **_ODE_TOLERANCES)
     t_end = float(sol.t[-1])
     halted = sol.status == -1
     escape_time = None if sol.status == 0 else t_end
     z_end = np.abs(sol.y[:, -1])
     escaped = (z_end >= _DIVERGENCE_FLOOR) | ((sol.status == 1) & (z_end == z_end.max()))
     per_node = {k + 1: escape_time if escaped[k] else None for k in range(m)}
-    valid = times <= t_end
-    outputs: dict[int, np.ndarray] = {}
     states = np.full((m, times.size), np.nan)
-    # With no step taken, the only sample up to the stop is t0's.
-    states[:, valid] = sol.sol(times[valid]) if sol.t.size > 1 else sol.y
-    for k in range(m):
-        outputs[k + 1] = states[k]
+    states[:, :sol.samples.shape[1]] = sol.samples
+    outputs = {k + 1: states[k] for k in range(m)}
     metadata = {
         "integrator": "RK45",
         **_ODE_TOLERANCES,

