@@ -17,7 +17,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -26,11 +25,11 @@ from types import UnionType
 from typing import Callable
 
 from . import __version__
-from .errors import DomainError, FliessnetError, ModelError, ParseError
+from .errors import FliessnetError, ModelError, ParseError
 from .growth import abel_taylor, m_inf_bound
 from .network import NetworkSpec, io_map, network_from_json
 from .reldeg import genericity_sample, pair_report, relative_degree
-from .series import coeff_str, series_to_json
+from .series import _check_real, coeff_str, series_to_json
 from .sim import Grid, simulate_maximal_ode, simulate_picard, validate_io_map
 from .words import format_word, parse_word
 
@@ -188,8 +187,7 @@ def _abel(args, net, params):
 def _simulate(args, net, params):
     grid = Grid(args.t0, args.T, args.n)
     # Checked on every route: the threshold is written to the output either way.
-    if not 0 < args.threshold < math.inf:
-        raise DomainError("escape threshold must be finite and positive")
+    _check_real(args.threshold, "escape threshold", 0, strict=True)
     if net.all_maximal():
         method, traj = "ode", simulate_maximal_ode(net, grid, threshold=args.threshold)
     elif net.all_polynomial():

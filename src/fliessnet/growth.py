@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, NoConvergence
-from .series import Coeff, _check_int, _float, as_coeff, positive_constants
+from .series import Coeff, _check_int, _check_real, _float, as_coeff, positive_constants
 
 _BRANCH_POINT = -math.exp(-1.0)
 _BRANCH_GUARD = 1e-12
@@ -50,13 +50,13 @@ def _halley(x: float, w: float) -> float:
 
 
 def _lambert(x: float, lower: bool) -> float:
-    """Real Lambert W on the principal (W >= -1) or the lower (W <= -1) branch."""
-    x = float(x)
+    """Real Lambert W of the real x on the principal (W >= -1) or lower (W <= -1) branch."""
     if lower:
         name, domain = "lambert_w_lower", "-1/e <= x < 0"
     else:
         name, domain = "lambert_w", "finite x >= -1/e"
-    if not math.isfinite(x) or (lower and x >= 0.0) or x <= _BRANCH_POINT - _BRANCH_GUARD:
+    x = _check_real(x, "Lambert W argument x")
+    if (lower and x >= 0.0) or x <= _BRANCH_POINT - _BRANCH_GUARD:
         raise DomainError(f"{name} needs {domain}, got {x}")
     if x < _BRANCH_POINT:
         return -1.0
@@ -191,13 +191,13 @@ def abel_taylor(m: int, K, M, n_max: int) -> AbelSequence:
 
 
 def closed_form_natural_response(m: int, K, M, t: float) -> float:
-    """Envelope value at time t in [0, t_star), via the lower Lambert branch.
+    """Envelope value at the real time t in [0, t_star), via the lower Lambert branch.
 
     z(t) = (-1/m) / (1 + W(-(1+1/(mK)) exp(M t/(m K) - (1+1/(mK))))), which
     satisfies z(0) = K exactly and blows up as t approaches t_star.
     """
     bound = m_inf_bound(K, M, m)
-    t = float(t)
+    t = _check_real(t, "t")
     if not 0.0 <= t < bound.t_star:
         raise DomainError(f"t must lie in [0, t_star) with t_star = {bound.t_star}")
     k_f = _float(bound.Kbar, "Kbar")

@@ -15,6 +15,7 @@ exact; floating point only enters at the simulation boundary.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -138,6 +139,17 @@ def _float(value: Coeff, what: str) -> float:
         return float(value)
     except OverflowError:
         raise DomainError(f"{what} lies outside the float range") from None
+
+
+def _check_real(value, what: str, low=None, strict: bool = False) -> float:
+    """The rule for every real argument: a finite real, not a bool, >= low (> low if strict)."""
+    if type(value) is not float:  # a float skips the isinstance test, ten times dearer
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        value = _float(value, what) if real else math.nan
+    if math.isfinite(value) and (low is None or value > low or value == low and not strict):
+        return value
+    bound = "" if low is None else " and positive" if strict else f" and >= {low}"
+    raise DomainError(f"{what} must be finite{bound}")
 
 
 def _check_size(m, max_degree) -> None:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import AlphabetError, DomainError, ModelError, NoConvergence
 from .network import NetworkSpec, io_map
-from .series import Series, _check_int, _float
+from .series import Series, _check_int, _check_real, _float
 from .words import Word
 
 # At an escape stop, a node other than the one at the threshold is treated as
@@ -210,17 +210,16 @@ def solve_ivp(fun, times, y0: np.ndarray, event, rtol: float, atol: float) -> Si
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform time grid with n+1 sample points on [t0, t0 + T]."""
+    """Uniform time grid with n+1 sample points on [t0, t0 + T], t0 and T as floats."""
 
     t0: float
     T: float
     n: int
 
     def __post_init__(self):
-        if not np.isfinite(self.t0):
-            raise DomainError("t0 must be finite")
-        if not np.isfinite(self.t0 + self.T):
-            raise DomainError("grid end t0 + T must be finite")
+        object.__setattr__(self, "t0", _check_real(self.t0, "t0"))
+        object.__setattr__(self, "T", _check_real(self.T, "horizon T"))
+        _check_real(self.t0 + self.T, "grid end t0 + T")
         if _check_int(self.n, "n", 1) >= np.iinfo(np.intp).max // np.dtype(float).itemsize:
             raise DomainError(f"grid size n = {self.n} exceeds what a numpy array can hold")
         try:
@@ -245,20 +244,23 @@ class Trajectory:
 
 
 def _signal(sig, n_pts: int, what: str) -> np.ndarray:
-    """A sampled signal: one finite float at each of the n_pts grid times."""
-    arr = np.asarray(sig, dtype=float)
+    """A sampled signal: n_pts real arguments (series._check_real), as a float array."""
+    arr = np.asarray(sig)
     if arr.shape != (n_pts,):
         raise DomainError(f"{what} must have shape ({n_pts},)")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{what} must be finite")
-    return arr
+    if arr.dtype.kind in "iuf" and np.all(np.isfinite(arr)):
+        return arr.astype(float, copy=False)
+    return np.array([_check_real(v, what) for v in arr.tolist()])
 
 
+# An overflow is reported as a DomainError rather than warned about.
+@np.errstate(over="ignore", invalid="ignore")
 def eval_fliess(c: Series, u, grid: Grid) -> np.ndarray:
     """Evaluate the response of a SISO series to the sampled input u.
 
     Iterated integrals are built once per distinct suffix with cumulative
     trapezoid quadrature; the drift letter integrates against the constant 1.
+    A response past the float range raises DomainError.
     """
     if c.m != 1:
         raise AlphabetError("direct evaluation expects a single-input series")
@@ -280,6 +282,8 @@ def eval_fliess(c: Series, u, grid: Grid) -> np.ndarray:
             )
             table[word[k:]] = value
         y += _float(coeff, "a series coefficient") * value
+    if not np.all(np.isfinite(y)):
+        raise DomainError("the series response lies outside the float range")
     return y
 
 
@@ -315,8 +319,7 @@ def simulate_maximal_ode(
     """
     if not net.all_maximal():
         raise ModelError("the cubic ODE realization needs every node maximal")
-    if not 0 < threshold < np.inf:
-        raise DomainError("escape threshold must be finite and positive")
+    threshold = _check_real(threshold, "escape threshold", 0, strict=True)
     m = net.m
     times = grid.times
     K = np.array([_float(spec.K, "a node constant K") for spec in net.nodes])
@@ -375,13 +378,14 @@ def simulate_picard(
 
     Converges on horizons where the loop is a contraction; raises
     NoConvergence otherwise rather than returning a half-settled answer, and
-    names the sweep at which a diverging iteration leaves the floats.
+    names the sweep at which a diverging iteration leaves the floats. Sweep 1
+    holds only the responses to v, so a response past the float range there
+    is eval_fliess's DomainError.
     """
     if not net.all_polynomial():
         raise ModelError("Picard iteration needs polynomial node series")
     _check_int(max_iter, "max_iter", 1)
-    if not (np.isfinite(tol) and tol >= 0):
-        raise DomainError("tol must be finite and >= 0")
+    tol = _check_real(tol, "tol", 0)
     m = net.m
     times = grid.times
     v_arr = _input_table(net, grid, v)
@@ -392,10 +396,15 @@ def simulate_picard(
     deltas: list[float] = []
     converged = False
     for sweep in range(1, max_iter + 1):
-        # A diverging sweep overflows; it is reported below rather than warned about.
-        with np.errstate(over="ignore", invalid="ignore"):
+        try:
             for k in range(m):
                 y[k] = eval_fliess(node_series[k], u[k], grid)
+        except DomainError:
+            if sweep == 1:
+                raise
+            y[k] = np.inf  # past the floats, which leaves the node inputs below non-finite
+        # A diverging sweep overflows; it is reported below rather than warned about.
+        with np.errstate(over="ignore", invalid="ignore"):
             u_next = v_arr + W @ y
         if not np.all(np.isfinite(u_next)):
             raise NoConvergence(

@@ -30,9 +30,10 @@ SRC = str(Path(fliessnet.__file__).resolve().parents[1])
 
 
 def run_cli(*argv: str) -> subprocess.CompletedProcess:
-    """The command line in a child process that imports fliessnet from SRC."""
+    """The command line in a child process that imports fliessnet from SRC,
+    with every warning an error there as in the tests themselves."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "fliessnet.cli", *argv],
+    return subprocess.run([sys.executable, "-W", "error", "-m", "fliessnet.cli", *argv],
                           env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
 
 
@@ -42,6 +43,19 @@ def four_node_file(tmp_path):
     path = tmp_path / "four.json"
     path.write_text(json.dumps(network_to_json(net)))
     return str(path)
+
+
+@pytest.fixture
+def big_response_file(tmp_path):
+    """A loop-free net whose one node 10**308 x0 x0 responds past the floats by t = 10."""
+    path = tmp_path / "big.json"
+    net = NetworkSpec(1, [[0]], [Series(1, 2, {(0, 0): 10**308})])
+    path.write_text(json.dumps(network_to_json(net)))
+    return str(path)
+
+
+RESPONSE_PAST_THE_FLOATS = {"type": "DomainError",
+                            "message": "the series response lies outside the float range"}
 
 
 @pytest.fixture
@@ -431,6 +445,17 @@ class TestSimulate:
                          "message": "the ODE right-hand side leaves the float range at t0"}
         assert not out.exists()
 
+    def test_response_past_the_floats_is_a_domain_error(self, big_response_file, tmp_path):
+        """The net has no loop, yet it once failed with 'Picard iteration
+        diverged: sweep 1', as 0 * inf in the feedback left a NaN."""
+        out = tmp_path / "o.csv"
+        proc = run_cli("simulate", "--net", big_response_file, "--T", "10", "--n", "10",
+                       "--out", str(out))
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["error"] == RESPONSE_PAST_THE_FLOATS
+        assert proc.stderr == ""
+        assert not out.exists()
+
     def test_word_past_the_recursion_limit(self, tmp_path, capsys):
         """A node x0^1100 x1 once ended the Picard route in a RecursionError."""
         net = NetworkSpec(1, [[1]], [Series(1, 1101, {(0,) * 1100 + (1,): 1})])
@@ -565,6 +590,15 @@ class TestValidate:
         assert proc.returncode == 1
         assert json.loads(proc.stdout)["error"]["type"] == "DomainError"
         assert "Traceback" not in proc.stderr
+
+    def test_response_past_the_floats_is_a_domain_error(self, big_response_file):
+        """The series route once printed numpy's overflow warning, and the
+        command then failed with 'Picard iteration diverged: sweep 1'."""
+        proc = run_cli("validate", "--net", big_response_file, "--from", "1", "--to", "1",
+                       "--degree", "2", "--T", "10", "--n", "10")
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["error"] == RESPONSE_PAST_THE_FLOATS
+        assert proc.stderr == ""
 
     def test_reports_tiny_error(self, four_node_file, capsys):
         doc = run_json(

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,12 +24,16 @@ from fliessnet import (
     abel_taylor,
     as_coeff,
     check_growth,
+    closed_form_natural_response,
     closed_loop_series,
     coeff_str,
     compose_at,
     compose_maximal,
     concat_product,
+    eval_fliess,
     genericity_sample,
+    lambert_w,
+    lambert_w_lower,
     linear_combine,
     m_inf_bound,
     maximal_series,
@@ -36,6 +42,7 @@ from fliessnet import (
     series_from_json,
     series_to_json,
     shuffle_product,
+    simulate_maximal_ode,
     simulate_picard,
 )
 from conftest import make_random_series
@@ -72,6 +79,45 @@ INT_ARGUMENTS = [
     ("simulate_picard max_iter",
      lambda v: simulate_picard(NetworkSpec(1, [[0]], [X1]), Grid(0.0, 1.0, 2), max_iter=v),
      "max_iter", 1, DomainError),
+]
+
+GRID = Grid(0.0, 0.4, 10)
+ONE_MAXIMAL = NetworkSpec(1, [[1]], [MaximalSeriesSpec(1, 1)])
+ONE_X1 = NetworkSpec(1, [[0]], [X1])
+
+
+def trajectory_floats(traj) -> str:
+    """Every float a trajectory reports, exactly."""
+    return repr((traj.times.tolist(), traj.escape_time, traj.metadata,
+                 {k: y.tolist() for k, y in traj.outputs.items()}))
+
+
+# (name, call taking the value, message for a value that is not a finite real,
+#  a plain float the call accepts, a value past the site's bound or None, its message)
+REAL_ARGUMENTS = [
+    ("Grid t0", lambda v: repr(Grid(v, 1.0, 4)), "t0 must be finite",
+     1.0, 1e16, "horizon T must be positive and resolvable at t0"),
+    ("Grid T", lambda v: repr(Grid(0.5, v, 4)), "horizon T must be finite",
+     2.0, 0.0, "horizon T must be positive and resolvable at t0"),
+    ("simulate_maximal_ode threshold",
+     lambda v: trajectory_floats(simulate_maximal_ode(ONE_MAXIMAL, GRID, threshold=v)),
+     "escape threshold must be finite and positive",
+     2.0, 0.0, "escape threshold must be finite and positive"),
+    ("simulate_picard tol", lambda v: trajectory_floats(simulate_picard(ONE_X1, GRID, tol=v)),
+     "tol must be finite and >= 0", 1.0, -1e-3, "tol must be finite and >= 0"),
+    ("closed_form_natural_response t",
+     lambda v: repr(closed_form_natural_response(1, 1, Fraction(1, 10), v)), "t must be finite",
+     1.0, -0.5, "t must lie in [0, t_star)"),
+    ("lambert_w x", lambda v: repr(lambert_w(v)), "Lambert W argument x must be finite",
+     1.0, -1.0, "lambert_w needs finite x >= -1/e"),
+    ("lambert_w_lower x", lambda v: repr(lambert_w_lower(v)),
+     "Lambert W argument x must be finite",
+     -0.25, 0.5, "lambert_w_lower needs -1/e <= x < 0"),
+    ("eval_fliess input", lambda v: repr(eval_fliess(X1, [v] * 11, GRID).tolist()),
+     "input signal must be finite", 2.0, None, None),
+    ("simulate_picard signal",
+     lambda v: trajectory_floats(simulate_picard(ONE_X1, GRID, {1: [v] * 11})),
+     "signal for node 1 must be finite", 2.0, None, None),
 ]
 
 
@@ -137,6 +183,39 @@ class TestSeriesContainer:
         sample_network read index True as sample 1."""
         with pytest.raises(error, match=f"^{re.escape(what)} must be an integer >= {low}$"):
             call(value)
+
+    @pytest.mark.parametrize("call,message,value", [
+        pytest.param(call, message, value, id=f"{name}-{value!r}")
+        for name, call, message, _, _, _ in REAL_ARGUMENTS
+        for value in (True, "1", None, 1 + 0j, math.nan, math.inf, -math.inf)
+    ])
+    def test_rejects_reals_that_are_not_finite_reals(self, call, message, value):
+        """Every real argument is a finite real number, not a bool, with one
+        message. Grid("0", 1.0, 10) and lambert_w(None) once raised TypeError,
+        threshold=True reported an escape at t = 0, lambert_w("1") and signals
+        of bools or numeric strings were read as numbers, and a complex value
+        lost its imaginary part behind a ComplexWarning."""
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            call(value)
+
+    @pytest.mark.parametrize("call,value,message", [
+        pytest.param(call, past, message, id=name)
+        for name, call, _, _, past, message in REAL_ARGUMENTS if past is not None
+    ])
+    def test_rejects_reals_past_their_bound(self, call, value, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+            call(value)
+
+    @pytest.mark.parametrize("call,value,same", [
+        pytest.param(call, good, same, id=f"{name}-{type(same).__name__}")
+        for name, call, _, good, _, _ in REAL_ARGUMENTS
+        for same in (int(good), Fraction(good), np.float64(good)) if same == good
+    ])
+    def test_reals_of_every_type_give_the_floats_of_the_float(self, call, value, same):
+        """An int, a Fraction or a numpy float is read as the plain float of
+        the same value: Grid(Fraction(0), Fraction(1, 2), 4) once raised
+        TypeError, and Grid(0, ...) kept an int t0."""
+        assert call(same) == call(value)
 
     def test_items_graded_lex(self):
         c = Series(1, 3, {(1, 1): 1, (0,): 2, (): 3, (1,): 4})

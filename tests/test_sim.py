@@ -88,7 +88,17 @@ class TestGrid:
         assert np.all(np.diff(Grid(t0, 1e3 * T, n).times) > 0)
 
 
+# One loop-free node whose response 10**308 t^2 / 2 is past the floats by t = 10.
+BIG_RESPONSE = NetworkSpec(1, [[0]], [Series(1, 2, {(0, 0): 10**308})])
+PAST_THE_FLOATS = "^the series response lies outside the float range$"
+
+
 class TestEvalFliess:
+    def test_response_past_the_floats_is_a_domain_error(self):
+        """It once returned inf behind numpy's overflow warning."""
+        with pytest.raises(DomainError, match=PAST_THE_FLOATS):
+            eval_fliess(BIG_RESPONSE.node(1), None, Grid(0.0, 10.0, 10))
+
     def test_drift_words_integrate_time(self):
         # trapezoid quadrature is exact through the linear integrand of x0 x0
         grid = Grid(0.0, 2.0, 50)
@@ -214,7 +224,7 @@ def test_no_command_loads_scipy_or_the_process_pool(tmp_path):
         print(json.dumps([codes, loaded]))
     """)
     out = subprocess.run(
-        [sys.executable, "-c", probe, json.dumps(SEVEN_COMMANDS)],
+        [sys.executable, "-W", "error", "-c", probe, json.dumps(SEVEN_COMMANDS)],
         cwd=tmp_path, env=env, capture_output=True, text=True, check=True, timeout=120,
     )
     assert json.loads(out.stdout) == [[0] * 7, []]
@@ -438,6 +448,13 @@ class TestPicard:
         grid = Grid(0.0, 1.0, 100)
         with pytest.raises(NoConvergence):
             simulate_picard(net, grid, v={1: np.ones(101)}, max_iter=2)
+
+    def test_response_past_the_floats_at_sweep_1_is_a_domain_error(self):
+        """Sweep 1 holds only the responses to v, so nothing has diverged yet:
+        this loop-free net once raised 'Picard iteration diverged: sweep 1',
+        as 0 * inf in the feedback left a NaN."""
+        with pytest.raises(DomainError, match=PAST_THE_FLOATS):
+            simulate_picard(BIG_RESPONSE, Grid(0.0, 10.0, 10))
 
     def test_diverging_sweep_is_no_convergence(self):
         """1 + 2 x1 x1 under unit self-feedback outputs sec^2 t, which escapes
