@@ -4,9 +4,17 @@ The package builds noncommutative generating series over the alphabet
 {x0, ..., xm} with exact rational coefficients, composes them along network
 interconnections, measures and predicts relative degrees, bounds coefficient
 growth and finite escape times, and cross-checks everything numerically.
+
+The exact algebra runs on the standard library. numpy, the one run-time
+dependency, loads on first use of the dense shuffle kernel, the Monte Carlo
+weight draw or a simulation: the sim names below are resolved on first
+access, so importing the package or running a CLI command that builds no
+array does not load it.
 """
 
 __version__ = "0.1.0"
+
+import importlib
 
 from .errors import (
     AlphabetError,
@@ -83,15 +91,18 @@ from .growth import (
     lambert_w_lower,
     m_inf_bound,
 )
-from .sim import (
-    Grid,
-    Trajectory,
-    ValidationReport,
-    eval_fliess,
-    simulate_maximal_ode,
-    simulate_picard,
-    validate_io_map,
-)
+
+# The simulation names load sim, and with it numpy, on first access (PEP 562).
+_SIM_NAMES = frozenset({"Grid", "Trajectory", "ValidationReport", "eval_fliess",
+                        "simulate_maximal_ode", "simulate_picard", "validate_io_map"})
+
+
+def __getattr__(name: str):
+    if name != "sim" and name not in _SIM_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    sim = importlib.import_module(".sim", __name__)
+    return sim if name == "sim" else getattr(sim, name)
+
 
 __all__ = [
     "__version__",

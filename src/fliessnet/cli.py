@@ -30,7 +30,6 @@ from .growth import abel_taylor, m_inf_bound
 from .network import NetworkSpec, io_map, network_from_json
 from .reldeg import genericity_sample, pair_report, relative_degree
 from .series import _check_real, coeff_str, series_to_json
-from .sim import Grid, simulate_maximal_ode, simulate_picard, validate_io_map
 from .words import format_word, parse_word
 
 TOOL = "fliessnet"
@@ -185,6 +184,8 @@ def _abel(args, net, params):
 
 
 def _simulate(args, net, params):
+    from .sim import Grid, simulate_maximal_ode, simulate_picard
+
     grid = Grid(args.t0, args.T, args.n)
     # Checked on every route: the threshold is written to the output either way.
     _check_real(args.threshold, "escape threshold", 0, strict=True)
@@ -239,6 +240,8 @@ def _montecarlo(args, net, params):
 
 
 def _validate(args, net, params):
+    from .sim import Grid, validate_io_map
+
     i, j = getattr(args, "from"), args.to
     report = validate_io_map(net, i, j, args.degree, Grid(args.t0, args.T, args.n))
     result = {

@@ -14,8 +14,6 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
-import numpy as np
-
 from .errors import AlphabetError, ConditionError, DomainError, SubgraphBudgetError
 from .network import (
     NetworkSpec,
@@ -324,6 +322,8 @@ def sample_network(
         raise DomainError("pattern must be an m-by-m 0/1 matrix")
     _check_int(seed, "seed", 0)
     _check_int(index, "index", 0)
+    import numpy as np
+
     rng = np.random.default_rng([seed, index])
     W: list[list[Coeff]] = [[0] * m for _ in range(m)]
     for r in range(m):
@@ -378,6 +378,8 @@ def genericity_sample(
                 values.append(abs(_float(closed[k].coeff(word), "the designated coefficient")))
     histogram: tuple[tuple[float, float, int], ...] = ()
     if values:
+        import numpy as np
+
         counts, edges = np.histogram(np.asarray(values), bins=bins)
         histogram = tuple(
             (float(edges[b]), float(edges[b + 1]), int(counts[b])) for b in range(len(counts))

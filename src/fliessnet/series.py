@@ -20,13 +20,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from types import MappingProxyType
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .errors import AlphabetError, DomainError, ParseError
 from .words import Word, check_word, format_word, words_of_length
 from .words import _memo_shuffle as shuffle_words  # fills the memo it is passed
+
+if TYPE_CHECKING:  # annotations only; numpy loads on the dense kernel's first call
+    import numpy as np
 
 Coeff = Union[int, Fraction]
 
@@ -418,6 +419,8 @@ def _dense(nums: dict[Word, int], length: int, s: int, scale: int) -> np.ndarray
     """scale times the numerators of a grade of words of one length, as an
     object array of s^length Python ints indexed by each word read as a
     base-s number, first letter most significant."""
+    import numpy as np
+
     digits = np.frombuffer(b"".join(map(bytes, nums)), np.uint8).reshape(len(nums), length)
     arr = np.zeros(s**length, dtype=object)
     arr[digits @ s ** np.arange(length - 1, -1, -1)] = (
@@ -439,6 +442,8 @@ def _dense_shuffle(pairs: dict[int, tuple[np.ndarray, np.ndarray]], n: int, s: i
     a transpose of the one and a reshape of the other. T[0][0] is the sum.
     row[q] holds T[p][q] (None where no pair reaches), overwritten as p falls.
     """
+    import numpy as np
+
     row: list[Optional[np.ndarray]] = []
     for p in range(n, -1, -1):
         sp = s**p

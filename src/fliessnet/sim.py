@@ -10,7 +10,9 @@ The cubic ODE runs on an in-module RK45, the Dormand-Prince 5(4) pair with
 its step-size rules and a Brent root for the escape event, which samples the
 grid as it steps and keeps no step's interpolant. It performs scipy's RK45
 operation for operation and returns the same floats, so the package needs
-numpy alone at run time; scipy serves only as a test oracle.
+numpy alone at run time; scipy serves only as a test oracle. This is the
+package's one module that loads numpy on import, so the package and the
+CLI import it only when a simulation is asked for.
 """
 
 from __future__ import annotations
@@ -245,8 +247,11 @@ class Trajectory:
 
 def _signal(sig, n_pts: int, what: str) -> np.ndarray:
     """A sampled signal: n_pts real arguments (series._check_real), as a float array."""
-    arr = np.asarray(sig)
-    if arr.shape != (n_pts,):
+    try:
+        arr = np.asarray(sig)
+    except ValueError:  # a ragged nesting has no shape
+        arr = None
+    if arr is None or arr.shape != (n_pts,):
         raise DomainError(f"{what} must have shape ({n_pts},)")
     if arr.dtype.kind in "iuf" and np.all(np.isfinite(arr)):
         return arr.astype(float, copy=False)
@@ -327,15 +332,13 @@ def simulate_maximal_ode(
     W = _weight_matrix(net)
     v_arr = _input_table(net, grid, v)
     forced = v is not None and bool(v)
-
-    def excitation(t: float) -> np.ndarray:
-        if not forced:
-            return np.zeros(m)
-        return np.array([np.interp(t, times, v_arr[k]) for k in range(m)])
+    rate = M / K
 
     def rhs(t, z):
-        u = excitation(t) + W @ z
-        return (M / K) * z * z * (1.0 + u)
+        u = W @ z
+        if forced:
+            u += np.array([np.interp(t, times, v_arr[k]) for k in range(m)])
+        return rate * z * z * (1.0 + u)
 
     def first_escape(t, z):
         return np.max(np.abs(z)) - threshold

@@ -99,6 +99,11 @@ class TestEvalFliess:
         with pytest.raises(DomainError, match=PAST_THE_FLOATS):
             eval_fliess(BIG_RESPONSE.node(1), None, Grid(0.0, 10.0, 10))
 
+    def test_ragged_input_is_a_domain_error(self):
+        """It once ended in numpy's ValueError about an inhomogeneous shape."""
+        with pytest.raises(DomainError, match=r"input signal must have shape \(3,\)"):
+            eval_fliess(X1, [[1, 2], [3]], Grid(0.0, 0.1, 2))
+
     def test_drift_words_integrate_time(self):
         # trapezoid quadrature is exact through the linear integrand of x0 x0
         grid = Grid(0.0, 2.0, 50)
@@ -228,6 +233,58 @@ def test_no_command_loads_scipy_or_the_process_pool(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, check=True, timeout=120,
     )
     assert json.loads(out.stdout) == [[0] * 7, []]
+
+
+def fresh_probe(tmp_path, probe: str) -> list:
+    """The JSON that probe prints last, run in a fresh interpreter in
+    tmp_path beside four.json and one.json with SEVEN_COMMANDS as argv[1]."""
+    four = four_node_net(Fraction(2, 3), Fraction(1, 5), Fraction(3, 7), Fraction(4, 9))
+    (tmp_path / "four.json").write_text(json.dumps(fliessnet.network_to_json(four)))
+    (tmp_path / "one.json").write_text(json.dumps(fliessnet.network_to_json(single_maximal())))
+    src = os.path.dirname(os.path.dirname(fliessnet.__file__))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    out = subprocess.run(
+        [sys.executable, "-W", "error", "-c", textwrap.dedent(probe), json.dumps(SEVEN_COMMANDS)],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_commands_that_build_no_array_load_no_numpy(tmp_path):
+    """Importing the package and the CLI, then running iomap, reldeg, bounds
+    and abel, loads no numpy module; simulate then loads it."""
+    probe = """
+        import contextlib, io, json, sys
+        def numpy_loaded():
+            return any(name.split(".")[0] == "numpy" for name in sys.modules)
+        import fliessnet, fliessnet.cli as cli
+        after_import = numpy_loaded()
+        commands = [argv for argv in json.loads(sys.argv[1])
+                    if argv[0] in ("iomap", "reldeg", "bounds", "abel")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [cli.run(argv) for argv in commands]
+            after_commands = numpy_loaded()
+            codes += [cli.run(argv) for argv in json.loads(sys.argv[1]) if argv[0] == "simulate"]
+        print(json.dumps([codes, after_import, after_commands, numpy_loaded()]))
+    """
+    assert fresh_probe(tmp_path, probe) == [[0] * 5, False, False, True]
+
+
+def test_every_exported_name_resolves_in_a_fresh_process(tmp_path):
+    """The sim names load on first access: fliessnet.sim is reachable right
+    after import, every name of __all__ resolves, and a star import works."""
+    probe = """
+        import json, sys
+        import fliessnet
+        reachable = fliessnet.sim is sys.modules["fliessnet.sim"]
+        missing = [name for name in fliessnet.__all__ if not hasattr(fliessnet, name)]
+        scope = {}
+        exec("from fliessnet import *", scope)
+        star = sorted(set(fliessnet.__all__) - set(scope))
+        print(json.dumps([reachable, missing, star, fliessnet.Grid is fliessnet.sim.Grid]))
+    """
+    assert fresh_probe(tmp_path, probe) == [True, [], [], True]
 
 
 def over(rng: random.Random, q: int, top: int) -> Fraction:
@@ -455,6 +512,12 @@ class TestPicard:
         as 0 * inf in the feedback left a NaN."""
         with pytest.raises(DomainError, match=PAST_THE_FLOATS):
             simulate_picard(BIG_RESPONSE, Grid(0.0, 10.0, 10))
+
+    def test_ragged_node_signal_is_a_domain_error(self):
+        """It once ended in numpy's ValueError about an inhomogeneous shape."""
+        net = NetworkSpec(1, [[0]], [X1])
+        with pytest.raises(DomainError, match=r"signal for node 1 must have shape \(3,\)"):
+            simulate_picard(net, Grid(0.0, 0.1, 2), v={1: [[1, 2], [3]]})
 
     def test_diverging_sweep_is_no_convergence(self):
         """1 + 2 x1 x1 under unit self-feedback outputs sec^2 t, which escapes

@@ -39,11 +39,15 @@ def load_spans():
 
 def test_only_the_cli_prediction_binding_is_absent():
     """Besides the CLI's prediction, only reldeg's closed_loop_series and
-    restrict_to_subgraph are unbound: reldeg settles the loops of all inputs
-    in one network routine, and restrict_to_subgraph lives in the tests'
-    subgraph_loop_oracle. No benchmark metric reads either binding."""
+    restrict_to_subgraph and the CLI's three sim bindings are unbound:
+    reldeg settles the loops of all inputs in one network routine,
+    restrict_to_subgraph lives in the tests' subgraph_loop_oracle, and the
+    simulate and validate handlers import from sim when they run, so that
+    the other commands start without numpy. No benchmark metric reads only
+    these bindings: each sim metric keeps its fliessnet and fliessnet.sim ones."""
     assert load_spans().Tracer().absent == [
-        "cli.predict_io_reldeg", "reldeg.closed_loop_series", "reldeg.restrict_to_subgraph"]
+        "cli.predict_io_reldeg", "cli.simulate_maximal_ode", "cli.simulate_picard",
+        "cli.validate_io_map", "reldeg.closed_loop_series", "reldeg.restrict_to_subgraph"]
 
 
 def test_shuffle_memo_is_a_dict():
