@@ -10,11 +10,15 @@ dependency, loads on first use of the dense shuffle kernel, the Monte Carlo
 weight draw or a simulation: the sim names below are resolved on first
 access, so importing the package or running a CLI command that builds no
 array does not load it.
+
+Every name imported below is public, since `__all__` is read off the names
+bound here: a helper is imported as a module or under a leading underscore.
 """
 
 __version__ = "0.1.0"
 
 import importlib
+import types
 
 from .errors import (
     AlphabetError,
@@ -104,78 +108,6 @@ def __getattr__(name: str):
     return sim if name == "sim" else getattr(sim, name)
 
 
-__all__ = [
-    "__version__",
-    "AbelSequence",
-    "AccumulatedDegrees",
-    "AlphabetError",
-    "Coeff",
-    "ConditionError",
-    "DomainError",
-    "EMPTY_WORD",
-    "FliessnetError",
-    "GenericityStats",
-    "Grid",
-    "GrowthBound",
-    "GrowthCheck",
-    "MaximalSeriesSpec",
-    "ModelError",
-    "NetworkSpec",
-    "NoConvergence",
-    "NodeIndexError",
-    "PairReport",
-    "ParseError",
-    "PredictionReport",
-    "RelDegReport",
-    "ScalarProduct",
-    "Series",
-    "Subgraph",
-    "SubgraphBudgetError",
-    "Trajectory",
-    "ValidationReport",
-    "Word",
-    "abel_taylor",
-    "accumulated_degrees",
-    "all_words",
-    "as_coeff",
-    "check_growth",
-    "closed_form_natural_response",
-    "closed_loop_series",
-    "coeff_str",
-    "complete_reldeg",
-    "compose_at",
-    "compose_maximal",
-    "concat_product",
-    "eval_fliess",
-    "format_word",
-    "genericity_sample",
-    "graded_key",
-    "io_map",
-    "lambert_w",
-    "lambert_w_lower",
-    "leading_zeros",
-    "linear_combine",
-    "m_inf_bound",
-    "maximal_series",
-    "mixed_compose",
-    "natural_response",
-    "network_from_json",
-    "network_to_json",
-    "node_degree_report",
-    "pair_report",
-    "parse_word",
-    "predict_io_reldeg",
-    "relative_degree",
-    "sample_network",
-    "scalar_product",
-    "series_from_json",
-    "series_to_json",
-    "shuffle_product",
-    "shuffle_words",
-    "simulate_maximal_ode",
-    "simulate_picard",
-    "subgraph_extract",
-    "sum_reldeg_predict",
-    "validate_io_map",
-    "words_of_length",
-]
+__all__ = ["__version__", *sorted(
+    {name for name, value in list(globals().items())
+     if not name.startswith("_") and not isinstance(value, types.ModuleType)} | _SIM_NAMES)]

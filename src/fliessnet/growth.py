@@ -194,7 +194,8 @@ def closed_form_natural_response(m: int, K, M, t: float) -> float:
     """Envelope value at the real time t in [0, t_star), via the lower Lambert branch.
 
     z(t) = (-1/m) / (1 + W(-(1+1/(mK)) exp(M t/(m K) - (1+1/(mK))))), which
-    satisfies z(0) = K exactly and blows up as t approaches t_star.
+    satisfies z(0) = K exactly and blows up as t approaches t_star; a t so
+    close to t_star that W rounds to -1 raises DomainError.
     """
     bound = m_inf_bound(K, M, m)
     t = _check_real(t, "t")
@@ -210,4 +211,6 @@ def closed_form_natural_response(m: int, K, M, t: float) -> float:
     if arg < _BRANCH_POINT:
         arg = _BRANCH_POINT
     w = lambert_w_lower(arg)
+    if 1.0 + w == 0.0:
+        raise DomainError(f"t = {t} lies too close to t_star = {bound.t_star} to resolve")
     return (-1.0 / m) / (1.0 + w)

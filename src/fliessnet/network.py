@@ -187,14 +187,14 @@ def _closed_loops(net: NetworkSpec, degree: int, inputs):
         held.memo.clear()
 
 
-def _ancestors(net: NetworkSpec) -> list[int]:
+def _ancestors(W) -> list[int]:
     """Entry k is node k and every node with a path into it, as a bit mask
     with bit l for node l; entry 0 is 0. Warshall's closure (J. ACM 9, 1962)
-    over the rows of the weight matrix: taking each node v in turn as a
+    over the rows of the weight matrix W: taking each node v in turn as a
     waypoint, every node that v reaches gains v's ancestors."""
-    nodes = range(1, net.m + 1)
+    nodes = range(1, len(W) + 1)
     ancestors = [0] + [sum(1 << l for l, w in zip(nodes, row) if w) | 1 << k
-                       for k, row in zip(nodes, net.W)]
+                       for k, row in zip(nodes, W)]
     for v in nodes:
         for k in nodes:
             if ancestors[k] >> v & 1:
@@ -219,7 +219,7 @@ def _plan(net: NetworkSpec, degree: int):
                for k, src in zip(nodes, net.nodes)}
     inputs = {k: tuple((w.numerator, w.denominator, l) for l, w in zip(nodes, net.W[k - 1]) if w)
               for k in nodes}
-    ancestors = _ancestors(net)
+    ancestors = _ancestors(net.W)
     comps: dict[int, tuple[int, ...]] = {}
     for k in nodes:
         comps[ancestors[k]] = comps.get(ancestors[k], ()) + (k,)
@@ -302,7 +302,7 @@ def subgraph_extract(net: NetworkSpec, i: int, j: int) -> Subgraph:
     net.check_node(j)
     if i == j:
         return Subgraph(i, j, frozenset({i}), frozenset())
-    ancestors = _ancestors(net)
+    ancestors = _ancestors(net.W)
     if not ancestors[j] >> i & 1:
         return Subgraph(i, j, frozenset(), frozenset())
     candidates = [k for k in range(1, net.m + 1) if ancestors[k] >> i & 1 and ancestors[j] >> k & 1]

@@ -18,6 +18,7 @@ from .errors import AlphabetError, ConditionError, DomainError, SubgraphBudgetEr
 from .network import (
     NetworkSpec,
     Subgraph,
+    _ancestors,
     _closed_loops,
     subgraph_extract,
 )
@@ -196,7 +197,7 @@ def predict_io_reldeg(net: NetworkSpec, i: int, j: int) -> PredictionReport:
     Certificates, in order of strength:
       fully_connected     sink j receives an edge from every other node, so
                           every input path is dominated by r_j + r_i; G_ji is
-                          then read off a walk from i, with no path search;
+                          then read off the ancestor closure, with no path search;
       distinct            along the forward-path subgraph every node sees
                           pairwise distinct accumulated degrees, so the
                           shortest one survives with a nonzero coefficient;
@@ -212,14 +213,12 @@ def predict_io_reldeg(net: NetworkSpec, i: int, j: int) -> PredictionReport:
         return PredictionReport(i, j, r, CONDITION_DISTINCT, {i: r}, details)
     net.check_node(i)
     if all(net.weight(j, k) != 0 for k in range(1, net.m + 1) if k != j):
-        # G_ji is j and each node that i reaches short of j: its edge into j closes a simple path.
-        nodes, stack = {i, j}, [i]
-        while stack:
-            l = stack.pop()
-            reached = {k for k, row in enumerate(net.W, 1) if row[l - 1]} - nodes
-            nodes |= reached
-            stack.extend(reached)
-        degrees = {v: node_degree_report(net, v).require_defined()[0] for v in sorted(nodes)}
+        # G_ji is j and each node that i reaches short of j (the descendants of
+        # i once j's out-edges are cut): its edge into j closes a simple path.
+        ancestors = _ancestors([[w if l != j else 0 for l, w in enumerate(row, 1)]
+                                for row in net.W])
+        nodes = [v for v in range(1, net.m + 1) if ancestors[v] >> i & 1]
+        degrees = {v: node_degree_report(net, v).require_defined()[0] for v in nodes}
         r = degrees[j] + degrees[i]
         return PredictionReport(i, j, r, CONDITION_FULLY_CONNECTED, degrees, {})
     sub = subgraph_extract(net, i, j)

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import AlphabetError, DomainError, ModelError, NoConvergence
-from .network import NetworkSpec, io_map
+from .network import NetworkSpec, _ancestors, io_map
 from .series import Series, _check_int, _check_real, _float
 from .words import Word
 
@@ -381,9 +381,10 @@ def simulate_picard(
 
     Converges on horizons where the loop is a contraction; raises
     NoConvergence otherwise rather than returning a half-settled answer, and
-    names the sweep at which a diverging iteration leaves the floats. Sweep 1
-    holds only the responses to v, so a response past the float range there
-    is eval_fliess's DomainError.
+    names the sweep at which a diverging iteration leaves the floats. Only a
+    node fed by a cycle can diverge: a response past the float range at a
+    node that no cycle feeds, or at any node in sweep 1 (which holds only the
+    responses to v), is eval_fliess's DomainError.
     """
     if not net.all_polynomial():
         raise ModelError("Picard iteration needs polynomial node series")
@@ -394,6 +395,9 @@ def simulate_picard(
     v_arr = _input_table(net, grid, v)
     W = _weight_matrix(net)
     node_series = [net.node(k) for k in range(1, m + 1)]
+    # A node is on a cycle when it has a self-loop or shares its ancestor mask.
+    anc = _ancestors(net.W)
+    cyclic = sum(1 << k for k in range(1, m + 1) if net.W[k - 1][k - 1] or anc.count(anc[k]) > 1)
     u = v_arr.copy()
     y = np.zeros_like(u)
     deltas: list[float] = []
@@ -403,7 +407,7 @@ def simulate_picard(
             for k in range(m):
                 y[k] = eval_fliess(node_series[k], u[k], grid)
         except DomainError:
-            if sweep == 1:
+            if sweep == 1 or not anc[k + 1] & cyclic:
                 raise
             y[k] = np.inf  # past the floats, which leaves the node inputs below non-finite
         # A diverging sweep overflows; it is reported below rather than warned about.

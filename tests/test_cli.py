@@ -456,6 +456,20 @@ class TestSimulate:
         assert proc.stderr == ""
         assert not out.exists()
 
+    def test_loop_free_response_past_the_floats_after_sweep_1(self, tmp_path):
+        """Node 2 overflows only once node 1's response reaches it. No cycle
+        feeds it, yet the command once failed with 'Picard iteration
+        diverged: sweep 2'."""
+        path, out = tmp_path / "cascade.json", tmp_path / "o.csv"
+        net = NetworkSpec(2, [[0, 0], [1, 0]], [Series(1, 1, {(0,): 10**200}),
+                                                Series(1, 2, {(1, 1): 10**200})])
+        path.write_text(json.dumps(network_to_json(net)))
+        proc = run_cli("simulate", "--net", str(path), "--T", "1", "--n", "10", "--out", str(out))
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["error"] == RESPONSE_PAST_THE_FLOATS
+        assert proc.stderr == ""
+        assert not out.exists()
+
     def test_word_past_the_recursion_limit(self, tmp_path, capsys):
         """A node x0^1100 x1 once ended the Picard route in a RecursionError."""
         net = NetworkSpec(1, [[1]], [Series(1, 1101, {(0,) * 1100 + (1,): 1})])

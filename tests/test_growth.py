@@ -295,6 +295,15 @@ class TestClosedForm:
         assert all(a < b for a, b in zip(samples, samples[1:]))
         assert samples[-1] > 1e3 * K
 
+    def test_just_below_t_star_is_a_domain_error(self):
+        """At (m, K, M) = (3, 3, 4) the lower branch rounds to W = -1 on each
+        of the 60 floats below t_star, which once raised ZeroDivisionError."""
+        t = t_star = m_inf_bound(3, 4, 3).t_star
+        for _ in range(60):
+            t = math.nextafter(t, 0.0)
+            with pytest.raises(DomainError, match=f"too close to t_star = {t_star}"):
+                closed_form_natural_response(3, 3, 4, t)
+
     def test_domain(self):
         t_star = m_inf_bound(1, 1, 1).t_star
         with pytest.raises(DomainError):

@@ -238,6 +238,13 @@ class TestSeriesContainer:
         p = c.extended(5, exact_to=5)
         assert p.exact_to == 5
 
+    def test_extended_to_a_lower_degree_truncates(self):
+        c = Series(1, 4, {(0, 0, 0): 1, (1,): 2, (0, 1, 1, 0): 3}, exact_to=3)
+        for degree in range(4):
+            lower, cut = c.extended(degree), c.truncate(degree)
+            assert (lower.max_degree, lower.exact_to, lower.terms) == (
+                cut.max_degree, cut.exact_to, cut.terms)
+
     def test_is_proper(self):
         assert Series(1, 2, {(1,): 1}).is_proper()
         assert not Series(1, 2, {(): 1}).is_proper()
@@ -368,6 +375,15 @@ class TestJsonRoundtrip:
         assert series_from_json(payload) == Series(1, 2, {(0, 1): 1})
         with pytest.raises(ParseError):
             series_from_json({**payload, **change})
+
+    @pytest.mark.parametrize("doc", [
+        [1, 2, []], "series", None,
+        {"m": 1, "degree": 2, "terms": [5]},
+        {"m": 1, "degree": 2, "terms": ["word"]},
+    ], ids=repr)
+    def test_non_object_document_or_term_is_a_parse_error(self, doc):
+        with pytest.raises(ParseError, match="malformed series"):
+            series_from_json(doc)
 
     def test_coefficients_as_strings(self):
         c = Series(1, 2, {(0, 1): Fraction(-5, 3)})

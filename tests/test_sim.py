@@ -91,6 +91,9 @@ class TestGrid:
 # One loop-free node whose response 10**308 t^2 / 2 is past the floats by t = 10.
 BIG_RESPONSE = NetworkSpec(1, [[0]], [Series(1, 2, {(0, 0): 10**308})])
 PAST_THE_FLOATS = "^the series response lies outside the float range$"
+# Node 1 (10**200 x0) feeds node 2 (10**200 x1 x1), whose response to it overflows.
+BIG_CASCADE = NetworkSpec(2, [[0, 0], [1, 0]], [Series(1, 1, {(0,): 10**200}),
+                                                Series(1, 2, {(1, 1): 10**200})])
 
 
 class TestEvalFliess:
@@ -287,6 +290,16 @@ def test_every_exported_name_resolves_in_a_fresh_process(tmp_path):
     assert fresh_probe(tmp_path, probe) == [True, [], [], True]
 
 
+def test_the_public_surface_is_read_off_the_imports():
+    """__all__ is __version__, then in sorted order every name the package
+    module binds that is neither private nor a module, and the sim names."""
+    bound = {name for name, value in vars(fliessnet).items()
+             if not name.startswith("_") and not isinstance(value, type(fliessnet))}
+    assert fliessnet.__all__[0] == "__version__"
+    assert fliessnet.__all__[1:] == sorted(bound | fliessnet._SIM_NAMES)
+    assert "sim" not in fliessnet.__all__ and "importlib" not in fliessnet.__all__
+
+
 def over(rng: random.Random, q: int, top: int) -> Fraction:
     """A rational p/q in (0, top) with p not a multiple of the prime q."""
     p = rng.randint(1, top * q - 1)
@@ -314,6 +327,63 @@ def seeded_escape_case(seed: int):
         v = {k: rng.uniform(-1.5, 1.0) * np.sin(rng.uniform(0.0, 6.0) * t) + rng.uniform(-1.0, 0.5)
              for k in range(1, m + 1)}
     return NetworkSpec(m, W, specs), grid, v, threshold
+
+
+def brent_outcome(solve, f, a, b):
+    """The root's bits, or which way the solver gave up."""
+    try:
+        return float(solve(f, a, b)).hex()
+    except (ModelError, ValueError, RuntimeError) as exc:
+        return "unbracketed" if "bracket" in str(exc) or "signs" in str(exc) else "unconverged"
+
+
+def scipy_brentq(f, a, b):
+    from scipy.optimize import brentq
+    tol = 4 * np.finfo(float).eps
+    return brentq(f, a, b, xtol=tol, rtol=tol, maxiter=100)
+
+
+def seeded_bracket(seed: int):
+    """A cubic, exponential or sine root problem on a random bracket."""
+    rng = random.Random(seed)
+    kind = seed % 3
+    if kind == 0:
+        r = [rng.uniform(-1.0, 1.0) for _ in range(3)]
+        f = lambda x: (x - r[0]) * (x - r[1]) * (x - r[2])
+    elif kind == 1:
+        k, c = rng.uniform(-3.0, 3.0), rng.uniform(0.1, 3.0)
+        f = lambda x: math.exp(k * x) - c
+    else:
+        w, s = rng.uniform(1.0, 20.0), rng.uniform(-1.0, 1.0)
+        f = lambda x: math.sin(w * x) + s
+    a, b = sorted(rng.uniform(-1.5, 1.5) for _ in range(2))
+    return f, a, b
+
+
+class TestBrentq:
+    def test_same_roots_as_scipy_brentq(self):
+        """sim._brentq against scipy's brentq at the same tolerances: the
+        same bits where a root is found, and the same refusal (ModelError
+        against ValueError) where the pair does not bracket one."""
+        outcomes = []
+        for seed in range(300):
+            f, a, b = seeded_bracket(seed)
+            mine = brent_outcome(sim._brentq, f, a, b)
+            assert mine == brent_outcome(scipy_brentq, f, a, b), seed
+            outcomes.append(mine)
+        assert outcomes.count("unbracketed") > 50 and len(set(outcomes)) > 100
+
+    @pytest.mark.parametrize("f,a,b,expected", [
+        (lambda x: x - 0.25, 0.25, 1.0, (0.25).hex()),
+        (lambda x: x - 0.25, -1.0, 0.25, (0.25).hex()),
+        (lambda x: x * x + 1.0, -1.0, 1.0, "unbracketed"),
+        (lambda x: (x - 0.3) ** 3, 0.0, 1.0, "unconverged"),
+    ], ids=["root at a", "root at b", "unbracketed", "triple root"])
+    def test_edge_cases_as_scipy_brentq(self, f, a, b, expected):
+        """A root at either end returns that end; the triple root (x - 0.3)^3
+        gives up after 100 iterations in both (ModelError against RuntimeError)."""
+        assert brent_outcome(sim._brentq, f, a, b) == expected
+        assert brent_outcome(scipy_brentq, f, a, b) == expected
 
 
 class TestMaximalOde:
@@ -512,6 +582,22 @@ class TestPicard:
         as 0 * inf in the feedback left a NaN."""
         with pytest.raises(DomainError, match=PAST_THE_FLOATS):
             simulate_picard(BIG_RESPONSE, Grid(0.0, 10.0, 10))
+
+    def test_loop_free_response_past_the_floats_is_a_domain_error(self):
+        """Node 2 of this cascade overflows only at sweep 2, once node 1's
+        response reaches it; no cycle feeds it, so it cannot diverge. Picard
+        and validate_io_map once reported 'Picard iteration diverged: sweep 2'."""
+        with pytest.raises(DomainError, match=PAST_THE_FLOATS):
+            simulate_picard(BIG_CASCADE, Grid(0.0, 1.0, 10))
+        with pytest.raises(DomainError, match=PAST_THE_FLOATS):
+            validate_io_map(BIG_CASCADE, 1, 2, 2, Grid(0.0, 1.0, 10))
+
+    def test_overflow_fed_by_a_cycle_is_no_convergence(self):
+        """The same cascade with a self-loop on node 1: node 2 now has an
+        ancestor on a cycle, so its overflow reads as a divergence."""
+        net = NetworkSpec(2, [[1, 0], [1, 0]], BIG_CASCADE.nodes)
+        with pytest.raises(NoConvergence, match="diverged: sweep 2"):
+            simulate_picard(net, Grid(0.0, 1.0, 10))
 
     def test_ragged_node_signal_is_a_domain_error(self):
         """It once ended in numpy's ValueError about an inhomogeneous shape."""
