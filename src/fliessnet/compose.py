@@ -66,14 +66,13 @@ class ComposeLayers:
     a private one unless the caller passes one to share.
     """
 
-    __slots__ = ("degree", "state", "out", "held", "memo")
+    __slots__ = ("degree", "state", "out", "held")
 
     def __init__(self, held: Optional[_Held] = None):
         self.degree = -1
         self.state = None
         self.out: Grades = {}
         self.held = _Held() if held is None else held
-        self.memo = self.held.memo
 
     def store(self, grades: Grades, n: int, grade: Optional[Grade]) -> None:
         """Store grade as degree n of grades (out or a state map) unless None."""
@@ -140,12 +139,12 @@ def compose_at(
             for word in grade:
                 for start in range(len(word) - 1, -1, -1):
                     layers.state.setdefault(word[start:], {})
-    images = layers.state
+    images, memo = layers.state, layers.held.memo
     for n in range(layers.degree + 1, n_out + 1):
         for suffix, graded in images.items():
             if 0 < len(suffix) <= n:
                 tail = images[suffix[1:]]
-                layers.store(graded, n, _layer(suffix[0], tail, d._grades, n, mixed, layers.memo))
+                layers.store(graded, n, _layer(suffix[0], tail, d._grades, n, mixed, memo))
         parts = [
             (num, den, layer)
             for den, grade in c._grades.values()
@@ -199,6 +198,6 @@ def compose_maximal(
         z += [(1, _ONE)] if mixed and n == 1 else []
         layers.store(MZ, n, _combine([(Mp, Mq, _prefix(a, g)) for a, g in z]))
         den = _pair_den(MZ, Y, n)
-        layers.store(Y, n, _reduced(den, _shuffle_terms(MZ, Y, n, den, layers.memo)))
+        layers.store(Y, n, _reduced(den, _shuffle_terms(MZ, Y, n, den, layers.held.memo)))
         layers.settle(n)
     return layers.result(n_out, min(d.exact_to + 1, n_out))

@@ -58,10 +58,9 @@ def _lambert(x: float, lower: bool) -> float:
     x = _check_real(x, "Lambert W argument x")
     if (lower and x >= 0.0) or x <= _BRANCH_POINT - _BRANCH_GUARD:
         raise DomainError(f"{name} needs {domain}, got {x}")
-    if x < _BRANCH_POINT:
-        return -1.0
     if x == 0.0:
         return 0.0
+    # Every float of the guard band below -1/e gives p_sq <= 0, so W = -1.
     p_sq = 2.0 * (math.e * x + 1.0)
     if p_sq <= 0.0:
         return -1.0
@@ -207,10 +206,7 @@ def closed_form_natural_response(m: int, K, M, t: float) -> float:
         # W(-s e^{-s}) = -s on the lower branch, so the formula collapses to K
         return k_f
     s = 1.0 + 1.0 / (m * k_f)
-    arg = -s * math.exp(m_f * t / (m * k_f) - s)
-    if arg < _BRANCH_POINT:
-        arg = _BRANCH_POINT
-    w = lambert_w_lower(arg)
+    w = lambert_w_lower(-s * math.exp(m_f * t / (m * k_f) - s))
     if 1.0 + w == 0.0:
         raise DomainError(f"t = {t} lies too close to t_star = {bound.t_star} to resolve")
     return (-1.0 / m) / (1.0 + w)

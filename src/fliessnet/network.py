@@ -169,18 +169,18 @@ def _closed_loops(net: NetworkSpec, degree: int, inputs):
     cap counting the shared part's terms and its own, and empties the memo.
     """
     _check_int(degree, "truncation degree", 0)
-    order, sources, edges, ancestors = _plan(net, degree)
+    order, sources, edges, ancestors, cyclic = _plan(net, degree)
     bits = [(i, 0 if i is None else 1 << i) for i in inputs]
     held = _Held(words._shuffle_cache, TERM_CAP, degree)
+    settle = partial(_settle, sources, edges, cyclic, degree, held)
     natural: dict[int, Series] = {}
     try:
-        _settle(sources, edges, None, degree,
-                [c for c in order if any(not ancestors[c[0]] & b for _, b in bits)], natural, held)
+        settle(None, [c for c in order if any(not ancestors[c[0]] & b for _, b in bits)], natural)
         shared = held.terms
         for i, bit in bits:
             held.terms = shared
             d = {k: s for k, s in natural.items() if not ancestors[k] & bit}
-            _settle(sources, edges, i, degree, [c for c in order if ancestors[c[0]] & bit], d, held)
+            settle(i, [c for c in order if ancestors[c[0]] & bit], d)
             held.memo.clear()
             yield {k: d[k] for k in range(1, net.m + 1)}
     finally:
@@ -206,8 +206,8 @@ def _plan(net: NetworkSpec, degree: int):
     """The strongly connected components of the weight graph, sources first
     (every edge runs within a component or into a later one), each node's
     left operand (its series expanded to degree, or its maximal spec), each
-    node's in-edges as (weight numerator, weight denominator, source), and
-    the ancestor masks of _ancestors.
+    node's in-edges as (weight numerator, weight denominator, source), the
+    ancestor masks of _ancestors and the mask of the nodes on a cycle.
 
     Two nodes share a component exactly when their ancestor masks are equal,
     and an edge into another component makes the target's mask a strict
@@ -224,13 +224,15 @@ def _plan(net: NetworkSpec, degree: int):
     for k in nodes:
         comps[ancestors[k]] = comps.get(ancestors[k], ()) + (k,)
     order = sorted(comps.values(), key=lambda comp: (ancestors[comp[0]].bit_count(), comp[0]))
-    return order, sources, inputs, ancestors
+    cyclic = sum(1 << k for comp in order for k in comp if len(comp) > 1 or net.W[k - 1][k - 1])
+    return order, sources, inputs, ancestors, cyclic
 
 
-def _settle(sources, inputs, i: Optional[int], degree: int, comps, d: dict, held: _Held) -> None:
+def _settle(sources, inputs, cyclic: int, degree: int, held: _Held, i: Optional[int], comps,
+            d: dict) -> None:
     """Settle the components comps, in topological order, of the loop from
     input i (None: no input channel) into d, which holds the finished series
-    of every source outside them."""
+    of every source outside them. sources, inputs and cyclic are _plan's."""
     # One feedback per distinct in-edge list, shared by the nodes that have it. It
     # starts as a zero exact to any degree, which a node with no in-edges keeps.
     feedback: dict[tuple, Series] = {}
@@ -238,14 +240,14 @@ def _settle(sources, inputs, i: Optional[int], degree: int, comps, d: dict, held
         routes = {k: partial(compose_maximal if isinstance(sources[k], MaximalSeriesSpec)
                              else compose_at, sources[k], mixed=k == i, layers=ComposeLayers(held))
                   for k in comp}
-        cyclic = len(comp) > 1 or comp[0] in (l for _, _, l in inputs[comp[0]])
+        looped = cyclic >> comp[0] & 1
         fresh = [edges for edges in dict.fromkeys(inputs[k] for k in comp) if edges not in feedback]
         feedback.update(dict.fromkeys(fresh, Series.zero(1, degree)))
-        for n in range(degree + 1) if cyclic else (degree,):
+        for n in range(degree + 1) if looped else (degree,):
             for edges in fresh:
                 if n and edges:
                     feedback[edges] = _feedback(feedback[edges]._grades, edges, d,
-                                                n - 1 if cyclic else 0, n)
+                                                n - 1 if looped else 0, n)
             for k in comp:
                 d[k] = routes[k](feedback[inputs[k]], n)
 

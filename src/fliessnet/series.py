@@ -261,9 +261,6 @@ class Series:
     def __len__(self) -> int:
         return sum(len(nums) for _, nums in self._grades.values())
 
-    def __bool__(self) -> bool:
-        return bool(self._grades)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
@@ -528,27 +525,13 @@ def scalar_product(c: Series, d: Series) -> ScalarProduct:
     _common_alphabet((c, d))
     degree = min(c.max_degree, d.max_degree)
     exact = min(c.exact_to, d.exact_to) >= degree
-    num, den = 0, 1
-    for n, (da, small) in c._grades.items():
-        if n > degree:
-            break
-        pair = d._grades.get(n)
-        if pair is None:
-            continue
-        db, large = pair
+    value = 0
+    for n in c._grades.keys() & d._grades.keys():
+        (da, small), (db, large) = c._grades[n], d._grades[n]
         if len(small) > len(large):
             small, large = large, small
-        total = 0
-        for word, x in small.items():
-            y = large.get(word)
-            if y is not None:
-                total += x * y
-        if not total:
-            continue
-        common = math.lcm(den, da * db)
-        num = num * (common // den) + total * (common // (da * db))
-        den = common
-    return ScalarProduct(_value(num, den), exact)
+        value += Fraction(sum(x * y for w, x in small.items() if (y := large.get(w))), da * db)
+    return ScalarProduct(as_coeff(value), exact)
 
 
 def positive_constants(K, M) -> tuple[Coeff, Coeff]:

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import AlphabetError, DomainError, ModelError, NoConvergence
-from .network import NetworkSpec, _ancestors, io_map
+from .network import NetworkSpec, _plan, io_map
 from .series import Series, _check_int, _check_real, _float
 from .words import Word
 
@@ -395,9 +395,7 @@ def simulate_picard(
     v_arr = _input_table(net, grid, v)
     W = _weight_matrix(net)
     node_series = [net.node(k) for k in range(1, m + 1)]
-    # A node is on a cycle when it has a self-loop or shares its ancestor mask.
-    anc = _ancestors(net.W)
-    cyclic = sum(1 << k for k in range(1, m + 1) if net.W[k - 1][k - 1] or anc.count(anc[k]) > 1)
+    _, _, _, anc, cyclic = _plan(net, 0)
     u = v_arr.copy()
     y = np.zeros_like(u)
     deltas: list[float] = []

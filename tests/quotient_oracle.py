@@ -71,7 +71,7 @@ def quotient_compose_maximal(
         layers.store(ME, m, _combine(e))
         layers.store(MZ, m, _join([q for _, q in quotients], m - 1))
         for ya, q in quotients:
-            layers.store(ya, m, _quotient(q, layers.out, MZ, ya, m, layers.memo))
+            layers.store(ya, m, _quotient(q, layers.out, MZ, ya, m, layers.held.memo))
         layers.store(layers.out, n, _join([ya for ya, _ in quotients], m))
         layers.degree = n
     return layers.result(n_out, min(d.exact_to + 1, n_out))

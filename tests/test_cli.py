@@ -211,6 +211,15 @@ class TestErrors:
         assert json.loads(proc.stdout)["error"]["type"] == "ParseError"
         assert "Traceback" not in proc.stderr
 
+    def test_reldeg_network_file_not_utf8_is_a_structured_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code = run(["reldeg", "--net", str(path), "--from", "1", "--to", "1", "--degree", "2"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "ParseError"
+        assert err == ""
+
     def test_negative_seed_is_a_structured_domain_error(self, four_node_file):
         """numpy's seed sequence once ended the process in a ValueError traceback."""
         proc = run_cli("montecarlo", "--net", four_node_file,

@@ -153,6 +153,20 @@ class TestLambertNearBranchPoint:
             assert w(x) == expected, x
         assert stalled > 0  # the grid reaches the band where the old loop stalled
 
+    @pytest.mark.parametrize("w", [lambert_w, lambert_w_lower], ids=BRANCH_IDS)
+    def test_guard_band_below_the_branch_point_is_minus_one(self, w):
+        """Floats below -1/e but within the 1e-12 guard band, the two ends
+        and a seeded sample between, all give W = -1 on both branches."""
+        branch_point = -math.exp(-1.0)
+        edge = branch_point - 1e-12
+        rng = np.random.default_rng(20261020)
+        band = [branch_point - 1e-12 * u for u in rng.random(500)]
+        band += [math.nextafter(branch_point, -1.0), math.nextafter(edge, 0.0)]
+        band = [x for x in band if edge < x < branch_point]
+        assert len(band) > 400
+        for x in band:
+            assert repr(w(x)) == "-1.0", x
+
 
 class TestGrowthRate:
     def test_pinned_three_node_instance(self):
@@ -303,6 +317,27 @@ class TestClosedForm:
             t = math.nextafter(t, 0.0)
             with pytest.raises(DomainError, match=f"too close to t_star = {t_star}"):
                 closed_form_natural_response(3, 3, 4, t)
+
+    # (m, K, M, t): for each (m, K, M) below, the t nearest t_star among the
+    # 3,000 floats below it at which the lower branch's argument
+    # -s exp(M t / (m K) - s), s = 1 + 1/(m K), rounds below -1/e.
+    BELOW_BRANCH_POINT = [
+        (1, 3, 4, 0.03423844566116432),
+        (1, Fraction(1, 2), 2, 0.2253469278329726),
+        (2, Fraction(7, 3), Fraction(2, 9), 0.4227236967398932),
+        (3, 1, 1, 0.13695378264465727),
+        (4, 2, Fraction(1, 4), 0.23094285899572947),
+        (4, 5, 7, 0.0034566738016228483),
+        (6, Fraction(1, 2), 2, 0.06847689132232863),
+    ]
+
+    @pytest.mark.parametrize("m, K, M, t", BELOW_BRANCH_POINT)
+    def test_w_argument_below_the_branch_point_is_a_domain_error(self, m, K, M, t):
+        t_star = m_inf_bound(K, M, m).t_star
+        s = 1.0 + 1.0 / (m * float(K))
+        assert -s * math.exp(float(M) * t / (m * float(K)) - s) < -math.exp(-1.0)
+        with pytest.raises(DomainError, match=f"t = {t} lies too close to t_star = {t_star}"):
+            closed_form_natural_response(m, K, M, t)
 
     def test_domain(self):
         t_star = m_inf_bound(1, 1, 1).t_star

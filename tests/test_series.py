@@ -267,6 +267,15 @@ class TestSeriesContainer:
             c * c  # noqa: B018
 
 
+class TestRepr:
+    def test_zero_series(self):
+        assert repr(Series.zero(2, 3)) == "Series(m=2, N=3: 0)"
+
+    def test_terms_in_graded_order_with_canonical_coefficients(self):
+        s = Series(2, 3, {(2, 0, 1): Fraction(7, 3), (0, 2): 3, (1,): Fraction(-1, 2), (): 2})
+        assert repr(s) == "Series(m=2, N=3: 2*[1] + -1/2*[x1] + 3*[x0 x2] + 7/3*[x2 x0 x1])"
+
+
 class TestAlgebraLaws:
     @given(series_st(), series_st())
     @settings(max_examples=60, deadline=None)
@@ -322,6 +331,23 @@ class TestAlgebraLaws:
         sp = scalar_product(a, b)
         assert sp.value == 3
         assert not sp.exact
+
+    def test_scalar_product_is_the_sum_over_shared_words(self):
+        """<c, d> against the sum of c(w) d(w) over the terms of c up to the
+        smaller truncation degree, on seeded pairs with mixed max_degree and
+        exact_to: the same canonical value and the same exact flag."""
+        r = random.Random(20261020)
+        for _ in range(1000):
+            m = r.randint(1, 2)
+            c, d = (make_random_series(r, m, r.randint(0, 5), max_terms=12) for _ in range(2))
+            c, d = (Series(m, s.max_degree, s.terms, exact_to=r.randint(0, s.max_degree))
+                    for s in (c, d))
+            degree = min(c.max_degree, d.max_degree)
+            value = as_coeff(sum((x * d.coeff(w) for w, x in c.terms.items() if len(w) <= degree),
+                                 Fraction(0)))
+            sp = scalar_product(c, d)
+            assert (repr(sp.value), sp.exact) == (
+                repr(value), min(c.exact_to, d.exact_to) >= degree), (c, d)
 
 
 class TestMaximalSeries:

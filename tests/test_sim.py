@@ -434,6 +434,30 @@ class TestMaximalOde:
             endings.add((ours_sol.status, case[2] is not None))
         assert endings == {(status, forced) for status in (-1, 0, 1) for forced in (False, True)}
 
+    def test_flat_start_same_floats_as_scipy_rk45(self):
+        """On y' = 0 both derivative estimates of the initial-step rule vanish
+        (d1, d2 <= 1e-15), so the first step is max(1e-6, 1e-3 h0). With an
+        event that never fires, sim.solve_ivp and scipy's RK45 take the same
+        steps to the horizon: the same t, y, nfev and status bytes."""
+        from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+        def flat(t, y):
+            return np.zeros_like(y)
+
+        def never(t, y):
+            return -1.0
+
+        never.terminal, never.direction = True, 1
+        times = np.linspace(0.0, 2.0, 5)
+        y0 = np.array([1.0, -3.0])
+        ours = sim.solve_ivp(flat, times, y0, never, **sim._ODE_TOLERANCES)
+        theirs = scipy_solve_ivp(flat, (times[0], times[-1]), y0, method="RK45",
+                                 events=never, **sim._ODE_TOLERANCES)
+        assert ours.t.size > 2 and ours.t[1] == 1e-6
+        assert ours.t.tobytes() == theirs.t.tobytes()
+        assert ours.y.tobytes() == theirs.y.tobytes()
+        assert (ours.nfev, ours.status) == (theirs.nfev, theirs.status)
+
     def test_builds_an_interpolant_only_for_a_step_that_holds_a_sample(self, monkeypatch):
         """An escape run takes more steps than its grid has samples; only a
         step that holds a sample, or the event, builds its interpolant."""
