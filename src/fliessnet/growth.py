@@ -160,7 +160,7 @@ class AbelSequence:
         return [_float(v, f"a_{k}") for k, v in enumerate(self.a)]
 
     def mhat_float(self, n: int) -> float:
-        if not 1 <= n <= len(self.mhat):
+        if _check_int(n, "n", 1) > len(self.mhat):
             raise DomainError(f"mhat defined for 1 <= n <= {len(self.mhat)}")
         return _float(self.mhat[n - 1], f"mhat_{n}")
 
@@ -169,18 +169,19 @@ def abel_taylor(m: int, K, M, n_max: int) -> AbelSequence:
     """Taylor coefficients of z' = (M/K)(z^2 + m z^3), z(0) = K, in exact arithmetic.
 
     With z = K w and s = M t the envelope is dw/ds = w^2 + r w^3, w(0) = 1,
-    r = m K = p/q. The scaled coefficients N_k = k! q^k w_k are integers:
-    N_{k+1} = q S_k + p sum_c C(k, c) N_c S_{k-c}, S_j = sum_a C(j, a) N_a N_{j-a}.
-    So a_k = K M^k N_k / q^k, and only the outputs are Fractions.
+    r = m K = p/q. The iterated Lie derivatives Q_0 = w, Q_{k+1} = Q_k' (q w^2 + p w^3)
+    give q^k d^k w/ds^k = Q_k(w), with integer coefficients on w^(k+1) .. w^(2k+1),
+    so each step multiplies k+1 integers by small ones. With N_k = Q_k(1) = k! q^k w_k,
+    a_k = K M^k N_k / q^k, and only the outputs are Fractions.
     """
     K, M = _envelope_constants(K, M, m)
     _check_int(n_max, "n_max", 0)
     p, q = (m * K).as_integer_ratio()
-    N, S, row = [1], [], [1]  # row = C(k, .)
-    for k in range(n_max):
-        S.append(sum(c * x * y for c, x, y in zip(row, N, reversed(N))))
-        N.append(q * S[k] + p * sum(c * x * y for c, x, y in zip(row, N, reversed(S))))
-        row = [x + y for x, y in zip([0] + row, row + [0])]
+    Q, N = [1], [1]  # Q[i] is the coefficient of w^(k+i) in Q_(k-1)
+    for k in range(1, n_max + 1):
+        D = [e * c for e, c in enumerate(Q, k)]
+        Q = [q * a + p * b for a, b in zip(D + [0], [0] + D)]
+        N.append(sum(Q))
     kn, kd = K.as_integer_ratio()
     sn, sd = (M / Fraction(q)).as_integer_ratio()
     a = [Fraction(kn * sn**k * nk, kd * sd**k) for k, nk in enumerate(N)]

@@ -274,11 +274,9 @@ class Series:
 
     def eq_to_degree(self, other: "Series", degree: int) -> bool:
         """Coefficientwise equality on all words of length <= degree."""
-        return all(
-            self._grades.get(n) == other._grades.get(n)
-            for n in self._grades.keys() | other._grades.keys()
-            if n <= degree
-        )
+        degree = _check_int(degree, "degree", 0)
+        keys = self._grades.keys() | other._grades.keys()
+        return all(self._grades.get(n) == other._grades.get(n) for n in keys if n <= degree)
 
     def __repr__(self) -> str:
         if not self._grades:

@@ -20,6 +20,7 @@ from fliessnet import (
     lambert_w_lower,
     m_inf_bound,
 )
+from abel_oracle import binomial_abel_taylor
 from lambert_oracle import oracle_lambert_w, oracle_lambert_w_lower
 
 mpmath.mp.dps = 50
@@ -265,6 +266,24 @@ class TestTaylorRecursion:
                     assert_same_coeffs(seq.z, z)
                     assert_same_coeffs(seq.a, a)
                     assert_same_coeffs(seq.mhat, mhat)
+
+    @pytest.mark.parametrize("m,K,M,n_max", [
+        pytest.param(m, K, M, n_max, id=f"m={m}-K={K}-M={M}-n={n_max}")
+        for m, K, M, n_max in [
+            *[(m, 1, 1, 150 + 20 * (m - 1)) for m in range(1, 7)],
+            *[(m, K, M, 120) for m in (1, 3, 6) for K, M in [
+                (Fraction(3, 4), Fraction(5, 2)), (Fraction(7, 3), Fraction(1, 4)), (0.1, 1e-3)]],
+        ]
+    ])
+    def test_matches_the_binomial_kernel(self, m, K, M, n_max):
+        """The derivative-polynomial steps give the values and the types of the
+        binomial convolution kernel they replaced, at the benchmark's depths and
+        with the 52- to 56-bit p and q of float-derived constants."""
+        seq = abel_taylor(m, K, M, n_max)
+        z, a, mhat = binomial_abel_taylor(m, K, M, n_max)
+        assert_same_coeffs(seq.z, z)
+        assert_same_coeffs(seq.a, a)
+        assert_same_coeffs(seq.mhat, mhat)
 
     def test_ratio_column_at_depth(self):
         """The envelope has a square-root singularity at t_star, so

@@ -56,6 +56,7 @@ INT_ARGUMENTS = [
     ("Series max_degree", lambda v: Series(1, v), "max_degree", 0, DomainError),
     ("Series exact_to", lambda v: Series(1, 3, {(1,): 1}, exact_to=v), "exact_to", 0, DomainError),
     ("truncate", lambda v: X1.truncate(v), "max_degree", 0, DomainError),
+    ("eq_to_degree", lambda v: X1.eq_to_degree(X1, v), "degree", 0, DomainError),
     ("extended", lambda v: X1.extended(v), "max_degree", 0, DomainError),
     ("extended exact_to", lambda v: X1.extended(5, exact_to=v), "exact_to", 0, DomainError),
     ("maximal_series m", lambda v: maximal_series(1, 1, v, 2), "m", 1, AlphabetError),

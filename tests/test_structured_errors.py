@@ -65,7 +65,17 @@ STRUCTURED_ERRORS = [
     ("negative letter", lambda: parse_word("x-1", 1), ParseError,
      "negative letter index in token 'x-1'"),
     ("mhat index 0", lambda: abel_taylor(1, 1, 1, 3).mhat_float(0), DomainError,
+     "n must be an integer >= 1"),
+    ("mhat index past n_max", lambda: abel_taylor(1, 1, 1, 3).mhat_float(4), DomainError,
      "mhat defined for 1 <= n <= 3"),
+    ("mhat index True", lambda: abel_taylor(1, 1, 1, 3).mhat_float(True), DomainError,
+     "n must be an integer >= 1"),
+    ("mhat index 2.0", lambda: abel_taylor(1, 1, 1, 3).mhat_float(2.0), DomainError,
+     "n must be an integer >= 1"),
+    ("mhat index text", lambda: abel_taylor(1, 1, 1, 3).mhat_float("3"), DomainError,
+     "n must be an integer >= 1"),
+    ("mhat index None", lambda: abel_taylor(1, 1, 1, 3).mhat_float(None), DomainError,
+     "n must be an integer >= 1"),
     ("node without a degree",
      lambda: accumulated_degrees(
          subgraph_extract(NetworkSpec(2, [[0, 0], [1, 0]], [X1, X1]), 1, 2), {1: 1}),
