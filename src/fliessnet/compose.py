@@ -13,7 +13,10 @@ a time. Each kind of left operand has one route, whose state a ComposeLayers
 keeps between calls, so a call that raises n_out by one computes only the
 new degree: a polynomial c keeps the image of every suffix of its words, a
 maximal c its image Y and the factor M Z of its equation Y = K + M (Z sh Y)
-(see compose_maximal). States are held as grades of the series core.
+(see compose_maximal). States are held as grades of the series core. The
+suffixes are built from the last letter, the base case: the image of x0 is
+x0 and that of x1 is x0 d (+ x1 at degree 1 in the mixed product), read off
+d's grades with no shuffle.
 """
 
 from __future__ import annotations
@@ -105,17 +108,26 @@ def _layer(
 ) -> Optional[Grade]:
     """Degree-n layer of the image of a word starting with letter, from the
     layers below n of the image e of its tail: x0 e for the drift letter,
-    x0 (d sh e) + [mixed] x1 e for the input letter."""
+    x0 (d sh e) + [mixed] x1 e for the input letter.
+
+    The empty tail is the base case: its image 1 is the only one with a
+    grade 0, and d sh 1 = d, so the layer of a one-letter word reads d's
+    reduced grade n - 1 as it is, with no shuffle.
+    """
     below = tail.get(n - 1)
     if letter == 0:
         return None if below is None else _prefix(0, below)
     parts = [(1, 1, _prefix(1, below))] if mixed and below is not None else []
-    if d:
+    if 0 in tail:
+        shuffled = d.get(n - 1)
+    elif d:
         den = _pair_den(d, tail, n - 1)
         shuffled = _reduced(den, _shuffle_terms(d, tail, n - 1, den, memo))
-        if shuffled is not None:
-            parts.append((1, 1, _prefix(0, shuffled)))
-    return _combine(parts)
+    else:
+        shuffled = None
+    if shuffled is not None:
+        parts.append((1, 1, _prefix(0, shuffled)))
+    return _combine(parts) if parts else None
 
 
 def compose_at(
@@ -151,7 +163,7 @@ def compose_at(
             for word, num in grade.items()
             if (layer := images[word].get(n)) is not None
         ]
-        layers.store(layers.out, n, _combine(parts))
+        layers.store(layers.out, n, _combine(parts) if parts else None)
         layers.settle(n)
     return layers.result(n_out, min(c.exact_to, d.exact_to + 1, n_out))
 

@@ -157,19 +157,23 @@ def closed_loop_series(net: NetworkSpec, i: int, degree: int) -> dict[int, Serie
     return d
 
 
-def _closed_loops(net: NetworkSpec, degree: int, inputs):
+def _closed_loops(net: NetworkSpec, degree: int, inputs, plan=None):
     """The closed loop of each input node i in inputs in turn, as
     closed_loop_series(net, i, degree) gives it; i = None is the loop with no
     input channel, which reaches no component.
 
-    Each node series is expanded once. The components that some input does
-    not reach are settled first, once, with no input channel: no ancestor of
-    such a node k is that input i, so none takes the mixed product and the
-    series is d_ki. Each input then settles the components it reaches, its
-    cap counting the shared part's terms and its own, and empties the memo.
+    plan is _plan(net, degree) unless the caller passes one built for the
+    same nodes and edges; only the weights are read here. The components
+    that some input does not reach are settled first, once, with no input
+    channel: no ancestor of such a node k is that input i, so none takes the
+    mixed product and the series is d_ki. Each input then settles the
+    components it reaches, its cap counting the shared part's terms and its
+    own, and empties the memo.
     """
-    _check_int(degree, "truncation degree", 0)
-    order, sources, edges, ancestors, cyclic = _plan(net, degree)
+    order, sources, ancestors, cyclic = _plan(net, degree) if plan is None else plan
+    nodes = range(1, net.m + 1)
+    edges = {k: tuple((w.numerator, w.denominator, l) for l, w in zip(nodes, row) if w)
+             for k, row in zip(nodes, net.W)}
     bits = [(i, 0 if i is None else 1 << i) for i in inputs]
     held = _Held(words._shuffle_cache, TERM_CAP, degree)
     settle = partial(_settle, sources, edges, cyclic, degree, held)
@@ -203,36 +207,37 @@ def _ancestors(W) -> list[int]:
 
 
 def _plan(net: NetworkSpec, degree: int):
-    """The strongly connected components of the weight graph, sources first
-    (every edge runs within a component or into a later one), each node's
-    left operand (its series expanded to degree, or its maximal spec), each
-    node's in-edges as (weight numerator, weight denominator, source), the
-    ancestor masks of _ancestors and the mask of the nodes on a cycle.
+    """What a closed loop to degree reads off the nodes and edges of net, not
+    the weights, so one plan serves many draws of the weights: the strongly
+    connected components of the weight graph, sources first (every edge
+    runs within a component or into a later one), each node's left operand
+    (its series expanded to degree, or its maximal spec), the ancestor masks
+    of _ancestors and the mask of the nodes on a cycle.
 
     Two nodes share a component exactly when their ancestor masks are equal,
     and an edge into another component makes the target's mask a strict
     superset of the source's, so ordering the components by the size of
     their mask (then by smallest node) puts each after those that feed it.
     """
+    _check_int(degree, "truncation degree", 0)
     nodes = range(1, net.m + 1)
     sources = {k: src if isinstance(src, MaximalSeriesSpec) else net.node_series(k, degree)
                for k, src in zip(nodes, net.nodes)}
-    inputs = {k: tuple((w.numerator, w.denominator, l) for l, w in zip(nodes, net.W[k - 1]) if w)
-              for k in nodes}
     ancestors = _ancestors(net.W)
     comps: dict[int, tuple[int, ...]] = {}
     for k in nodes:
         comps[ancestors[k]] = comps.get(ancestors[k], ()) + (k,)
     order = sorted(comps.values(), key=lambda comp: (ancestors[comp[0]].bit_count(), comp[0]))
     cyclic = sum(1 << k for comp in order for k in comp if len(comp) > 1 or net.W[k - 1][k - 1])
-    return order, sources, inputs, ancestors, cyclic
+    return order, sources, ancestors, cyclic
 
 
 def _settle(sources, inputs, cyclic: int, degree: int, held: _Held, i: Optional[int], comps,
             d: dict) -> None:
     """Settle the components comps, in topological order, of the loop from
     input i (None: no input channel) into d, which holds the finished series
-    of every source outside them. sources, inputs and cyclic are _plan's."""
+    of every source outside them. sources and cyclic are _plan's, inputs
+    each node's in-edges as (weight numerator, weight denominator, source)."""
     # One feedback per distinct in-edge list, shared by the nodes that have it. It
     # starts as a zero exact to any degree, which a node with no in-edges keeps.
     feedback: dict[tuple, Series] = {}
@@ -242,7 +247,7 @@ def _settle(sources, inputs, cyclic: int, degree: int, held: _Held, i: Optional[
                   for k in comp}
         looped = cyclic >> comp[0] & 1
         fresh = [edges for edges in dict.fromkeys(inputs[k] for k in comp) if edges not in feedback]
-        feedback.update(dict.fromkeys(fresh, Series.zero(1, degree)))
+        feedback.update(dict.fromkeys(fresh, Series._graded(1, degree, {}, degree)))
         for n in range(degree + 1) if looped else (degree,):
             for edges in fresh:
                 if n and edges:
@@ -304,7 +309,12 @@ def subgraph_extract(net: NetworkSpec, i: int, j: int) -> Subgraph:
     net.check_node(j)
     if i == j:
         return Subgraph(i, j, frozenset({i}), frozenset())
-    ancestors = _ancestors(net.W)
+    return _subgraph(net, i, j, _ancestors(net.W))
+
+
+def _subgraph(net: NetworkSpec, i: int, j: int, ancestors: list[int]) -> Subgraph:
+    """subgraph_extract for the nodes i != j of net, whose ancestor masks
+    _ancestors(net.W) the caller passes."""
     if not ancestors[j] >> i & 1:
         return Subgraph(i, j, frozenset(), frozenset())
     candidates = [k for k in range(1, net.m + 1) if ancestors[k] >> i & 1 and ancestors[j] >> k & 1]

@@ -12,7 +12,8 @@ from __future__ import annotations
 import heapq
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from functools import partial
+from typing import Callable, Optional, Sequence, Union
 
 from .errors import AlphabetError, ConditionError, DomainError, SubgraphBudgetError
 from .network import (
@@ -20,6 +21,8 @@ from .network import (
     Subgraph,
     _ancestors,
     _closed_loops,
+    _plan,
+    _subgraph,
     subgraph_extract,
 )
 from .series import Coeff, MaximalSeriesSpec, Series, _check_int, _float, as_coeff
@@ -207,24 +210,31 @@ def predict_io_reldeg(net: NetworkSpec, i: int, j: int) -> PredictionReport:
       violated_unknown    a tie cancels, or no forward path exists; r_pred is
                           the shortest-path value when a path exists, else None.
     """
+    return _predict(net, i, j, partial(node_degree_report, net), partial(subgraph_extract, net))
+
+
+def _predict(net: NetworkSpec, i: int, j: int, report: Callable[[int], RelDegReport],
+             subgraph: Callable[[int, int], Subgraph]) -> PredictionReport:
+    """predict_io_reldeg from report(v), node v's node_degree_report, and
+    subgraph(i, j), subgraph_extract's G_ji."""
     if i == j:
-        r, lead = node_degree_report(net, i).require_defined()
+        r, lead = report(i).require_defined()
         details = {"self_pair": True, "leading": lead}
         return PredictionReport(i, j, r, CONDITION_DISTINCT, {i: r}, details)
     net.check_node(i)
     if all(net.weight(j, k) != 0 for k in range(1, net.m + 1) if k != j):
         # G_ji is j and each node that i reaches short of j (the descendants of
         # i once j's out-edges are cut): its edge into j closes a simple path.
-        ancestors = _ancestors([[w if l != j else 0 for l, w in enumerate(row, 1)]
-                                for row in net.W])
-        nodes = [v for v in range(1, net.m + 1) if ancestors[v] >> i & 1]
-        degrees = {v: node_degree_report(net, v).require_defined()[0] for v in nodes}
+        reached = _ancestors([[w if l != j else 0 for l, w in enumerate(row, 1)]
+                              for row in net.W])
+        nodes = [v for v in range(1, net.m + 1) if reached[v] >> i & 1]
+        degrees = {v: report(v).require_defined()[0] for v in nodes}
         r = degrees[j] + degrees[i]
         return PredictionReport(i, j, r, CONDITION_FULLY_CONNECTED, degrees, {})
-    sub = subgraph_extract(net, i, j)
+    sub = subgraph(i, j)
     if sub.is_empty():
         return PredictionReport(i, j, None, CONDITION_UNKNOWN, {}, {"no_forward_path": True})
-    reports = {v: node_degree_report(net, v).require_defined() for v in sorted(sub.nodes)}
+    reports = {v: report(v).require_defined() for v in sorted(sub.nodes)}
     degrees = {v: r for v, (r, _) in reports.items()}
     acc = accumulated_degrees(sub, degrees)
     details = {"accumulated": dict(acc.r_plus), "incoming": dict(acc.incoming)}
@@ -269,25 +279,38 @@ def pair_report(net: NetworkSpec, i: int, j: int, measured: RelDegReport) -> Pai
     a ConditionError (a node without a defined relative degree) or
     SubgraphBudgetError (a forward-path subgraph over network.NODE_BUDGET
     candidate nodes) is kept as prediction_error, not raised."""
+    return _pair_report(i, j, measured, partial(predict_io_reldeg, net))
+
+
+def _pair_report(i: int, j: int, measured: RelDegReport,
+                 predict: Callable[[int, int], PredictionReport]) -> PairReport:
+    """pair_report with the prediction predict(i, j)."""
     try:
-        predicted = predict_io_reldeg(net, i, j)
+        predicted = predict(i, j)
     except (ConditionError, SubgraphBudgetError) as exc:
         return PairReport(i, j, measured, None, str(exc), None)
     return PairReport(i, j, measured, predicted, None, _consistency(measured, predicted))
 
 
-def _measure_pairs(net: NetworkSpec, degree: int):
-    """For each input i in turn: i, its closed loop, and the measured relative
-    degree of every output j (a dict keyed by j)."""
-    for i, closed in enumerate(_closed_loops(net, degree, range(1, net.m + 1)), 1):
+def _measure_pairs(net: NetworkSpec, degree: int, plan=None):
+    """For each input i in turn: i, its closed loop (from plan, as
+    _closed_loops takes it), and the measured relative degree of every
+    output j (a dict keyed by j)."""
+    for i, closed in enumerate(_closed_loops(net, degree, range(1, net.m + 1), plan), 1):
         yield i, closed, {j: relative_degree(closed[j]) for j in range(1, net.m + 1)}
 
 
 def complete_reldeg(net: NetworkSpec, degree: int) -> dict[tuple[int, int], PairReport]:
-    """Measure and predict the relative degree of every pair."""
+    """Measure and predict the relative degree of every pair, as pair_report
+    does, from one structural pass: the closed loops' plan, whose ancestor
+    masks give each pair's forward-path subgraph, and each node's degree report."""
+    plan = _plan(net, degree)
+    reports = {k: node_degree_report(net, k) for k in range(1, net.m + 1)}
+    subgraph = partial(_subgraph, net, ancestors=plan[2])
+    predict = partial(_predict, net, report=reports.__getitem__, subgraph=subgraph)
     return {
-        (i, j): pair_report(net, i, j, measured)
-        for i, _, row in _measure_pairs(net, degree)
+        (i, j): _pair_report(i, j, measured, predict)
+        for i, _, row in _measure_pairs(net, degree, plan)
         for j, measured in row.items()
     }
 
@@ -347,9 +370,14 @@ def genericity_sample(
     The result is a deterministic function of (pattern, nodes, samples, seed,
     degree): each sample index owns an independent RNG stream, and every
     sample runs in the calling process, one after another. jobs is checked
-    but has no effect.
+    but has no effect. samples, degree, bins, jobs and designated are
+    checked before a sample is drawn; a designated word must lie within
+    degree. The weights lie in (0, 1], so every sample has the pattern's
+    edges, and the closed loops' plan (network._plan) built from the first
+    sample serves them all.
     """
     _check_int(samples, "samples", 1)
+    _check_int(degree, "truncation degree", 0)
     _check_int(bins, "bins", 1)
     _check_int(jobs, "jobs", 1)
     designated_key: Optional[tuple[int, int, Word]] = None
@@ -362,12 +390,18 @@ def genericity_sample(
         edgeless.check_node(designated_key[0])
         edgeless.check_node(designated_key[1])
         check_word(designated_key[2], 1)
+        if len(designated_key[2]) > degree:
+            raise DomainError(f"designated word of length {len(designated_key[2])} exceeds "
+                              f"the truncation degree {degree}")
     status: dict[tuple[int, int], Counter] = defaultdict(Counter)
     r_counts: dict[tuple[int, int], Counter] = defaultdict(Counter)
     values: list[float] = []
+    plan = None
     for index in range(samples):
         net = sample_network(pattern, nodes, seed, index)
-        for i, closed, row in _measure_pairs(net, degree):
+        if plan is None:
+            plan = _plan(net, degree)
+        for i, closed, row in _measure_pairs(net, degree, plan):
             for j, rep in row.items():
                 status[(i, j)][rep.status] += 1
                 if rep.status == STATUS_DEFINED:

@@ -597,6 +597,16 @@ class TestMontecarlo:
         error = json.loads(capsys.readouterr().out)["error"]
         assert error == {"type": "NodeIndexError", "message": f"node index {bad} outside 1..4"}
 
+    def test_designated_word_past_the_degree_is_a_domain_error(self, four_node_file, capsys):
+        """The loops stop at --degree, so a longer word's coefficient is never
+        computed; it once printed a histogram of zeros."""
+        code = run(["montecarlo", "--net", four_node_file, "--degree", "2", "--samples", "5",
+                    "--seed", "1", "--from", "1", "--to", "4", "--word", "x0 x0 x1"])
+        assert code == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"type": "DomainError", "message":
+                         "designated word of length 3 exceeds the truncation degree 2"}
+
     def test_word_needs_endpoints(self, four_node_file, capsys):
         code = run(["montecarlo", "--net", four_node_file, "--degree", "3",
                     "--samples", "2", "--seed", "1", "--word", "x0 x1"])

@@ -57,9 +57,10 @@ from fliessnet import (
 )
 from fliessnet.cli import run
 from fliessnet.compose import ComposeLayers, compose, mixed_compose
-from fliessnet.reldeg import node_degree_report
+from fliessnet.reldeg import node_degree_report, pair_report
 from fliessnet.series import _pair_den, _reduced
 from fliessnet.sim import Grid, eval_fliess
+from genericity_oracle import per_sample_genericity
 from global_loop_oracle import global_closed_loop
 from quotient_oracle import quotient_compose_maximal
 from reldeg_oracle import flat_relative_degree, formula_node_degree_report
@@ -493,6 +494,7 @@ MEMO_D = Series(1, 8, {(1,): 1, (0, 1): 3, (1, 1): 1, (0, 1, 1, 0, 1): 1})
 # Two nodes x1 + x1x1 in a cycle: every loop of the sample shuffles.
 X1X1 = Series(1, 2, {(1,): 1, (1, 1): 1})
 CYCLE = [[0, 1], [1, 0]]
+X1 = Series(1, 1, {(1,): 1})
 
 # Every public entry that shuffles, each on inputs that send slices to the
 # word-pair kernel; True marks a closed loop that the cap stops.
@@ -734,11 +736,18 @@ def test_components_match_the_global_loop(name, make, degree):
     assert len(words._shuffle_cache) == 0
 
 
-def drive_by_the_global_loop(monkeypatch) -> None:
-    def loops(net, degree, inputs):
+def drive_by_the_global_loop(monkeypatch) -> list:
+    """Route reldeg's closed loops through the global loop, which ignores the
+    plan; the returned list gains one entry per loop it settles, so a test
+    can tell that the route it compares really ran."""
+    settled = []
+
+    def loops(net, degree, inputs, plan=None):
         for i in inputs:
+            settled.append(i)
             yield global_closed_loop(net, i, degree)
     monkeypatch.setattr(reldeg_module, "_closed_loops", loops)
+    return settled
 
 
 @pytest.mark.parametrize("make,degree", [(double_diamond_net, 8), (mixed_net, 5),
@@ -748,8 +757,9 @@ def drive_by_the_global_loop(monkeypatch) -> None:
 def test_complete_reldeg_is_the_global_loops(monkeypatch, make, degree):
     net = make()
     got = complete_reldeg(net, degree)
-    drive_by_the_global_loop(monkeypatch)
+    settled = drive_by_the_global_loop(monkeypatch)
     assert got == complete_reldeg(net, degree)
+    assert settled == list(range(1, net.m + 1))
 
 
 def test_genericity_sample_is_the_global_loops(monkeypatch):
@@ -758,9 +768,127 @@ def test_genericity_sample_is_the_global_loops(monkeypatch):
     nodes = [x1, x1, Series(1, 1, {(1,): -1}), x1]
     runs = [(pattern, nodes, (1, 4, (0, 0, 1))), (CYCLE, [X1X1, X1X1], (2, 1, (0, 1)))]
     got = [genericity_sample(p, n, 12, seed=3, degree=4, designated=des) for p, n, des in runs]
-    drive_by_the_global_loop(monkeypatch)
+    settled = drive_by_the_global_loop(monkeypatch)
     assert got == [genericity_sample(p, n, 12, seed=3, degree=4, designated=des)
                    for p, n, des in runs]
+    assert settled == [*range(1, 5)] * 12 + [1, 2] * 12
+
+
+CRITERION7_PATTERN = [[0, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0], [0, 1, 1, 0]]
+CRITERION7_NODES = [X1, X1, Series(1, 1, {(1,): -1}), X1]
+# A maximal node on a self-loop feeding a maximal and a polynomial node, one of them on a cycle.
+MAXIMAL_PATTERN = [[1, 0, 0], [1, 0, 1], [0, 1, 0]]
+MAXIMAL_NODES = [MaximalSeriesSpec(1, Fraction(1, 2)), MaximalSeriesSpec(Fraction(2, 3), 1),
+                 Series(1, 2, {(1,): 2, (0, 1): Fraction(-1, 3)})]
+# (name, pattern, nodes, designated) of the Monte Carlo runs below.
+GENERICITY_RUNS = [
+    ("criterion7", CRITERION7_PATTERN, CRITERION7_NODES, (1, 4, (0, 0, 1))),
+    ("cycle_x1x1", CYCLE, [X1X1, X1X1], (2, 1, (0, 1))),
+    ("maximal", MAXIMAL_PATTERN, MAXIMAL_NODES, (1, 3, (0, 1, 1))),
+    ("sparse_poly_22", [[int(w != 0) for w in row] for row in sparse_poly_net(22, 4).W],
+     sparse_poly_net(22, 4).nodes, (1, 1, (1,))),
+]
+
+
+@pytest.mark.parametrize("with_designated", [False, True], ids=["counts", "designated"])
+@pytest.mark.parametrize("degree", [3, 4, 5])
+@pytest.mark.parametrize("name,pattern,nodes,designated", GENERICITY_RUNS,
+                         ids=[run[0] for run in GENERICITY_RUNS])
+def test_genericity_sample_is_the_per_sample_route(name, pattern, nodes, designated, degree,
+                                                   with_designated):
+    """The Monte Carlo with its plan built once equals drawing each sample,
+    closing each input's loop alone and measuring every output."""
+    designated = designated if with_designated else None
+    got = genericity_sample(pattern, nodes, 5, seed=41, degree=degree, designated=designated,
+                            bins=7)
+    want = per_sample_genericity(pattern, nodes, 5, 41, degree, designated, bins=7)
+    assert got == want
+    assert len(got.values) == (5 if with_designated else 0)
+
+
+def counting(monkeypatch, module, name: str, calls: list, record=lambda *args: args):
+    """Replace module.name by a wrapper that appends record(*args) to calls."""
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(record(*args))
+        return original(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("samples", [1, 50])
+def test_genericity_sample_plans_once_and_draws_every_sample(monkeypatch, samples):
+    """The weight-independent plan of the closed loops is built once per
+    call, and every sample is still drawn through sample_network."""
+    plans, drawn = [], []
+    counting(monkeypatch, network, "_plan", plans)
+    counting(monkeypatch, reldeg_module, "_plan", plans)
+    counting(monkeypatch, reldeg_module, "sample_network", drawn, lambda *args: args[3])
+    genericity_sample(CRITERION7_PATTERN, CRITERION7_NODES, samples, seed=5, degree=3,
+                      designated=(1, 4, (0, 0, 1)))
+    assert len(plans) == 1
+    assert drawn == list(range(samples))
+
+
+@pytest.mark.parametrize("name,make,degree", ORACLE_NETS, ids=[c[0] for c in ORACLE_NETS])
+def test_complete_reldeg_reads_its_structure_once(monkeypatch, name, make, degree):
+    """One structural pass per net: each node's degree report at most once,
+    and one ancestor closure of the weight matrix."""
+    net = make()
+    reports, closures = [], []
+    counting(monkeypatch, reldeg_module, "node_degree_report", reports, lambda net, k: k)
+    for module in (network, reldeg_module):
+        counting(monkeypatch, module, "_ancestors", closures, lambda W: W is net.W)
+    complete_reldeg(net, degree)
+    assert len(reports) == len(set(reports)) <= net.m
+    assert closures.count(True) == 1
+
+
+@pytest.mark.parametrize("make", [lambda: x1_chain(6), lambda: NetworkSpec(2, CYCLE, [X1] * 2),
+                                  lambda: ladder_net(4)], ids=["chain", "cycle", "ladder"])
+def test_a_loop_of_x1_nodes_takes_no_shuffle(monkeypatch, make):
+    """The image of x1 is x0 d (+ x1 at degree 1), read off the feedback."""
+    shuffles = []
+    counting(monkeypatch, compose_module, "_shuffle_terms", shuffles)
+    net = make()
+    for i in range(1, net.m + 1):
+        assert_same_loop(closed_loop_series(net, i, 6), global_closed_loop(net, i, 6))
+    assert shuffles == []
+
+
+def undefined_node_net() -> NetworkSpec:
+    """Node 2, x1 x1, has no relative degree, so every prediction through it fails."""
+    W = [[0, 0, 0], [1, 0, 0], [0, 1, Fraction(1, 3)]]
+    return NetworkSpec(3, W, [X1, Series(1, 2, {(1, 1): 1}), X1X1])
+
+
+COMPLETE_RELDEG_NETS = ORACLE_NETS + [("undefined_node", undefined_node_net, 4)]
+
+
+@pytest.mark.parametrize("budget", [None, 2], ids=["budget", "budget_2"])
+@pytest.mark.parametrize("name,make,degree", COMPLETE_RELDEG_NETS,
+                         ids=[c[0] for c in COMPLETE_RELDEG_NETS])
+def test_complete_reldeg_is_pair_report_pair_by_pair(monkeypatch, name, make, degree, budget):
+    """Each report, prediction errors and their strings included, is the one
+    pair_report gives on the measured relative degree of the closed loop."""
+    if budget is not None:
+        monkeypatch.setattr(network, "NODE_BUDGET", budget)
+    net = make()
+    got = complete_reldeg(net, degree)
+    assert list(got) == [(i, j) for i in range(1, net.m + 1) for j in range(1, net.m + 1)]
+    for i in range(1, net.m + 1):
+        closed = closed_loop_series(net, i, degree)
+        for j in range(1, net.m + 1):
+            assert got[(i, j)] == pair_report(net, i, j, relative_degree(closed[j]))
+
+
+def test_complete_reldeg_keeps_both_prediction_errors(monkeypatch):
+    """The equality above covers a ConditionError and a SubgraphBudgetError."""
+    assert complete_reldeg(undefined_node_net(), 4)[(1, 3)].prediction_error == (
+        "relative degree is undefined")
+    monkeypatch.setattr(network, "NODE_BUDGET", 2)
+    assert complete_reldeg(x1_chain(5), 6)[(1, 5)].prediction_error == (
+        "5 candidate nodes exceed the budget of 2")
 
 
 def test_a_chain_deeper_than_the_recursion_limit_settles():

@@ -273,7 +273,7 @@ def test_components_match_tarjan_and_run_sources_first(W):
     weighted edge runs within a component or into a later one."""
     m = len(W)
     net = NetworkSpec(m, W, [Series(1, 1, {(1,): 1})] * m)
-    order, _, _, _, _ = network._plan(net, 1)
+    order, _, _, _ = network._plan(net, 1)
     assert sorted(order) == sorted(tarjan_components(net))
     position = {k: p for p, comp in enumerate(order) for k in comp}
     for k in range(1, m + 1):

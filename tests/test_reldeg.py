@@ -374,10 +374,13 @@ class TestGenericity:
         ((0, 4, (0, 0, 1)), NodeIndexError),
         ((1, 9, (1,)), NodeIndexError),
         ((1, 4, (0, 5)), AlphabetError),
+        ((1, 4, (0, 0, 0, 1)), DomainError),
     ])
     def test_designated_coefficient_is_checked_up_front(self, designated, error, monkeypatch):
-        """Nodes outside 1..m and letters outside {x0, x1} are rejected before
-        any sample is drawn, not read as an empty histogram or a KeyError."""
+        """Nodes outside 1..m, letters outside {x0, x1} and words longer than
+        the degree are rejected before any sample is drawn, not read as an
+        empty histogram, a KeyError or a histogram of zeros that no loop
+        computed."""
         drawn = []
         monkeypatch.setattr(reldeg, "sample_network", lambda *a: drawn.append(a))
         with pytest.raises(error):
