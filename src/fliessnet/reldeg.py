@@ -210,23 +210,33 @@ def predict_io_reldeg(net: NetworkSpec, i: int, j: int) -> PredictionReport:
       violated_unknown    a tie cancels, or no forward path exists; r_pred is
                           the shortest-path value when a path exists, else None.
     """
-    return _predict(net, i, j, partial(node_degree_report, net), partial(subgraph_extract, net))
+    return _predict(net, i, j, partial(node_degree_report, net), partial(subgraph_extract, net),
+                    partial(_short_of_sink, net))
+
+
+def _short_of_sink(net: NetworkSpec, j: int) -> Optional[list[int]]:
+    """For a sink j that receives an edge from every other node, the ancestor
+    masks of _ancestors once j's out-edges are cut; None for any other j."""
+    if not all(net.weight(j, k) != 0 for k in range(1, net.m + 1) if k != j):
+        return None
+    return _ancestors([[w if l != j else 0 for l, w in enumerate(row, 1)] for row in net.W])
 
 
 def _predict(net: NetworkSpec, i: int, j: int, report: Callable[[int], RelDegReport],
-             subgraph: Callable[[int, int], Subgraph]) -> PredictionReport:
-    """predict_io_reldeg from report(v), node v's node_degree_report, and
-    subgraph(i, j), subgraph_extract's G_ji."""
+             subgraph: Callable[[int, int], Subgraph],
+             short_of_sink: Callable[[int], Optional[list[int]]]) -> PredictionReport:
+    """predict_io_reldeg from report(v), node v's node_degree_report,
+    subgraph(i, j), subgraph_extract's G_ji, and short_of_sink(j), the
+    masks of _short_of_sink."""
     if i == j:
         r, lead = report(i).require_defined()
         details = {"self_pair": True, "leading": lead}
         return PredictionReport(i, j, r, CONDITION_DISTINCT, {i: r}, details)
     net.check_node(i)
-    if all(net.weight(j, k) != 0 for k in range(1, net.m + 1) if k != j):
+    reached = short_of_sink(j)
+    if reached is not None:
         # G_ji is j and each node that i reaches short of j (the descendants of
         # i once j's out-edges are cut): its edge into j closes a simple path.
-        reached = _ancestors([[w if l != j else 0 for l, w in enumerate(row, 1)]
-                              for row in net.W])
         nodes = [v for v in range(1, net.m + 1) if reached[v] >> i & 1]
         degrees = {v: report(v).require_defined()[0] for v in nodes}
         r = degrees[j] + degrees[i]
@@ -303,11 +313,15 @@ def _measure_pairs(net: NetworkSpec, degree: int, plan=None):
 def complete_reldeg(net: NetworkSpec, degree: int) -> dict[tuple[int, int], PairReport]:
     """Measure and predict the relative degree of every pair, as pair_report
     does, from one structural pass: the closed loops' plan, whose ancestor
-    masks give each pair's forward-path subgraph, and each node's degree report."""
+    masks give each pair's forward-path subgraph, each node's degree report,
+    and each fully connected sink's masks short of it."""
     plan = _plan(net, degree)
-    reports = {k: node_degree_report(net, k) for k in range(1, net.m + 1)}
+    nodes = range(1, net.m + 1)
+    reports = {k: node_degree_report(net, k) for k in nodes}
+    short = {j: _short_of_sink(net, j) for j in nodes}
     subgraph = partial(_subgraph, net, ancestors=plan[2])
-    predict = partial(_predict, net, report=reports.__getitem__, subgraph=subgraph)
+    predict = partial(_predict, net, report=reports.__getitem__, subgraph=subgraph,
+                      short_of_sink=short.__getitem__)
     return {
         (i, j): _pair_report(i, j, measured, predict)
         for i, _, row in _measure_pairs(net, degree, plan)

@@ -10,13 +10,18 @@ The cubic ODE runs on an in-module RK45, the Dormand-Prince 5(4) pair with
 its step-size rules and a Brent root for the escape event, which samples the
 grid as it steps and keeps no step's interpolant. It performs scipy's RK45
 operation for operation and returns the same floats, so the package needs
-numpy alone at run time; scipy serves only as a test oracle. This is the
-package's one module that loads numpy on import, so the package and the
-CLI import it only when a simulation is asked for.
+numpy alone at run time; scipy serves only as a test oracle. Its sums over
+the tableau stay scipy's numpy calls, while its scalars (times, step sizes,
+step factors, the escape event) are Python floats, which round alike and
+skip numpy's dispatch. This is the package's one module that loads numpy on
+import, so the package and the CLI import it only when a simulation is
+asked for.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Optional
@@ -63,7 +68,8 @@ _RK45_P = np.array([
 
 
 def _rms(x: np.ndarray):
-    return np.linalg.norm(x) / x.size ** 0.5
+    """np.linalg.norm(x) / sqrt(x.size) by the norm's own route, an np.float64."""
+    return np.sqrt(x.dot(x)) / x.size ** 0.5
 
 
 def _step_interpolant(t_old, t, y_old: np.ndarray, K: np.ndarray):
@@ -136,46 +142,54 @@ def solve_ivp(fun, times, y0: np.ndarray, event, rtol: float, atol: float) -> Si
     the root. status is 0 at times[-1], 1 at the event and -1 once the step
     would fall below ten spacings of t; a halt before the first step samples
     times[0] as y0.
+
+    The products with the tableau (np.dot of K's stages with a row of A, B
+    or E) and the arithmetic on states stay numpy calls: a sequential sum
+    rounds differently from np.dot. The scalars t, h and the step factors
+    are Python floats, which round each operation to the same double, and
+    the grid is sampled by bisect_right, as searchsorted's right side does.
+    The norms are np.float64s by np.linalg.norm's route, so the initial
+    step's d2 = rms / h0 gives inf where a Python float division would
+    raise; the step's error norm is then read as a float. nfev is counted
+    in the loop: 2 for the initial step, plus 6 per attempted step.
     """
     t, t_bound = float(times[0]), float(times[-1])
-    nfev = 0
-
-    def f(t, y):
-        nonlocal nfev
-        nfev += 1
-        return fun(t, y)
-
     y = y0
-    fy = f(t, y)
+    fy = fun(t, y)
     # Initial step: Hairer, Norsett and Wanner's rule for an error of order 5.
     scale = atol + np.abs(y) * rtol
     d0, d1 = _rms(y / scale), _rms(fy / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound - t)
-    d2 = _rms((f(t + h0, y + h0 * fy) - fy) / scale) / h0
+    d2 = _rms((fun(t + h0, y + h0 * fy) - fy) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    h_abs = min(100 * h0, h1, t_bound - t)
+    h_abs = float(min(100 * h0, h1, t_bound - t))
+    nfev = 2
+    # K is filled in place, so each stage's view of it is taken once.
     K = np.empty((7, y.size))
+    stages = [(s, K[:s].T, _RK45_A[s, :s], c) for s, c in enumerate(_RK45_C.tolist()) if s]
+    K_B, K_E = K[:-1].T, K.T
     ts, ys, samples, sampled = [t], [y0], [], 0  # times[:sampled] are sampled
     g = event(t, y0)
     status = None
     while status is None:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while not h_abs < min_step:
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
             K[0] = fy
-            for s in range(1, 6):
-                K[s] = f(t + _RK45_C[s] * h, y + np.dot(K[:s].T, _RK45_A[s, :s]) * h)
-            y_new = y + h * np.dot(K[:-1].T, _RK45_B)
-            K[-1] = f_new = f(t + h, y_new)
+            for s, K_s, a, c in stages:
+                K[s] = fun(t + c * h, y + K_s.dot(a) * h)
+            y_new = y + h * K_B.dot(_RK45_B)
+            K[-1] = f_new = fun(t + h, y_new)
+            nfev += 6
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _rms(np.dot(K.T, _RK45_E) * h / scale)
+            error_norm = float(_rms(K_E.dot(_RK45_E) * h / scale))
             # Safety factor 0.9; a step grows at most 10-fold, and not right
             # after a rejection, and shrinks at most 5-fold.
             if error_norm < 1:
@@ -201,7 +215,7 @@ def solve_ivp(fun, times, y0: np.ndarray, event, rtol: float, atol: float) -> Si
         if not (len(ts) > 1 and ts[-1] == t):
             ts.append(t)
             ys.append(y)
-        end = np.searchsorted(times, t, side="right")
+        end = bisect_right(times, t)
         if end > sampled:
             dense = dense or _step_interpolant(t_old, t_new, y_old, K)
             samples.append(dense(times[sampled:end]))
@@ -304,6 +318,20 @@ def _weight_matrix(net: NetworkSpec) -> np.ndarray:
     return np.array([[_float(w, "an interconnection weight") for w in row] for row in net.W])
 
 
+def _escape_event(threshold: float):
+    """The event max_k |z_k| - threshold, as np.max(np.abs(z)) - threshold
+    gives it but as a float. Python's max passes over a NaN after the first
+    entry, so the sum of |z_k|, NaN exactly when some entry is (a sum of
+    nonnegative terms overflows only to inf), decides that case."""
+
+    def first_escape(t, z):
+        a = list(map(abs, z.tolist()))
+        total = sum(a)
+        return (max(a) if total == total else total) - threshold
+
+    return first_escape
+
+
 def simulate_maximal_ode(
     net: NetworkSpec,
     grid: Grid,
@@ -331,24 +359,23 @@ def simulate_maximal_ode(
     M = np.array([_float(spec.M, "a node constant M") for spec in net.nodes])
     W = _weight_matrix(net)
     v_arr = _input_table(net, grid, v)
-    forced = v is not None and bool(v)
     rate = M / K
 
-    def rhs(t, z):
-        u = W @ z
-        if forced:
+    if v:
+        def rhs(t, z):
+            u = W @ z
             u += np.array([np.interp(t, times, v_arr[k]) for k in range(m)])
-        return rate * z * z * (1.0 + u)
-
-    def first_escape(t, z):
-        return np.max(np.abs(z)) - threshold
+            return rate * z * z * (1.0 + u)
+    else:
+        def rhs(t, z):
+            return rate * z * z * (1.0 + W @ z)
 
     # A state that overflows on the way to a singularity halts the integrator
     # (status -1) quietly; a right-hand side not finite at t0 is refused.
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.isfinite(rhs(times[0], K)).all():
             raise DomainError("the ODE right-hand side leaves the float range at t0")
-        sol = solve_ivp(rhs, times, K, first_escape, **_ODE_TOLERANCES)
+        sol = solve_ivp(rhs, times, K, _escape_event(threshold), **_ODE_TOLERANCES)
     t_end = float(sol.t[-1])
     halted = sol.status == -1
     escape_time = None if sol.status == 0 else t_end

@@ -844,6 +844,21 @@ def test_complete_reldeg_reads_its_structure_once(monkeypatch, name, make, degre
     assert closures.count(True) == 1
 
 
+@pytest.mark.parametrize("m", [8, 12, 16])
+def test_complete_reldeg_closes_each_fully_connected_sink_once(monkeypatch, m):
+    """The closure short of a fully connected sink depends on the sink alone:
+    the complete x1 net takes one per sink and one for the plan, at most
+    m + 1, where one per pair took m (m - 1) + 1."""
+    net = NetworkSpec(m, [[int(k != l) for l in range(m)] for k in range(m)], [X1] * m)
+    closures = []
+    for module in (network, reldeg_module):
+        counting(monkeypatch, module, "_ancestors", closures)
+    reports = complete_reldeg(net, 2)
+    assert len(closures) <= m + 1
+    assert {rep.predicted.condition for (i, j), rep in reports.items() if i != j} == {
+        "fully_connected"}
+
+
 @pytest.mark.parametrize("make", [lambda: x1_chain(6), lambda: NetworkSpec(2, CYCLE, [X1] * 2),
                                   lambda: ladder_net(4)], ids=["chain", "cycle", "ladder"])
 def test_a_loop_of_x1_nodes_takes_no_shuffle(monkeypatch, make):

@@ -308,16 +308,24 @@ def over(rng: random.Random, q: int, top: int) -> Fraction:
     return Fraction(p, q)
 
 
-def seeded_escape_case(seed: int):
+def seeded_escape_case(seed: int, signed: bool = False):
     """An all-maximal net drawn as the benchmark's maximal_net draws one (K
     over 5, M over 7, weights over 11), with a horizon from well inside to
     well past the escape, a grid, a threshold and, for odd seeds, a forcing
-    input at every node."""
+    input at every node. signed draws up to 6 nodes instead of 4, and weights
+    of either sign in (-1, 1), so that W @ z can cancel; NetworkSpec refuses
+    negative weights, so those are set after it has read their magnitudes,
+    for the ODE route, which takes any real W."""
     rng = random.Random(seed)
-    m = rng.randint(1, 4)
+    m = rng.randint(1, 6 if signed else 4)
     top = rng.choice((1, 2, 3))
     specs = [MaximalSeriesSpec(over(rng, 5, top), over(rng, 7, top)) for _ in range(m)]
-    W = [[over(rng, 11, 1) if rng.random() < 0.7 else 0 for _ in range(m)] for _ in range(m)]
+
+    def weight():
+        w = over(rng, 11, 1) if rng.random() < 0.7 else 0
+        return -w if signed and rng.random() < 0.5 else w
+
+    W = [[weight() for _ in range(m)] for _ in range(m)]
     horizon = rng.choice((0.05, 1.05, 3.0)) * max(1 / float(s.M) for s in specs)
     grid = Grid(rng.choice((0.0, 0.7)), horizon, rng.choice((40, 400)))
     threshold = rng.choice((10.0, 1e3, 1e6, 1e9, 1e12))
@@ -326,7 +334,10 @@ def seeded_escape_case(seed: int):
         t = grid.times
         v = {k: rng.uniform(-1.5, 1.0) * np.sin(rng.uniform(0.0, 6.0) * t) + rng.uniform(-1.0, 0.5)
              for k in range(1, m + 1)}
-    return NetworkSpec(m, W, specs), grid, v, threshold
+    net = NetworkSpec(m, [[abs(w) for w in row] for row in W], specs)
+    if signed:
+        net.W = W
+    return net, grid, v, threshold
 
 
 def brent_outcome(solve, f, a, b):
@@ -392,9 +403,9 @@ class TestMaximalOde:
         event: the same bytes in every output, escape time, per-node escape
         and metadata, and the same steps and evaluation count, on nets that
         end at the horizon, at the threshold and at the singularity, with and
-        without forcing. scipy runs twice: with t_eval for the samples, and
-        with dense output but no t_eval for the step ends, their states, nfev
-        and status."""
+        without forcing, and with signed weights on up to 6 nodes. scipy runs
+        twice: with t_eval for the samples, and with dense output but no
+        t_eval for the step ends, their states, nfev and status."""
         from scipy.integrate import solve_ivp as scipy_solve_ivp
 
         def scipy_rk45(fun, times, y0, event, rtol, atol):
@@ -418,9 +429,10 @@ class TestMaximalOde:
             return simulate_maximal_ode(*case), solved[0]
 
         rk45 = sim.solve_ivp
-        endings = set()
-        for seed in range(30):
-            case = seeded_escape_case(seed)
+        endings, cancelling, sizes = set(), 0, set()
+        cases = [seeded_escape_case(seed) for seed in range(30)]
+        cases += [seeded_escape_case(seed, signed=True) for seed in range(20, 40)]
+        for case in cases:
             ours, ours_sol = run(rk45, case)
             theirs, their_sol = run(scipy_rk45, case)
             assert repr(ours.escape_time) == repr(theirs.escape_time)
@@ -432,7 +444,11 @@ class TestMaximalOde:
             assert ours_sol.y.tobytes() == their_sol.y.tobytes()
             assert (ours_sol.nfev, ours_sol.status) == (their_sol.nfev, their_sol.status)
             endings.add((ours_sol.status, case[2] is not None))
+            net = case[0]
+            cancelling += any(min(row) < 0 < max(row) for row in net.W)
+            sizes.add(net.m)
         assert endings == {(status, forced) for status in (-1, 0, 1) for forced in (False, True)}
+        assert cancelling >= 10 and sizes == set(range(1, 7))
 
     def test_flat_start_same_floats_as_scipy_rk45(self):
         """On y' = 0 both derivative estimates of the initial-step rule vanish
@@ -457,6 +473,45 @@ class TestMaximalOde:
         assert ours.t.tobytes() == theirs.t.tobytes()
         assert ours.y.tobytes() == theirs.y.tobytes()
         assert (ours.nfev, ours.status) == (theirs.nfev, theirs.status)
+
+    def test_nfev_is_the_number_of_calls_of_fun(self, monkeypatch):
+        """nfev, counted in the step loop, equals the calls of a counting fun
+        passed straight to sim.solve_ivp, on runs with every kind of ending."""
+        solve, runs = sim.solve_ivp, []
+
+        def recorded(*args, **kwargs):
+            runs.append((args, kwargs))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "solve_ivp", recorded)
+        for seed in range(30):
+            simulate_maximal_ode(*seeded_escape_case(seed))
+        endings = set()
+        for (fun, times, y0, event), kwargs in runs:
+            calls = []
+
+            def counted(t, y):
+                calls.append(t)
+                return fun(t, y)
+
+            with np.errstate(over="ignore", invalid="ignore"):
+                sol = solve(counted, times, y0, event, **kwargs)
+            assert sol.nfev == len(calls)
+            endings.add(int(sol.status))
+        assert endings == {-1, 0, 1}
+
+    @pytest.mark.parametrize("z", [
+        [math.nan, 3.0, -2e9], [3.0, math.nan, -2e9], [3.0, -2e9, math.nan], [math.nan],
+        [math.inf, 1.0], [1.0, -math.inf], [-math.inf, math.nan], [math.inf, math.nan, 2.0],
+        [-0.0, 0.0], [5e8, -2e9, 1.5e9], [-7.0],
+    ], ids=["nan-first", "nan-middle", "nan-last", "nan-alone", "inf", "-inf", "-inf-nan",
+            "inf-nan", "zeros", "finite", "negative"])
+    def test_escape_event_is_numpys_max_of_abs(self, z):
+        """The event equals np.max(np.abs(z)) - threshold, NaN wherever z holds one."""
+        z = np.array(z)
+        for threshold in (1e9, 10.0):
+            got = sim._escape_event(threshold)(0.0, z)
+            assert repr(float(got)) == repr(float(np.max(np.abs(z)) - threshold))
 
     def test_builds_an_interpolant_only_for_a_step_that_holds_a_sample(self, monkeypatch):
         """An escape run takes more steps than its grid has samples; only a
