@@ -35,7 +35,6 @@ from .series import (
     Coeff,
     GrowthCheck,
     MaximalSeriesSpec,
-    ScalarProduct,
     Series,
     as_coeff,
     check_growth,
@@ -43,17 +42,13 @@ from .series import (
     concat_product,
     linear_combine,
     maximal_series,
-    scalar_product,
     series_from_json,
     series_to_json,
     shuffle_product,
 )
 from .words import (
-    EMPTY_WORD,
     Word,
-    all_words,
     format_word,
-    graded_key,
     leading_zeros,
     parse_word,
     shuffle_words,
@@ -91,7 +86,6 @@ from .growth import (
     GrowthBound,
     abel_taylor,
     closed_form_natural_response,
-    lambert_w,
     lambert_w_lower,
     m_inf_bound,
 )

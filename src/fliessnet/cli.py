@@ -218,6 +218,8 @@ def _montecarlo(args, net, params):
         _require(args, ["from", "to"])
         designated = (i, j, parse_word(word, 1))
         params["designated"] = {"from": i, "to": j, "word": format_word(designated[2])}
+    elif i is not None or j is not None:
+        _require(args, ["word"])  # endpoints without a word track nothing
     nodes = range(1, net.m + 1)
     pattern = [[0 if net.weight(r, c) == 0 else 1 for c in nodes] for r in nodes]
     stats = genericity_sample(

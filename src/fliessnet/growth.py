@@ -21,8 +21,8 @@ _BRANCH_GUARD = 1e-12
 
 
 def _branch_series(p: float) -> float:
-    # W(-exp(-1)(1 - p^2/2 ...)) expanded around the branch point; p carries
-    # the branch sign: p >= 0 on the principal branch, p <= 0 on the lower one.
+    # W(-exp(-1)(1 - p^2/2 ...)) expanded around the branch point; p <= 0
+    # selects the lower branch.
     return -1.0 + p * (
         1.0
         + p * (-1.0 / 3.0 + p * (11.0 / 72.0 + p * (-43.0 / 540.0 + p * (769.0 / 17280.0))))
@@ -49,49 +49,28 @@ def _halley(x: float, w: float) -> float:
     raise NoConvergence(f"Lambert W iteration did not settle for x = {x}")
 
 
-def _lambert(x: float, lower: bool) -> float:
-    """Real Lambert W of the real x on the principal (W >= -1) or lower (W <= -1) branch."""
-    if lower:
-        name, domain = "lambert_w_lower", "-1/e <= x < 0"
-    else:
-        name, domain = "lambert_w", "finite x >= -1/e"
+def lambert_w_lower(x: float) -> float:
+    """Lower real branch: the solution of W e^W = x with W <= -1, for x in [-1/e, 0)."""
     x = _check_real(x, "Lambert W argument x")
-    if (lower and x >= 0.0) or x <= _BRANCH_POINT - _BRANCH_GUARD:
-        raise DomainError(f"{name} needs {domain}, got {x}")
-    if x == 0.0:
-        return 0.0
+    if x >= 0.0 or x <= _BRANCH_POINT - _BRANCH_GUARD:
+        raise DomainError(f"lambert_w_lower needs -1/e <= x < 0, got {x}")
     # Every float of the guard band below -1/e gives p_sq <= 0, so W = -1.
     p_sq = 2.0 * (math.e * x + 1.0)
     if p_sq <= 0.0:
         return -1.0
-    p = -math.sqrt(p_sq) if lower else math.sqrt(p_sq)
+    p = -math.sqrt(p_sq)
     if abs(p) < 1e-3:
         return _branch_series(p)
-    if x < (-0.33 if lower else -0.25):
+    if x < -0.33:
         seed = _branch_series(p)
-    elif lower:
+    else:
         # Asymptotic seed, tightened by the contraction w -> log(-x) - log(-w)
         # so Halley starts safely on this branch.
         log_mx = math.log(-x)
         seed = log_mx - math.log(-log_mx)
         for _ in range(8):
             seed = log_mx - math.log(-seed)
-    elif x < math.e:
-        seed = x / (1.0 + x)
-    else:
-        log_x = math.log(x)
-        seed = log_x - math.log(log_x)
     return _halley(x, seed)
-
-
-def lambert_w(x: float) -> float:
-    """Principal real branch: the solution of W e^W = x with W >= -1."""
-    return _lambert(x, lower=False)
-
-
-def lambert_w_lower(x: float) -> float:
-    """Lower real branch: the solution of W e^W = x with W <= -1, for x in [-1/e, 0)."""
-    return _lambert(x, lower=True)
 
 
 def _lambda(x: float) -> float:

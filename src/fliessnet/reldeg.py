@@ -228,11 +228,13 @@ def _predict(net: NetworkSpec, i: int, j: int, report: Callable[[int], RelDegRep
     """predict_io_reldeg from report(v), node v's node_degree_report,
     subgraph(i, j), subgraph_extract's G_ji, and short_of_sink(j), the
     masks of _short_of_sink."""
+    # Checked before the self pair, which True or 1.0 would otherwise pass as node 1.
+    net.check_node(i)
+    net.check_node(j)
     if i == j:
         r, lead = report(i).require_defined()
         details = {"self_pair": True, "leading": lead}
         return PredictionReport(i, j, r, CONDITION_DISTINCT, {i: r}, details)
-    net.check_node(i)
     reached = short_of_sink(j)
     if reached is not None:
         # G_ji is j and each node that i reaches short of j (the descendants of

@@ -6,10 +6,10 @@ stored as integer numerators over one positive denominator, reduced so that
 the denominator and the numerators share no factor. Sums put their operands
 over the lcm of their denominators and products multiply denominators, so
 the algebra adds and multiplies integers and reduces once per grade instead
-of taking a gcd on every operation. Coefficients are canonical int or Fraction (int for
-denominator-1 values) at every public accessor: the constructor, terms,
-coeff, items, JSON and the value of scalar_product. All algebra here is
-exact; floating point only enters at the simulation boundary.
+of taking a gcd on every operation. Coefficients are canonical int or
+Fraction (int for denominator-1 values) at every public accessor: the
+constructor, terms, coeff, items and JSON. All algebra here is exact;
+floating point only enters at the simulation boundary.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Union
 
 from .errors import AlphabetError, DomainError, ParseError
 from .words import Word, check_word, format_word, words_of_length
@@ -174,7 +174,7 @@ class Series:
     between instances and are never mutated once stored.
     """
 
-    __slots__ = ("m", "max_degree", "exact_to", "_grades", "_flat")
+    __slots__ = ("m", "max_degree", "exact_to", "_grades")
 
     def __init__(self, m: int, max_degree: int, terms=None, exact_to=None):
         _check_size(m, max_degree)
@@ -196,7 +196,6 @@ class Series:
             max_degree if exact_to is None else min(_check_int(exact_to, "exact_to", 0), max_degree)
         )
         self._grades = {n: _grade(coeffs[n]) for n in sorted(coeffs)}
-        self._flat = None
 
     @classmethod
     def _graded(cls, m: int, max_degree: int, grades: Grades, exact_to) -> "Series":
@@ -211,7 +210,6 @@ class Series:
         series.max_degree = max_degree
         series.exact_to = min(exact_to, max_degree)
         series._grades = grades
-        series._flat = None
         return series
 
     # -- construction helpers -------------------------------------------------
@@ -228,14 +226,12 @@ class Series:
 
     @property
     def terms(self):
-        if self._flat is None:
-            flat: dict[Word, Coeff] = {}
-            for den, nums in self._grades.values():
-                flat.update(
-                    nums if den == 1 else {w: _value(c, den) for w, c in nums.items()}
-                )
-            self._flat = flat
-        return MappingProxyType(self._flat)
+        flat: dict[Word, Coeff] = {}
+        for den, nums in self._grades.values():
+            flat.update(
+                nums if den == 1 else {w: _value(c, den) for w, c in nums.items()}
+            )
+        return MappingProxyType(flat)
 
     def coeff(self, word) -> Coeff:
         word = tuple(word)
@@ -247,10 +243,6 @@ class Series:
 
     def is_zero(self) -> bool:
         return not self._grades
-
-    def is_proper(self) -> bool:
-        """True when the empty-word coefficient vanishes."""
-        return 0 not in self._grades
 
     def items(self) -> Iterator[tuple[Word, Coeff]]:
         """Term pairs in graded lexicographic order."""
@@ -507,29 +499,6 @@ def shuffle_product(c: Series, d: Series) -> Series:
     goes when it returns.
     """
     return _product(c, d, partial(_shuffle_terms, memo={}, m=_common_alphabet((c, d))))
-
-
-class ScalarProduct(NamedTuple):
-    value: Coeff
-    exact: bool
-
-
-def scalar_product(c: Series, d: Series) -> ScalarProduct:
-    """<c, d> = sum over shared words of the coefficient products.
-
-    The sum runs over words up to the smaller truncation degree; exact is
-    False when either operand is not certified that far.
-    """
-    _common_alphabet((c, d))
-    degree = min(c.max_degree, d.max_degree)
-    exact = min(c.exact_to, d.exact_to) >= degree
-    value = 0
-    for n in c._grades.keys() & d._grades.keys():
-        (da, small), (db, large) = c._grades[n], d._grades[n]
-        if len(small) > len(large):
-            small, large = large, small
-        value += Fraction(sum(x * y for w, x in small.items() if (y := large.get(w))), da * db)
-    return ScalarProduct(as_coeff(value), exact)
 
 
 def positive_constants(K, M) -> tuple[Coeff, Coeff]:

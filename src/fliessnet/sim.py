@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Optional
@@ -307,6 +308,9 @@ def eval_fliess(c: Series, u, grid: Grid) -> np.ndarray:
 
 
 def _input_table(net: NetworkSpec, grid: Grid, v) -> np.ndarray:
+    if v is not None and not isinstance(v, Mapping):
+        raise DomainError(
+            f"v must be None or a mapping from node to signal, not {type(v).__name__}")
     arr = np.zeros((net.m, grid.n + 1))
     for k, sig in (v or {}).items():
         net.check_node(k)

@@ -14,8 +14,6 @@ from .errors import AlphabetError, ParseError
 
 Word = tuple[int, ...]
 
-EMPTY_WORD: Word = ()
-
 
 def check_word(word: Word, m: int) -> None:
     """Reject letters outside 0..m."""
@@ -52,19 +50,9 @@ def format_word(word: Word) -> str:
     return " ".join(f"x{letter}" for letter in word)
 
 
-def graded_key(word: Word) -> tuple[int, Word]:
-    return (len(word), word)
-
-
 def words_of_length(m: int, k: int) -> Iterator[Word]:
     """All (m+1)^k words of length k in lexicographic order."""
     return itertools.product(range(m + 1), repeat=k)
-
-
-def all_words(m: int, max_degree: int) -> Iterator[Word]:
-    """All words of length <= max_degree in graded lexicographic order."""
-    for k in range(max_degree + 1):
-        yield from words_of_length(m, k)
 
 
 def leading_zeros(word: Word) -> int:

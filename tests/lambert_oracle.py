@@ -1,8 +1,9 @@
-"""The two Lambert W routines the package used before their merge.
+"""The lower-branch Lambert W routine the package used before its kernel
+was rewritten.
 
-Kept verbatim as a differential oracle: wherever they converge, the merged
-kernel must return the same floats. They raise NoConvergence where their
-Halley loop stalls next to the branch point -1/e.
+Kept verbatim as a differential oracle: wherever it converges, the kernel
+must return the same floats. It raises NoConvergence where its Halley loop
+stalls next to the branch point -1/e.
 """
 
 from __future__ import annotations
@@ -32,32 +33,6 @@ def _halley(x: float, w: float) -> float:
         if abs(step) <= 1e-14 * (1.0 + abs(w)):
             return w
     raise NoConvergence(f"Lambert W iteration did not settle for x = {x}")
-
-
-def oracle_lambert_w(x: float) -> float:
-    x = float(x)
-    if math.isnan(x):
-        raise DomainError("lambert_w of NaN")
-    if x < _BRANCH_POINT:
-        if x > _BRANCH_POINT - _BRANCH_GUARD:
-            return -1.0
-        raise DomainError(f"lambert_w needs x >= -1/e, got {x}")
-    if x == 0.0:
-        return 0.0
-    p_sq = 2.0 * (math.e * x + 1.0)
-    if p_sq <= 0.0:
-        return -1.0
-    p = math.sqrt(p_sq)
-    if p < 1e-3:
-        return _branch_series(p)
-    if x < -0.25:
-        seed = _branch_series(p)
-    elif x < math.e:
-        seed = x / (1.0 + x)
-    else:
-        log_x = math.log(x)
-        seed = log_x - math.log(log_x)
-    return _halley(x, seed)
 
 
 def oracle_lambert_w_lower(x: float) -> float:

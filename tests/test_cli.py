@@ -607,10 +607,20 @@ class TestMontecarlo:
         assert error == {"type": "DomainError", "message":
                          "designated word of length 3 exceeds the truncation degree 2"}
 
-    def test_word_needs_endpoints(self, four_node_file, capsys):
+    @pytest.mark.parametrize("flags,missing", [
+        (["--word", "x0 x1"], "--from, --to"),
+        (["--from", "1", "--word", "x0 x1"], "--to"),
+        (["--from", "1", "--to", "4"], "--word"),
+        (["--from", "1"], "--word"),
+        (["--to", "4"], "--word"),
+    ], ids=["word", "word from", "from to", "from", "to"])
+    def test_word_needs_endpoints(self, flags, missing, four_node_file, capsys):
+        """The word and its endpoints go together: endpoints without --word
+        once ran with "designated": null and exit 0, tracking nothing."""
         code = run(["montecarlo", "--net", four_node_file, "--degree", "3",
-                    "--samples", "2", "--seed", "1", "--word", "x0 x1"])
+                    "--samples", "2", "--seed", "1", *flags])
         assert code == 2
+        assert capsys.readouterr().err == f"error: missing required flags: {missing}\n"
 
 
 class TestValidate:

@@ -35,7 +35,6 @@ from fliessnet import (
     MaximalSeriesSpec,
     NetworkSpec,
     Series,
-    all_words,
     closed_loop_series,
     compose_at,
     compose_maximal,
@@ -218,9 +217,10 @@ def assert_reduced(s: Series) -> None:
         assert nums and all(type(c) is int and c != 0 for c in nums.values())
         assert math.gcd(den, *nums.values()) == 1
         assert all(len(word) == n for word in nums)
+    terms = s.terms  # a new view on each read
     for word, c in s.items():
         assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
-        assert s.terms[word] == c and type(s.terms[word]) is type(c)
+        assert terms[word] == c and type(terms[word]) is type(c)
         assert s.coeff(word) == c and type(s.coeff(word)) is type(c)
 
 
@@ -462,8 +462,8 @@ class TestShuffleKernels:
         product = shuffle_product(c, c)
         entries = len(words._shuffle_cache)
         assert entries == 0
-        assert_same(product, Series(1, 11, {w: math.factorial(len(w) + 1)
-                                            for w in all_words(1, 11)}))
+        assert_same(product, Series(1, 11, {w: math.factorial(n + 1)
+                                            for n in range(12) for w in words_of_length(1, n)}))
         a = make_random_series(rng, degree=8, max_terms=12)
         product = shuffle_product(a, c)
         entries = len(words._shuffle_cache)

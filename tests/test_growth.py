@@ -1,4 +1,4 @@
-"""Envelope growth rates, the branch-switched product log, and the cubic
+"""Envelope growth rates, the lower-branch product log, and the cubic
 response ODE, cross-checked against mpmath and an independent Picard oracle."""
 
 from __future__ import annotations
@@ -16,12 +16,11 @@ from fliessnet import (
     abel_taylor,
     as_coeff,
     closed_form_natural_response,
-    lambert_w,
     lambert_w_lower,
     m_inf_bound,
 )
 from abel_oracle import binomial_abel_taylor
-from lambert_oracle import oracle_lambert_w, oracle_lambert_w_lower
+from lambert_oracle import oracle_lambert_w_lower
 
 mpmath.mp.dps = 50
 
@@ -72,35 +71,6 @@ def assert_same_coeffs(got, want) -> None:
     assert [type(x) for x in got] == [type(y) for y in want]
 
 
-class TestLambertUpper:
-    def test_anchor_points(self):
-        assert lambert_w(0.0) == 0.0
-        assert math.isclose(lambert_w(math.e), 1.0, rel_tol=1e-15)
-        assert math.isclose(lambert_w(-math.exp(-1.0)), -1.0, abs_tol=1e-7)
-
-    def test_residual_on_grid(self):
-        for x in [-0.36, -0.2, -0.05, 0.01, 0.5, 1.0, 10.0, 1e3, 1e8]:
-            w = lambert_w(x)
-            assert math.isclose(w * math.exp(w), x, rel_tol=1e-13, abs_tol=1e-300), x
-
-    def test_against_mpmath(self):
-        for x in [-0.367, -0.1, 0.3, 2.0, 25.0, 1e6]:
-            ref = float(mpmath.lambertw(x, 0).real)
-            assert math.isclose(lambert_w(x), ref, rel_tol=1e-12), x
-
-    def test_branch_inequality(self):
-        for x in [-0.3678, -0.35, -0.1, 0.0, 4.0]:
-            assert lambert_w(x) >= -1.0 - 1e-12
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            lambert_w(-1.0)
-        with pytest.raises(DomainError):
-            lambert_w(float("nan"))
-        with pytest.raises(DomainError):
-            lambert_w(float("inf"))
-
-
 class TestLambertLower:
     def test_against_mpmath(self):
         xs = [-0.36787, -0.36, -0.3, -0.2, -0.1, -1e-2, -1e-4, -1e-8, -1e-30]
@@ -114,6 +84,18 @@ class TestLambertLower:
             assert w <= -1.0 + 1e-12
             assert math.isclose(w * math.exp(w), x, rel_tol=1e-12), x
 
+    def test_anchor_points(self):
+        """W(-1/e) = -1, and W(w e^w) = w at w = -2 ln 2, -2, -3."""
+        assert lambert_w_lower(-math.exp(-1.0)) == -1.0
+        for w in (-2.0 * math.log(2.0), -2.0, -3.0):
+            assert math.isclose(lambert_w_lower(w * math.exp(w)), w, rel_tol=1e-15), w
+
+    def test_inverts_w_exp_w_along_the_branch(self):
+        """From w = -1.5 out to w = -700, where w e^w is about -7e-302."""
+        for w in -np.geomspace(1.5, 700.0, 400):
+            w = float(w)
+            assert math.isclose(lambert_w_lower(w * math.exp(w)), w, rel_tol=1e-14), w
+
     def test_domain(self):
         for bad in [0.0, 0.5, -1.0, float("inf")]:
             with pytest.raises(DomainError):
@@ -123,15 +105,12 @@ class TestLambertLower:
 # Arguments x with e x + 1 log-spaced over [1e-8, 1e-2]: the band next to the
 # branch point where the Halley step stalls above its tolerance.
 NEAR_BRANCH = [(float(d) - 1.0) / math.e for d in np.geomspace(1e-8, 1e-2, 2000)]
-UPPER_POINTS = [0.0, math.e, -math.exp(-1.0), -0.36, -0.2, -0.05, 0.01, 0.5, 1.0, 10.0,
-                1e3, 1e8, -0.367, -0.1, 0.3, 2.0, 25.0, 1e6, -0.3678, -0.35, 4.0]
 LOWER_POINTS = [-0.36787, -0.36, -0.3, -0.2, -0.1, -1e-2, -1e-4, -1e-8, -1e-30, -0.3678,
                 -0.25, -0.05, -1e-6]
 BRANCHES = [
-    (lambert_w, oracle_lambert_w, 0, UPPER_POINTS),
     (lambert_w_lower, oracle_lambert_w_lower, -1, LOWER_POINTS),
 ]
-BRANCH_IDS = ["principal", "lower"]
+BRANCH_IDS = ["lower"]
 
 
 class TestLambertNearBranchPoint:
@@ -154,10 +133,17 @@ class TestLambertNearBranchPoint:
             assert w(x) == expected, x
         assert stalled > 0  # the grid reaches the band where the old loop stalled
 
-    @pytest.mark.parametrize("w", [lambert_w, lambert_w_lower], ids=BRANCH_IDS)
+    @pytest.mark.parametrize("w, _oracle, _k, points", BRANCHES, ids=BRANCH_IDS)
+    def test_strictly_decreasing_away_from_the_branch_point(self, w, _oracle, _k, points):
+        """The lower branch falls from -1 as x rises from -1/e towards 0,
+        across the band where the kernel hands over from series to Halley."""
+        values = [w(x) for x in sorted(NEAR_BRANCH + points)]
+        assert all(a > b for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("w", [lambert_w_lower], ids=BRANCH_IDS)
     def test_guard_band_below_the_branch_point_is_minus_one(self, w):
         """Floats below -1/e but within the 1e-12 guard band, the two ends
-        and a seeded sample between, all give W = -1 on both branches."""
+        and a seeded sample between, all give W = -1 on the lower branch."""
         branch_point = -math.exp(-1.0)
         edge = branch_point - 1e-12
         rng = np.random.default_rng(20261020)

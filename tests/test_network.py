@@ -26,6 +26,9 @@ from fliessnet import (
     natural_response,
     network_from_json,
     network_to_json,
+    pair_report,
+    predict_io_reldeg,
+    relative_degree,
     subgraph_extract,
 )
 from conftest import (
@@ -78,6 +81,17 @@ class TestSpecValidation:
             net.weight(0, 1)
         with pytest.raises(NodeIndexError):
             io_map(net, 1, 3, 2)
+        # True and 1.0 equal node 1 but are not indices; the self-pair
+        # prediction once read them as node 1.
+        measured = relative_degree(io_map(net, 1, 1, 2))
+        for bad in (True, 1.0):
+            for i, j in ((1, bad), (bad, 1)):
+                with pytest.raises(NodeIndexError):
+                    io_map(net, i, j, 2)
+                with pytest.raises(NodeIndexError):
+                    predict_io_reldeg(net, i, j)
+                with pytest.raises(NodeIndexError):
+                    pair_report(net, i, j, measured)
 
 
 class TestClosedLoop:

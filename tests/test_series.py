@@ -32,13 +32,11 @@ from fliessnet import (
     concat_product,
     eval_fliess,
     genericity_sample,
-    lambert_w,
     lambert_w_lower,
     linear_combine,
     m_inf_bound,
     maximal_series,
     sample_network,
-    scalar_product,
     series_from_json,
     series_to_json,
     shuffle_product,
@@ -109,13 +107,14 @@ REAL_ARGUMENTS = [
     ("closed_form_natural_response t",
      lambda v: repr(closed_form_natural_response(1, 1, Fraction(1, 10), v)), "t must be finite",
      1.0, -0.5, "t must lie in [0, t_star)"),
-    ("lambert_w x", lambda v: repr(lambert_w(v)), "Lambert W argument x must be finite",
-     1.0, -1.0, "lambert_w needs finite x >= -1/e"),
     ("lambert_w_lower x", lambda v: repr(lambert_w_lower(v)),
      "Lambert W argument x must be finite",
      -0.25, 0.5, "lambert_w_lower needs -1/e <= x < 0"),
     ("eval_fliess input", lambda v: repr(eval_fliess(X1, [v] * 11, GRID).tolist()),
      "input signal must be finite", 2.0, None, None),
+    ("simulate_maximal_ode signal",
+     lambda v: trajectory_floats(simulate_maximal_ode(ONE_MAXIMAL, GRID, {1: [v] * 11})),
+     "signal for node 1 must be finite", 2.0, None, None),
     ("simulate_picard signal",
      lambda v: trajectory_floats(simulate_picard(ONE_X1, GRID, {1: [v] * 11})),
      "signal for node 1 must be finite", 2.0, None, None),
@@ -162,6 +161,23 @@ class TestSeriesContainer:
         c = Series(1, 3, {(0, 1): Fraction(1, 3)})
         assert c.coeff((0, 1)) == Fraction(1, 3)
         assert c.coeff((1, 0)) == 0
+
+    def test_coeff_of_a_length_without_terms_is_zero(self):
+        """A length with no terms has no grade; its words, the empty word
+        included, read 0 of the canonical int type."""
+        c = Series(1, 3, {(1,): 1, (0, 1, 1): Fraction(2, 3)})
+        for word in ((), (0, 0), (1, 1)):
+            assert c.coeff(word) == 0 and type(c.coeff(word)) is int
+        assert Series(1, 2, {(): 5}).coeff(()) == 5
+
+    def test_terms_is_a_read_only_view_of_the_items(self):
+        c = Series(2, 3, {(2, 0, 1): Fraction(7, 3), (0, 2): 3, (1,): Fraction(-1, 2), (): 2})
+        terms = c.terms
+        assert dict(terms) == dict(c.items())
+        assert all(type(terms[w]) is type(x) for w, x in c.items())
+        with pytest.raises(TypeError):
+            terms[(1,)] = 1
+        assert c.terms == terms and c.coeff((1,)) == Fraction(-1, 2)
 
     def test_rejects_long_word(self):
         with pytest.raises(DomainError):
@@ -246,10 +262,6 @@ class TestSeriesContainer:
             assert (lower.max_degree, lower.exact_to, lower.terms) == (
                 cut.max_degree, cut.exact_to, cut.terms)
 
-    def test_is_proper(self):
-        assert Series(1, 2, {(1,): 1}).is_proper()
-        assert not Series(1, 2, {(): 1}).is_proper()
-
     def test_equality_ignores_exactness(self):
         a = Series(1, 3, {(1,): 1}, exact_to=3)
         b = Series(1, 3, {(1,): 1}, exact_to=2)
@@ -320,35 +332,6 @@ class TestAlgebraLaws:
         a = Series(1, 4, {(0, 1): 2})
         b = Series(1, 4, {(1,): Fraction(1, 2)})
         assert concat_product(a, b).terms == {(0, 1, 1): 1}
-
-    @given(series_st(), series_st())
-    @settings(max_examples=40, deadline=None)
-    def test_scalar_product_symmetric(self, a, b):
-        assert scalar_product(a, b).value == scalar_product(b, a).value
-
-    def test_scalar_product_exactness_flag(self):
-        a = Series(1, 4, {(1,): 1})
-        b = Series(1, 2, {(1,): 3}, exact_to=1)
-        sp = scalar_product(a, b)
-        assert sp.value == 3
-        assert not sp.exact
-
-    def test_scalar_product_is_the_sum_over_shared_words(self):
-        """<c, d> against the sum of c(w) d(w) over the terms of c up to the
-        smaller truncation degree, on seeded pairs with mixed max_degree and
-        exact_to: the same canonical value and the same exact flag."""
-        r = random.Random(20261020)
-        for _ in range(1000):
-            m = r.randint(1, 2)
-            c, d = (make_random_series(r, m, r.randint(0, 5), max_terms=12) for _ in range(2))
-            c, d = (Series(m, s.max_degree, s.terms, exact_to=r.randint(0, s.max_degree))
-                    for s in (c, d))
-            degree = min(c.max_degree, d.max_degree)
-            value = as_coeff(sum((x * d.coeff(w) for w, x in c.terms.items() if len(w) <= degree),
-                                 Fraction(0)))
-            sp = scalar_product(c, d)
-            assert (repr(sp.value), sp.exact) == (
-                repr(value), min(c.exact_to, d.exact_to) >= degree), (c, d)
 
 
 class TestMaximalSeries:

@@ -10,6 +10,7 @@ from fliessnet import (
     AlphabetError,
     ConditionError,
     DomainError,
+    Grid,
     MaximalSeriesSpec,
     NetworkSpec,
     ParseError,
@@ -22,6 +23,8 @@ from fliessnet import (
     maximal_series,
     network_from_json,
     parse_word,
+    simulate_maximal_ode,
+    simulate_picard,
     subgraph_extract,
 )
 
@@ -80,6 +83,16 @@ STRUCTURED_ERRORS = [
      lambda: accumulated_degrees(
          subgraph_extract(NetworkSpec(2, [[0, 0], [1, 0]], [X1, X1]), 1, 2), {1: 1}),
      ConditionError, "node 2 lacks a positive relative degree"),
+    ("ODE signals in a list",
+     lambda: simulate_maximal_ode(NetworkSpec(1, [[0]], [MaximalSeriesSpec(1, 1)]),
+                                  Grid(0.0, 0.1, 10), v=[1] * 11),
+     DomainError, "v must be None or a mapping from node to signal, not list"),
+    ("Picard signals in a list",
+     lambda: simulate_picard(NetworkSpec(1, [[0]], [X1]), Grid(0.0, 0.1, 10), v=[1] * 11),
+     DomainError, "v must be None or a mapping from node to signal, not list"),
+    ("Picard signals in a tuple",
+     lambda: simulate_picard(NetworkSpec(1, [[0]], [X1]), Grid(0.0, 0.1, 10), v=()),
+     DomainError, "v must be None or a mapping from node to signal, not tuple"),
 ]
 
 
