@@ -9,7 +9,7 @@ all other external inputs held at zero.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Union
 
@@ -48,7 +48,7 @@ class NetworkSpec:
 
     m: int
     W: list[list[Coeff]]
-    nodes: list[NodeSource] = field(default_factory=list)
+    nodes: list[NodeSource]
 
     def __post_init__(self):
         _check_int(self.m, "node count m", 1)
@@ -176,7 +176,29 @@ def _closed_loops(net: NetworkSpec, degree: int, inputs, plan=None):
              for k, row in zip(nodes, net.W)}
     bits = [(i, 0 if i is None else 1 << i) for i in inputs]
     held = _Held(words._shuffle_cache, TERM_CAP, degree)
-    settle = partial(_settle, sources, edges, cyclic, degree, held)
+
+    def settle(i: Optional[int], comps, d: dict) -> None:
+        """Settle comps, in topological order, from input i (None: no input
+        channel) into d, which holds the finished series of every node feeding them."""
+        # One feedback per distinct in-edge list, shared by the nodes that have it. It
+        # starts as a zero exact to any degree, which a node with no in-edges keeps.
+        feedback: dict[tuple, Series] = {}
+        for comp in comps:
+            routes = {k: partial(compose_maximal if isinstance(sources[k], MaximalSeriesSpec)
+                                 else compose_at, sources[k], mixed=k == i,
+                                 layers=ComposeLayers(held))
+                      for k in comp}
+            looped = cyclic >> comp[0] & 1
+            fresh = [e for e in dict.fromkeys(edges[k] for k in comp) if e not in feedback]
+            feedback.update(dict.fromkeys(fresh, Series._graded(1, degree, {}, degree)))
+            for n in range(degree + 1) if looped else (degree,):
+                for e in fresh:
+                    if n and e:
+                        feedback[e] = _feedback(feedback[e]._grades, e, d,
+                                                n - 1 if looped else 0, n)
+                for k in comp:
+                    d[k] = routes[k](feedback[edges[k]], n)
+
     natural: dict[int, Series] = {}
     try:
         settle(None, [c for c in order if any(not ancestors[c[0]] & b for _, b in bits)], natural)
@@ -230,31 +252,6 @@ def _plan(net: NetworkSpec, degree: int):
     order = sorted(comps.values(), key=lambda comp: (ancestors[comp[0]].bit_count(), comp[0]))
     cyclic = sum(1 << k for comp in order for k in comp if len(comp) > 1 or net.W[k - 1][k - 1])
     return order, sources, ancestors, cyclic
-
-
-def _settle(sources, inputs, cyclic: int, degree: int, held: _Held, i: Optional[int], comps,
-            d: dict) -> None:
-    """Settle the components comps, in topological order, of the loop from
-    input i (None: no input channel) into d, which holds the finished series
-    of every source outside them. sources and cyclic are _plan's, inputs
-    each node's in-edges as (weight numerator, weight denominator, source)."""
-    # One feedback per distinct in-edge list, shared by the nodes that have it. It
-    # starts as a zero exact to any degree, which a node with no in-edges keeps.
-    feedback: dict[tuple, Series] = {}
-    for comp in comps:
-        routes = {k: partial(compose_maximal if isinstance(sources[k], MaximalSeriesSpec)
-                             else compose_at, sources[k], mixed=k == i, layers=ComposeLayers(held))
-                  for k in comp}
-        looped = cyclic >> comp[0] & 1
-        fresh = [edges for edges in dict.fromkeys(inputs[k] for k in comp) if edges not in feedback]
-        feedback.update(dict.fromkeys(fresh, Series._graded(1, degree, {}, degree)))
-        for n in range(degree + 1) if looped else (degree,):
-            for edges in fresh:
-                if n and edges:
-                    feedback[edges] = _feedback(feedback[edges]._grades, edges, d,
-                                                n - 1 if looped else 0, n)
-            for k in comp:
-                d[k] = routes[k](feedback[inputs[k]], n)
 
 
 def _feedback(grades, edges, d: dict, lo: int, n: int) -> Series:
@@ -349,6 +346,9 @@ def _subgraph(net: NetworkSpec, i: int, j: int, ancestors: list[int]) -> Subgrap
 def _node_to_json(node: NodeSource) -> dict:
     if isinstance(node, MaximalSeriesSpec):
         return {"kind": "maximal", "K": coeff_str(node.K), "M": coeff_str(node.M)}
+    if node.exact_to < node.max_degree:
+        raise DomainError(f"a poly node is a polynomial; this one is exact only through degree "
+                          f"{node.exact_to} of {node.max_degree}")
     return {"kind": "poly", "terms": series_to_json(node)["terms"]}
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import heapq
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
 from .errors import AlphabetError, ConditionError, DomainError, SubgraphBudgetError
@@ -210,8 +209,11 @@ def predict_io_reldeg(net: NetworkSpec, i: int, j: int) -> PredictionReport:
       violated_unknown    a tie cancels, or no forward path exists; r_pred is
                           the shortest-path value when a path exists, else None.
     """
-    return _predict(net, i, j, partial(node_degree_report, net), partial(subgraph_extract, net),
-                    partial(_short_of_sink, net))
+    net.check_node(i)
+    net.check_node(j)
+    reports = {k: node_degree_report(net, k) for k in range(1, net.m + 1)}
+    return _predict(net, i, j, reports, _short_of_sink(net, j),
+                    lambda: subgraph_extract(net, i, j))
 
 
 def _short_of_sink(net: NetworkSpec, j: int) -> Optional[list[int]]:
@@ -222,38 +224,33 @@ def _short_of_sink(net: NetworkSpec, j: int) -> Optional[list[int]]:
     return _ancestors([[w if l != j else 0 for l, w in enumerate(row, 1)] for row in net.W])
 
 
-def _predict(net: NetworkSpec, i: int, j: int, report: Callable[[int], RelDegReport],
-             subgraph: Callable[[int, int], Subgraph],
-             short_of_sink: Callable[[int], Optional[list[int]]]) -> PredictionReport:
-    """predict_io_reldeg from report(v), node v's node_degree_report,
-    subgraph(i, j), subgraph_extract's G_ji, and short_of_sink(j), the
-    masks of _short_of_sink."""
-    # Checked before the self pair, which True or 1.0 would otherwise pass as node 1.
-    net.check_node(i)
-    net.check_node(j)
+def _predict(net: NetworkSpec, i: int, j: int, reports: dict[int, RelDegReport],
+             reached: Optional[list[int]], subgraph: Callable[[], Subgraph]) -> PredictionReport:
+    """predict_io_reldeg for the checked nodes i and j, from every node's
+    node_degree_report (reports), the masks _short_of_sink(net, j) (reached)
+    and G_ji, which subgraph() enumerates only for a sink not fully connected."""
     if i == j:
-        r, lead = report(i).require_defined()
+        r, lead = reports[i].require_defined()
         details = {"self_pair": True, "leading": lead}
         return PredictionReport(i, j, r, CONDITION_DISTINCT, {i: r}, details)
-    reached = short_of_sink(j)
     if reached is not None:
         # G_ji is j and each node that i reaches short of j (the descendants of
         # i once j's out-edges are cut): its edge into j closes a simple path.
         nodes = [v for v in range(1, net.m + 1) if reached[v] >> i & 1]
-        degrees = {v: report(v).require_defined()[0] for v in nodes}
+        degrees = {v: reports[v].require_defined()[0] for v in nodes}
         r = degrees[j] + degrees[i]
         return PredictionReport(i, j, r, CONDITION_FULLY_CONNECTED, degrees, {})
-    sub = subgraph(i, j)
+    sub = subgraph()
     if sub.is_empty():
         return PredictionReport(i, j, None, CONDITION_UNKNOWN, {}, {"no_forward_path": True})
-    reports = {v: report(v).require_defined() for v in sorted(sub.nodes)}
-    degrees = {v: r for v, (r, _) in reports.items()}
+    defined = {v: reports[v].require_defined() for v in sorted(sub.nodes)}
+    degrees = {v: r for v, (r, _) in defined.items()}
     acc = accumulated_degrees(sub, degrees)
     details = {"accumulated": dict(acc.r_plus), "incoming": dict(acc.incoming)}
     repeated = _repeated_groups(acc)
     if not repeated:
         return PredictionReport(i, j, acc.r_plus[j], CONDITION_DISTINCT, degrees, details)
-    ell = _subgraph_leads(net, acc, degrees, {v: lead for v, (_, lead) in reports.items()})
+    ell = _subgraph_leads(net, acc, degrees, {v: lead for v, (_, lead) in defined.items()})
     sums: dict[str, Coeff] = {
         f"node {v} at degree {value}": as_coeff(sum(net.weight(v, u) * ell[u] for u in preds))
         for v, ties in sorted(repeated.items()) for value, preds in sorted(ties.items())
@@ -291,20 +288,20 @@ def pair_report(net: NetworkSpec, i: int, j: int, measured: RelDegReport) -> Pai
     a ConditionError (a node without a defined relative degree) or
     SubgraphBudgetError (a forward-path subgraph over network.NODE_BUDGET
     candidate nodes) is kept as prediction_error, not raised."""
-    return _pair_report(i, j, measured, partial(predict_io_reldeg, net))
+    return _pair_report(i, j, measured, lambda: predict_io_reldeg(net, i, j))
 
 
 def _pair_report(i: int, j: int, measured: RelDegReport,
-                 predict: Callable[[int, int], PredictionReport]) -> PairReport:
-    """pair_report with the prediction predict(i, j)."""
+                 predict: Callable[[], PredictionReport]) -> PairReport:
+    """pair_report with the prediction predict()."""
     try:
-        predicted = predict(i, j)
+        predicted = predict()
     except (ConditionError, SubgraphBudgetError) as exc:
         return PairReport(i, j, measured, None, str(exc), None)
     return PairReport(i, j, measured, predicted, None, _consistency(measured, predicted))
 
 
-def _measure_pairs(net: NetworkSpec, degree: int, plan=None):
+def _measure_pairs(net: NetworkSpec, degree: int, plan):
     """For each input i in turn: i, its closed loop (from plan, as
     _closed_loops takes it), and the measured relative degree of every
     output j (a dict keyed by j)."""
@@ -321,11 +318,9 @@ def complete_reldeg(net: NetworkSpec, degree: int) -> dict[tuple[int, int], Pair
     nodes = range(1, net.m + 1)
     reports = {k: node_degree_report(net, k) for k in nodes}
     short = {j: _short_of_sink(net, j) for j in nodes}
-    subgraph = partial(_subgraph, net, ancestors=plan[2])
-    predict = partial(_predict, net, report=reports.__getitem__, subgraph=subgraph,
-                      short_of_sink=short.__getitem__)
     return {
-        (i, j): _pair_report(i, j, measured, predict)
+        (i, j): _pair_report(i, j, measured, lambda: _predict(
+            net, i, j, reports, short[j], lambda: _subgraph(net, i, j, plan[2])))
         for i, _, row in _measure_pairs(net, degree, plan)
         for j, measured in row.items()
     }

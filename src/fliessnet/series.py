@@ -578,8 +578,9 @@ def check_growth(c: Series, K, M) -> GrowthCheck:
 
 
 def series_to_json(c: Series) -> dict:
-    """Plain-dict form: {"m", "degree", "terms": [{"word", "coeff"}, ...]}."""
-    return {
+    """Plain-dict form: {"m", "degree", "terms": [{"word", "coeff"}, ...]}, then
+    "exact_to" if the series is exact through less than its degree."""
+    doc = {
         "m": c.m,
         "degree": c.max_degree,
         "terms": [
@@ -587,6 +588,9 @@ def series_to_json(c: Series) -> dict:
             for word, coeff in c.items()
         ],
     }
+    if c.exact_to < c.max_degree:
+        doc["exact_to"] = c.exact_to
+    return doc
 
 
 def _json_field(value, kind: type, what: str):
@@ -613,4 +617,6 @@ def series_from_json(doc: dict) -> Series:
         if word in terms:
             raise ParseError(f"duplicate word {word} in series document")
         terms[word] = coeff
-    return Series(_json_field(m, int, "series m"), _json_field(degree, int, "series degree"), terms)
+    exact_to = doc.get("exact_to")
+    return Series(_json_field(m, int, "series m"), _json_field(degree, int, "series degree"), terms,
+                  None if exact_to is None else _json_field(exact_to, int, "series exact_to"))

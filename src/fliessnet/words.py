@@ -8,6 +8,7 @@ graded lexicographically: shorter words first, ties broken letter by letter.
 from __future__ import annotations
 
 import itertools
+import re
 from typing import Iterator
 
 from .errors import AlphabetError, ParseError
@@ -25,23 +26,17 @@ def check_word(word: Word, m: int) -> None:
 
 
 def parse_word(text: str, m: int) -> Word:
-    """Parse a space-separated word, accepting tokens like 'x1' or bare '1'.
-
-    The empty string is the empty word.
-    """
-    tokens = text.split()
+    """Parse a space-separated word of letters like 'x1' or bare '1': 'x' and
+    ASCII digits, or the digits alone. The empty string is the empty word."""
     letters = []
-    for token in tokens:
-        body = token[1:] if token.startswith("x") else token
-        try:
-            letter = int(body)
-        except ValueError:
-            raise ParseError(f"cannot parse letter token {token!r}") from None
-        if letter < 0:
+    for token in text.split():
+        match = re.fullmatch(r"x?(-?)([0-9]+)", token)
+        if match is None:
+            raise ParseError(f"cannot parse letter token {token!r}")
+        if match[1]:
             raise ParseError(f"negative letter index in token {token!r}")
-        if letter > m:
-            raise AlphabetError(f"letter x{letter} outside alphabet x0..x{m}")
-        letters.append(letter)
+        letters.append(int(match[2]))
+    check_word(tuple(letters), m)
     return tuple(letters)
 
 

@@ -607,6 +607,14 @@ class TestMontecarlo:
         assert error == {"type": "DomainError", "message":
                          "designated word of length 3 exceeds the truncation degree 2"}
 
+    def test_word_letters_are_ascii_digits(self, four_node_file, capsys):
+        """--word "x+1" once tracked the coefficient of x1."""
+        code = run(["montecarlo", "--net", four_node_file, "--degree", "3", "--samples", "2",
+                    "--seed", "1", "--from", "1", "--to", "4", "--word", "x+1"])
+        assert code == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"type": "ParseError", "message": "cannot parse letter token 'x+1'"}
+
     @pytest.mark.parametrize("flags,missing", [
         (["--word", "x0 x1"], "--from, --to"),
         (["--from", "1", "--word", "x0 x1"], "--to"),

@@ -29,6 +29,8 @@ from fliessnet import (
     pair_report,
     predict_io_reldeg,
     relative_degree,
+    series_from_json,
+    series_to_json,
     subgraph_extract,
 )
 from conftest import (
@@ -376,6 +378,19 @@ class TestJson:
         assert network_to_json(back) == doc
         for mine, theirs in zip(net.nodes, back.nodes):
             assert dict(mine.terms) == dict(theirs.terms)
+
+    def test_inexact_poly_node_is_refused(self):
+        """A network file's poly node reads back as a polynomial, so a node
+        exact only to 1 once gave io_map(..., 4) exact to 4."""
+        net = NetworkSpec(1, [[0]], [Series(1, 3, {(1,): 1, (0, 1, 1): 2}, exact_to=1)])
+        with pytest.raises(DomainError, match="exact only through degree 1 of 3"):
+            network_to_json(net)
+
+    def test_inexact_io_map_round_trips(self):
+        net = NetworkSpec(1, [[0]], [Series(1, 3, {(1,): 1, (0, 1, 1): 2}, exact_to=1)])
+        d = io_map(net, 1, 1, 4)
+        assert d.exact_to == 1
+        assert series_from_json(series_to_json(d)).exact_to == 1
 
     def test_roundtrip_maximal(self):
         net = all_ones_maximal(2, K=Fraction(3, 2), M=2)

@@ -544,10 +544,11 @@ class TestSubgraphLeads:
         assert compared > 3000 and zeros > 0
 
     def test_prediction_runs_no_closed_loop(self, monkeypatch):
-        def refuse(*args):
+        def refuse(*args, **kwargs):
             raise AssertionError("predict_io_reldeg ran a closed loop")
 
-        monkeypatch.setattr(network, "_settle", refuse)
+        for name in ("compose_at", "compose_maximal"):
+            monkeypatch.setattr(network, name, refuse)
         for net, i, j in [(polynomial_ladder(6), 1, 12), (cancelling_net(), 1, 5),
                           (four_node_net(Fraction(1, 2), Fraction(2, 3), 1, 1), 1, 4)]:
             assert predict_io_reldeg(net, i, j).details["repeated_sums"]

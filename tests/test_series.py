@@ -400,6 +400,18 @@ class TestJsonRoundtrip:
         payload = series_to_json(c)
         assert payload["terms"][0]["coeff"] == "-5/3"
 
+    def test_exact_to_round_trips(self):
+        """A composition exact only to 1 once read back exact to its degree, 3;
+        an exact series still writes no exact_to."""
+        c = compose_at(Series(1, 3, {(1, 1, 1): 1}), Series(1, 1, {(1,): 1}, exact_to=0), 3)
+        assert c.exact_to == 1
+        payload = json.loads(json.dumps(series_to_json(c)))
+        assert payload["exact_to"] == 1
+        assert series_from_json(payload).exact_to == 1
+        assert "exact_to" not in series_to_json(Series(1, 3, {(1,): 1}))
+        with pytest.raises(ParseError):
+            series_from_json({**payload, "exact_to": 1.0})
+
 
 class TestLinearCombine:
     def test_weighted_sum(self):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -58,6 +59,13 @@ class TestParsing:
     def test_rejects_garbage(self):
         with pytest.raises(ParseError):
             parse_word("x0 banana", 1)
+
+    @pytest.mark.parametrize("token", ["x+1", "+1", "x1_0", "x\u0661"],
+                             ids=["plus", "bare plus", "underscore", "arabic-indic one"])
+    def test_letters_are_ascii_digits(self, token):
+        """int() once read each of these as a letter: x1, x1, x10 and x1."""
+        with pytest.raises(ParseError, match=re.escape(f"cannot parse letter token {token!r}")):
+            parse_word(f"x0 {token}", 20)
 
 
 class TestEnumeration:
