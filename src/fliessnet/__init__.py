@@ -41,7 +41,6 @@ from .series import (
     coeff_str,
     concat_product,
     linear_combine,
-    maximal_series,
     series_from_json,
     series_to_json,
     shuffle_product,

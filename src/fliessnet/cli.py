@@ -432,7 +432,7 @@ def run(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _dispatch(args)
-    except (UsageError, FileNotFoundError) as exc:
+    except (UsageError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except FliessnetError as exc:

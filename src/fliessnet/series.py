@@ -8,7 +8,9 @@ over the lcm of their denominators and products multiply denominators, so
 the algebra adds and multiplies integers and reduces once per grade instead
 of taking a gcd on every operation. Coefficients are canonical int or
 Fraction (int for denominator-1 values) at every public accessor: the
-constructor, terms, coeff, items and JSON. All algebra here is exact;
+constructor, terms, coeff, items and JSON. Outside the products below, a
+series is built from its terms by the constructor, and the maximal series
+K M^|eta| |eta|! by MaximalSeriesSpec.expand. All algebra here is exact;
 floating point only enters at the simulation boundary.
 """
 
@@ -212,16 +214,6 @@ class Series:
         series._grades = grades
         return series
 
-    # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def zero(cls, m: int, max_degree: int) -> "Series":
-        return cls(m, max_degree)
-
-    @classmethod
-    def one(cls, m: int, max_degree: int) -> "Series":
-        return cls(m, max_degree, {(): 1})
-
     # -- basic queries ---------------------------------------------------------
 
     @property
@@ -234,9 +226,13 @@ class Series:
         return MappingProxyType(flat)
 
     def coeff(self, word) -> Coeff:
+        """The coefficient of word; 0 for a word it does not hold, once check_word accepts it."""
         word = tuple(word)
         grade = self._grades.get(len(word))
-        return _value(grade[1].get(word, 0), grade[0]) if grade else 0
+        if grade and word in grade[1]:
+            return _value(grade[1][word], grade[0])
+        check_word(word, self.m)
+        return 0
 
     def support(self) -> set[Word]:
         return {word for _, nums in self._grades.values() for word in nums}
@@ -265,8 +261,10 @@ class Series:
     __hash__ = None
 
     def eq_to_degree(self, other: "Series", degree: int) -> bool:
-        """Coefficientwise equality on all words of length <= degree."""
+        """Coefficientwise equality on all words of length <= degree; False across alphabets."""
         degree = _check_int(degree, "degree", 0)
+        if self.m != other.m:
+            return False
         keys = self._grades.keys() | other._grades.keys()
         return all(self._grades.get(n) == other._grades.get(n) for n in keys if n <= degree)
 
@@ -512,7 +510,7 @@ def positive_constants(K, M) -> tuple[Coeff, Coeff]:
 
 @dataclass(frozen=True)
 class MaximalSeriesSpec:
-    """Constants (K, M) of a maximal series: every length-k coefficient is K M^k k!."""
+    """Constants K, M > 0, made exact once, of the series with length-k coefficients K M^k k!."""
 
     K: Coeff
     M: Coeff
@@ -523,20 +521,15 @@ class MaximalSeriesSpec:
         object.__setattr__(self, "M", M)
 
     def expand(self, m: int, max_degree: int) -> Series:
-        return maximal_series(self.K, self.M, m, max_degree)
-
-
-def maximal_series(K, M, m: int, max_degree: int) -> Series:
-    """The series with <c, eta> = K M^|eta| |eta|! for every word eta."""
-    K, M = positive_constants(K, M)
-    _check_size(m, max_degree)
-    Kp, Kq, Mp, Mq = K.numerator, K.denominator, M.numerator, M.denominator
-    grades: Grades = {}
-    for k in range(max_degree + 1):
-        num, den = Kp * Mp**k * math.factorial(k), Kq * Mq**k
-        g = math.gcd(num, den)
-        grades[k] = (den // g, dict.fromkeys(words_of_length(m, k), num // g))
-    return Series._graded(m, max_degree, grades, max_degree)
+        """The series <c, eta> = K M^|eta| |eta|! over x0..xm, exact through max_degree."""
+        _check_size(m, max_degree)
+        (Kp, Kq), (Mp, Mq) = self.K.as_integer_ratio(), self.M.as_integer_ratio()
+        grades: Grades = {}
+        for k in range(max_degree + 1):
+            num, den = Kp * Mp**k * math.factorial(k), Kq * Mq**k
+            g = math.gcd(num, den)
+            grades[k] = (den // g, dict.fromkeys(words_of_length(m, k), num // g))
+        return Series._graded(m, max_degree, grades, max_degree)
 
 
 @dataclass(frozen=True)

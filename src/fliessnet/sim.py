@@ -352,7 +352,8 @@ def simulate_maximal_ode(
     escapes at it if its |z_k| is the maximum at a threshold stop or has
     passed _DIVERGENCE_FLOOR at either kind of stop; other nodes report None.
     Samples past the stop time are reported as NaN. A right-hand side that
-    is not finite at t0 (K = M = 1e200, say) raises DomainError.
+    is not finite at t0 (K = M = 1e200, say) raises DomainError. The
+    metadata's status is 0 at the grid's end, 1 at the threshold, -1 at a halt.
     """
     if not net.all_maximal():
         raise ModelError("the cubic ODE realization needs every node maximal")
@@ -380,9 +381,7 @@ def simulate_maximal_ode(
         if not np.isfinite(rhs(times[0], K)).all():
             raise DomainError("the ODE right-hand side leaves the float range at t0")
         sol = solve_ivp(rhs, times, K, _escape_event(threshold), **_ODE_TOLERANCES)
-    t_end = float(sol.t[-1])
-    halted = sol.status == -1
-    escape_time = None if sol.status == 0 else t_end
+    escape_time = None if sol.status == 0 else float(sol.t[-1])
     z_end = np.abs(sol.y[:, -1])
     escaped = (z_end >= _DIVERGENCE_FLOOR) | ((sol.status == 1) & (z_end == z_end.max()))
     per_node = {k + 1: escape_time if escaped[k] else None for k in range(m)}
@@ -394,8 +393,6 @@ def simulate_maximal_ode(
         **_ODE_TOLERANCES,
         "threshold": threshold,
         "status": int(sol.status),
-        "halted_at_singularity": halted,
-        "stop_time": t_end,
     }
     return Trajectory(times, outputs, escape_time, per_node, metadata)
 
@@ -457,12 +454,7 @@ def simulate_picard(
             f"Picard iteration still moving by {deltas[-1]:.3e} after {max_iter} sweeps"
         )
     outputs = {k + 1: eval_fliess(node_series[k], u[k], grid) for k in range(m)}
-    metadata = {
-        "method": "picard",
-        "iterations": len(deltas),
-        "deltas": deltas,
-        "tol": tol,
-    }
+    metadata = {"iterations": len(deltas), "deltas": deltas, "tol": tol}
     return Trajectory(times, outputs, None, {k: None for k in range(1, m + 1)}, metadata)
 
 

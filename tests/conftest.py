@@ -217,7 +217,7 @@ def assert_fixed_point(net, i: int, d: dict) -> None:
     for k, src in enumerate(net.nodes, start=1):
         n = d[k].max_degree
         pairs = [(w, d[l]) for l, w in enumerate(net.W[k - 1], start=1) if w != 0]
-        feedback = linear_combine(pairs) if pairs else Series.zero(1, n)
+        feedback = linear_combine(pairs) if pairs else Series(1, n)
         if isinstance(src, MaximalSeriesSpec):
             again = compose_maximal(src, feedback, n, k == i)
         else:

@@ -41,7 +41,7 @@ def global_closed_loop(net: NetworkSpec, i: Optional[int], degree: int) -> dict[
               for k in nodes}
     # One feedback per distinct in-edge list, shared by the nodes that have it. It
     # starts as a zero exact to any degree, which a node with no in-edges keeps.
-    feedback = dict.fromkeys(inputs.values(), Series.zero(1, degree))
+    feedback = dict.fromkeys(inputs.values(), Series(1, degree))
     d = {}
     try:
         for n in range(degree + 1):

@@ -169,6 +169,35 @@ class TestErrors:
         assert run(["iomap", "--net", "/no/such.json", "--from", "1", "--to", "2", "--degree", "3"]) == 2
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sub, sidecar", [("iomap", False), ("simulate", False),
+                                              ("simulate", True)],
+                             ids=["iomap-out", "simulate-out", "simulate-sidecar"])
+    def test_out_that_is_a_directory_is_a_usage_error(self, sub, sidecar, four_node_file,
+                                                      maximal_file, tmp_path, capsys):
+        """An unwritable --out or .meta.json sidecar once ended in an
+        IsADirectoryError traceback."""
+        argv = {"iomap": ["iomap", "--net", four_node_file, "--from", "1", "--to", "2",
+                          "--degree", "2"],
+                "simulate": ["simulate", "--net", maximal_file, "--T", "0.4", "--n", "10"]}[sub]
+        out = tmp_path
+        if sidecar:
+            out = tmp_path / "t.csv"
+            (tmp_path / "t.csv.meta.json").mkdir()
+        assert run(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+
+    def test_unreadable_network_file_is_a_usage_error(self, four_node_file, monkeypatch, capsys):
+        def refuse(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(Path, "read_bytes", refuse)
+        assert run(["iomap", "--net", four_node_file, "--from", "1", "--to", "2",
+                    "--degree", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "Permission denied" in captured.err
+        assert captured.out == ""
+
     def test_missing_required_flags(self, four_node_file, capsys):
         assert run(["iomap", "--net", four_node_file]) == 2
         err = capsys.readouterr().err

@@ -18,7 +18,6 @@ from fliessnet import (
     Series,
     compose_at,
     compose_maximal,
-    maximal_series,
     mixed_compose,
     MaximalSeriesSpec,
 )
@@ -77,7 +76,7 @@ class TestComposeBasics:
 
     def test_mixed_with_zero_is_identity(self):
         c = Series(1, 4, {(1, 0, 1): 3, (0,): 2, (): 1})
-        z = Series.zero(1, 4)
+        z = Series(1, 4)
         assert mixed_compose(c, z) == c
 
     def test_output_degree_camp(self):
@@ -156,8 +155,8 @@ class TestMaximalFastPath:
 
     def test_zero_feedback_recovers_expansion(self):
         spec = MaximalSeriesSpec(3, 1)
-        z = Series.zero(1, 4)
+        z = Series(1, 4)
         out = compose_maximal(spec, z, 4, mixed=False)
-        drift_only = {w: v for w, v in maximal_series(3, 1, 1, 4).terms.items()
+        drift_only = {w: v for w, v in MaximalSeriesSpec(3, 1).expand(1, 4).terms.items()
                       if all(letter == 0 for letter in w)}
         assert dict(out.terms) == drift_only

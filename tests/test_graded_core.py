@@ -43,7 +43,6 @@ from fliessnet import (
     genericity_sample,
     io_map,
     linear_combine,
-    maximal_series,
     natural_response,
     predict_io_reldeg,
     relative_degree,
@@ -176,13 +175,13 @@ def flat_compose_maximal(spec, d: Series, n_out: int, mixed: bool) -> Series:
 
 def flat_closed_loop(net: NetworkSpec, i: int, degree: int) -> dict:
     """Every sweep recomputes every degree from the previous sweep's series."""
-    d = {k: Series.zero(1, 0) for k in range(1, net.m + 1)}
+    d = {k: Series(1, 0) for k in range(1, net.m + 1)}
     for t in range(1, degree + 2):
         target = t - 1
         out = {}
         for k in range(1, net.m + 1):
             pairs = [(w, d[l]) for l, w in enumerate(net.W[k - 1], start=1) if w != 0]
-            feedback = flat_linear_combine(pairs) if pairs else Series.zero(1, target)
+            feedback = flat_linear_combine(pairs) if pairs else Series(1, target)
             src = net.nodes[k - 1]
             if isinstance(src, MaximalSeriesSpec):
                 out[k] = flat_compose_maximal(src, feedback, target, k == i)
@@ -275,9 +274,9 @@ class TestProducts:
             assert 2 * a - a == a
             assert (a + b) - b == a
         spec = MaximalSeriesSpec(Fraction(9, 5), Fraction(4, 7))
-        explicit = Series(1, 5, {w: c for w, c in maximal_series(spec.K, spec.M, 1, 5).items()})
-        assert_reduced(maximal_series(spec.K, spec.M, 1, 5))
-        assert maximal_series(spec.K, spec.M, 1, 5) == explicit
+        explicit = Series(1, 5, {w: c for w, c in spec.expand(1, 5).items()})
+        assert_reduced(spec.expand(1, 5))
+        assert spec.expand(1, 5) == explicit
         for n_out in range(6):
             got = compose_maximal(spec, b, n_out, True)
             assert_reduced(got)
@@ -454,11 +453,11 @@ class TestShuffleKernels:
             assert series._shuffle_terms({}, b, j, 1, {}, m) == {}
 
     def test_products_leave_the_memo_empty(self, rng):
-        """Every word of length n in maximal_series(1, 1, 1, 11) has
+        """Every word of length n in MaximalSeriesSpec(1, 1).expand(1, 11) has
         coefficient n!, so each one of length n in its shuffle square has
         sum_i C(n, i) i! (n - i)! = (n + 1)!. That product once left 18,465
         pairs in the word-pair memo; now no product leaves any."""
-        c = maximal_series(1, 1, 1, 11)
+        c = MaximalSeriesSpec(1, 1).expand(1, 11)
         product = shuffle_product(c, c)
         entries = len(words._shuffle_cache)
         assert entries == 0
@@ -975,7 +974,7 @@ SEEDED_LOOPS = (
 
 # Series that take the branches few closed loops reach.
 BRANCH_SERIES = {
-    "zero": Series.zero(1, 5),
+    "zero": Series(1, 5),
     "drift_only": Series(1, 4, {(): 1, (0, 0): Fraction(2, 3)}),
     "refuted": Series(1, 3, {(0, 1, 1): 1, (0, 0): 2}),
     "inexact_tail_defined": Series(1, 5, {(0, 1): Fraction(1, 4), (1, 1, 1): 4}, exact_to=2),

@@ -71,7 +71,7 @@ class TestMeasure:
         assert rep.r is None
 
     def test_zero_series_undefined(self):
-        rep = relative_degree(Series.zero(1, 5))
+        rep = relative_degree(Series(1, 5))
         assert rep.status == "undefined"
 
     def test_natural_only_support_undetermined(self):
@@ -90,7 +90,7 @@ class TestMeasure:
 
     def test_require_defined_raises(self):
         with pytest.raises(ConditionError):
-            relative_degree(Series.zero(1, 3)).require_defined()
+            relative_degree(Series(1, 3)).require_defined()
 
 
 class TestSumRule:

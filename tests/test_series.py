@@ -35,7 +35,6 @@ from fliessnet import (
     lambert_w_lower,
     linear_combine,
     m_inf_bound,
-    maximal_series,
     sample_network,
     series_from_json,
     series_to_json,
@@ -57,8 +56,8 @@ INT_ARGUMENTS = [
     ("eq_to_degree", lambda v: X1.eq_to_degree(X1, v), "degree", 0, DomainError),
     ("extended", lambda v: X1.extended(v), "max_degree", 0, DomainError),
     ("extended exact_to", lambda v: X1.extended(5, exact_to=v), "exact_to", 0, DomainError),
-    ("maximal_series m", lambda v: maximal_series(1, 1, v, 2), "m", 1, AlphabetError),
-    ("maximal_series degree", lambda v: maximal_series(1, 1, 1, v), "max_degree", 0, DomainError),
+    ("expand m", lambda v: MaximalSeriesSpec(1, 1).expand(v, 2), "m", 1, AlphabetError),
+    ("expand degree", lambda v: MaximalSeriesSpec(1, 1).expand(1, v), "max_degree", 0, DomainError),
     ("compose_at", lambda v: compose_at(X1, X1, v), "n_out", 0, DomainError),
     ("compose_maximal", lambda v: compose_maximal(MaximalSeriesSpec(1, 1), X1, v, False),
      "n_out", 0, DomainError),
@@ -170,6 +169,16 @@ class TestSeriesContainer:
             assert c.coeff(word) == 0 and type(c.coeff(word)) is int
         assert Series(1, 2, {(): 5}).coeff(()) == 5
 
+    def test_coeff_checks_a_word_it_does_not_hold(self):
+        """A string once read as the letters '0' and '1', and a letter past
+        the alphabet as an absent word, both 0."""
+        c = Series(1, 2, {(1,): 1})
+        with pytest.raises(ParseError, match="is not an integer index"):
+            c.coeff("01")
+        with pytest.raises(AlphabetError, match="outside alphabet x0..x1"):
+            c.coeff((2,))
+        assert c.coeff((1, 1, 1)) == 0  # past max_degree, in the alphabet
+
     def test_terms_is_a_read_only_view_of_the_items(self):
         c = Series(2, 3, {(2, 0, 1): Fraction(7, 3), (0, 2): 3, (1,): Fraction(-1, 2), (): 2})
         terms = c.terms
@@ -274,6 +283,11 @@ class TestSeriesContainer:
         assert a.eq_to_degree(b, 2)
         assert not a.eq_to_degree(b, 3)
 
+    def test_eq_to_degree_compares_alphabets(self):
+        a, b = Series(1, 2, {(1,): 1}), Series(2, 2, {(1,): 1})
+        assert a != b
+        assert not a.eq_to_degree(b, 2)
+
     def test_series_times_series_raises(self):
         c = Series(1, 2, {(1,): 1})
         with pytest.raises(TypeError):
@@ -282,7 +296,7 @@ class TestSeriesContainer:
 
 class TestRepr:
     def test_zero_series(self):
-        assert repr(Series.zero(2, 3)) == "Series(m=2, N=3: 0)"
+        assert repr(Series(2, 3)) == "Series(m=2, N=3: 0)"
 
     def test_terms_in_graded_order_with_canonical_coefficients(self):
         s = Series(2, 3, {(2, 0, 1): Fraction(7, 3), (0, 2): 3, (1,): Fraction(-1, 2), (): 2})
@@ -312,7 +326,7 @@ class TestAlgebraLaws:
     @given(series_st())
     @settings(max_examples=30, deadline=None)
     def test_one_is_shuffle_identity(self, a):
-        one = Series.one(a.m, a.max_degree)
+        one = Series(a.m, a.max_degree, {(): 1})
         assert shuffle_product(a, one) == a
 
     @given(series_st(m=1, degree=2), series_st(m=1, degree=2), series_st(m=1, degree=2))
@@ -336,13 +350,13 @@ class TestAlgebraLaws:
 
 class TestMaximalSeries:
     def test_coefficients(self):
-        c = maximal_series(2, 3, 1, 3)
+        c = MaximalSeriesSpec(2, 3).expand(1, 3)
         assert c.coeff(()) == 2
         assert c.coeff((0, 1)) == 2 * 9 * 2
         assert c.coeff((1, 1, 0)) == 2 * 27 * 6
 
     def test_check_growth_tight(self):
-        c = maximal_series(1, 2, 2, 4)
+        c = MaximalSeriesSpec(1, 2).expand(2, 4)
         report = check_growth(c, 1, 2)
         assert report.passed
         assert max(r.max_ratio for r in report.ratios) == 1

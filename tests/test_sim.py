@@ -565,12 +565,12 @@ class TestMaximalOde:
         assert traj.escape_time is not None
         assert abs(traj.escape_time - t_blow) < 1e-3
         assert traj.per_node_escape[1] == pytest.approx(traj.escape_time, abs=1e-6)
-        assert traj.metadata["halted_at_singularity"] or traj.metadata["status"] == 1
+        assert traj.metadata["status"] in (-1, 1)
 
     def test_threshold_stop_reports_the_crossing_node(self):
         traj = simulate_maximal_ode(single_maximal(), Grid(0.0, 0.4, 100), threshold=10)
         assert traj.metadata["status"] == 1
-        assert traj.escape_time == traj.metadata["stop_time"]
+        assert 0 < traj.escape_time < traj.times[-1]
         assert traj.per_node_escape[1] == traj.escape_time
 
     def test_cascade_reports_only_the_node_that_crossed(self):
@@ -609,14 +609,22 @@ class TestMaximalOde:
         net = NetworkSpec(1, [[0]], [MaximalSeriesSpec(K, M)])
         traj = simulate_maximal_ode(net, Grid(t0, 0.3, 30))
         assert traj.metadata["status"] == -1
-        assert traj.escape_time == traj.metadata["stop_time"] == t0
+        assert traj.escape_time == t0
         assert traj.outputs[1][0] == float(K)
         assert np.all(np.isnan(traj.outputs[1][1:]))
+
+    def test_metadata_keys(self):
+        """The ODE route reports its integrator and status, Picard its sweeps;
+        neither restates what the status and the escape time say."""
+        ode = simulate_maximal_ode(single_maximal(), Grid(0.0, 0.4, 100))
+        assert ode.metadata.keys() == {"integrator", "rtol", "atol", "threshold", "status"}
+        picard = simulate_picard(NetworkSpec(1, [[0]], [X1]), Grid(0.0, 0.4, 10))
+        assert picard.metadata.keys() == {"iterations", "deltas", "tol"}
 
     def test_nan_past_stop_time(self):
         traj = simulate_maximal_ode(single_maximal(), Grid(0.0, 0.4, 100))
         times = traj.times
-        stopped = times > traj.metadata["stop_time"]
+        stopped = times > traj.escape_time
         assert stopped.any()
         assert np.all(np.isnan(traj.outputs[1][stopped]))
         assert np.all(np.isfinite(traj.outputs[1][~stopped]))

@@ -20,7 +20,6 @@ from fliessnet import (
     as_coeff,
     compose_at,
     linear_combine,
-    maximal_series,
     network_from_json,
     parse_word,
     simulate_maximal_ode,
@@ -107,5 +106,5 @@ def test_malformed_input_raises_its_structured_error(call, error, message):
 def test_node_series_of_a_maximal_node_is_its_expansion():
     net = NetworkSpec(1, [[0]], [MaximalSeriesSpec(2, 3)])
     d = net.node_series(1, 4)
-    assert d == maximal_series(2, 3, 1, 4)
+    assert d == MaximalSeriesSpec(2, 3).expand(1, 4)
     assert d.exact_to == 4
