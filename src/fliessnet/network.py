@@ -42,8 +42,9 @@ NodeSource = Union[Series, MaximalSeriesSpec]
 class NetworkSpec:
     """m nodes, an m-by-m weight matrix, and one series source per node.
 
-    Weights are exact rationals; negative weights are rejected and weights
-    above 1 draw a warning (the convergence bounds assume [0, 1]).
+    Weights are exact rationals of either sign. A weight above 1 in magnitude
+    warns: the growth bounds assume |W| <= 1, and hold for a signed net through
+    its majorant (the same nodes with |coefficients|, and |W|).
     """
 
     m: int
@@ -57,15 +58,9 @@ class NetworkSpec:
         if len(self.nodes) != self.m:
             raise DomainError(f"expected {self.m} node series, got {len(self.nodes)}")
         self.W = [[as_coeff(w) for w in row] for row in self.W]
-        for row in self.W:
-            for w in row:
-                if w < 0:
-                    raise DomainError("negative interconnection weights are not supported")
-                if w > 1:
-                    warnings.warn(
-                        "interconnection weight above 1; growth bounds assume [0, 1]",
-                        stacklevel=2,
-                    )
+        if any(not -1 <= w <= 1 for row in self.W for w in row):
+            warnings.warn("interconnection weight above 1 in magnitude; "
+                          "growth bounds assume |W| <= 1", stacklevel=2)
         for node in self.nodes:
             if isinstance(node, Series):
                 if node.m != 1:

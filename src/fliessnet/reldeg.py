@@ -62,14 +62,14 @@ def relative_degree(c: Series) -> RelDegReport:
     candidate r = rho + 1; it is certified iff the coefficient of
     x0^rho x1 is nonzero, and refuted (undefined) otherwise. A series whose
     exact part shows no non-natural word at all is undetermined unless it is
-    identically zero, which has no relative degree.
+    zero and exact through its degree, which has no relative degree.
     """
     if c.m != 1:
         raise AlphabetError("relative degree is defined for single-input series")
     n = c.exact_to
     forced = [w for w in c.support() if len(w) <= n and any(w)]
     if not forced:
-        if c.is_zero():
+        if c.is_zero() and n == c.max_degree:
             return RelDegReport(STATUS_UNDEFINED, None, None, n)
         return RelDegReport(STATUS_UNDETERMINED, None, None, n)
     rho = min(leading_zeros(w) for w in forced)
@@ -208,6 +208,8 @@ def predict_io_reldeg(net: NetworkSpec, i: int, j: int) -> PredictionReport:
                           subgraph by _subgraph_leads, with no closed loop);
       violated_unknown    a tie cancels, or no forward path exists; r_pred is
                           the shortest-path value when a path exists, else None.
+    Each holds for weights of either sign: fully_connected and distinct rest on one
+    tight path, whose lead is a product of nonzero factors, and tied sums are computed.
     """
     net.check_node(i)
     net.check_node(j)

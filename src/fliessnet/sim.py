@@ -427,7 +427,6 @@ def simulate_picard(
     u = v_arr.copy()
     y = np.zeros_like(u)
     deltas: list[float] = []
-    converged = False
     for sweep in range(1, max_iter + 1):
         try:
             for k in range(m):
@@ -447,9 +446,8 @@ def simulate_picard(
         deltas.append(delta)
         u = u_next
         if delta <= tol:
-            converged = True
             break
-    if not converged:
+    else:
         raise NoConvergence(
             f"Picard iteration still moving by {deltas[-1]:.3e} after {max_iter} sweeps"
         )

@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import json
+import math
 import random
 import time
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fliessnet.network as network
 from fliessnet import (
     DomainError,
+    Grid,
     MaximalSeriesSpec,
     NetworkSpec,
     NodeIndexError,
@@ -21,6 +27,7 @@ from fliessnet import (
     abel_taylor,
     check_growth,
     closed_loop_series,
+    complete_reldeg,
     io_map,
     m_inf_bound,
     natural_response,
@@ -31,18 +38,24 @@ from fliessnet import (
     relative_degree,
     series_from_json,
     series_to_json,
+    simulate_maximal_ode,
+    simulate_picard,
     subgraph_extract,
 )
+from fliessnet.cli import run
 from conftest import (
     all_ones_maximal,
     assert_fixed_point,
     double_diamond_net,
     four_node_net,
     mixed_net,
+    sparse_poly_net,
 )
 from scc_oracle import tarjan_components
 from subgraph_loop_oracle import restrict_to_subgraph
 from subgraph_path_oracle import recursive_subgraph_extract
+from test_graded_core import assert_same, flat_closed_loop
+from test_sim import seeded_escape_case
 
 
 def integrator_chain(weights):
@@ -56,10 +69,20 @@ def integrator_chain(weights):
 
 
 class TestSpecValidation:
-    def test_rejects_negative_weight(self):
+    def test_accepts_signed_weights(self):
+        """A signed net is accepted and round-trips through JSON, and -3/2
+        draws the warning that 3/2 draws."""
         x1 = Series(1, 1, {(1,): 1})
-        with pytest.raises(DomainError):
-            NetworkSpec(2, [[0, 0], [-1, 0]], [x1, x1])
+        W = [[Fraction(-1, 2), 0], [-1, Fraction(2, 7)]]
+        net = NetworkSpec(2, W, [x1, MaximalSeriesSpec(Fraction(3, 2), 2)])
+        back = network_from_json(network_to_json(net))
+        assert (back.W, back.nodes) == (W, net.nodes)
+        messages = []
+        for w in (Fraction(3, 2), Fraction(-3, 2)):
+            with pytest.warns(UserWarning, match="weight above 1") as caught:
+                NetworkSpec(2, [[0, 0], [w, 0]], [x1, x1])
+            messages.append([str(c.message) for c in caught])
+        assert messages[0] == messages[1] and len(messages[0]) == 1
 
     def test_warns_on_weight_above_one(self):
         x1 = Series(1, 1, {(1,): 1})
@@ -412,3 +435,134 @@ class TestJson:
         assert network_from_json(doc).nodes[0] == Series(1, 2, {(0, 1): 1})
         with pytest.raises(ParseError):
             network_from_json({**doc, **change})
+
+
+# -- signed weights ------------------------------------------------------------------------
+
+
+def signed_maximal_net(seed: int) -> NetworkSpec:
+    """2-4 maximal nodes with weights +-k/11, so that feedback can cancel."""
+    r = random.Random(seed)
+    m = r.randint(2, 4)
+    specs = [MaximalSeriesSpec(Fraction(r.randint(1, 9), 5), Fraction(r.randint(1, 9), 7))
+             for _ in range(m)]
+    W = [[Fraction(r.randint(-10, 10), 11) for _ in range(m)] for _ in range(m)]
+    return NetworkSpec(m, W, specs)
+
+
+def signed_poly_net(seed: int) -> NetworkSpec:
+    """sparse_poly_net(seed, 5) with the sign of each weight drawn at random."""
+    net = sparse_poly_net(seed, 5)
+    r = random.Random(f"{seed} signs")
+    return NetworkSpec(5, [[w * r.choice((-1, 1)) for w in row] for row in net.W], net.nodes)
+
+
+def majorant(net: NetworkSpec) -> NetworkSpec:
+    """The same nodes with every coefficient replaced by its magnitude, and |W|."""
+    nodes = [src if isinstance(src, MaximalSeriesSpec) else
+             Series(1, src.max_degree, {w: abs(c) for w, c in src.items()}, exact_to=src.exact_to)
+             for src in net.nodes]
+    return NetworkSpec(net.m, [[abs(w) for w in row] for row in net.W], nodes)
+
+
+SIGNED_NETS = [(signed_maximal_net, 6), (signed_poly_net, 6)]
+
+
+class TestSignedWeights:
+    """Weights of either sign run through the exact loop, the majorant bound
+    (each coefficient of a closed loop is a sum of products of node
+    coefficients and weights with nonnegative integer multiplicities), the
+    structural prediction and the ODE route unchanged."""
+
+    @pytest.mark.parametrize("make,degree", SIGNED_NETS, ids=["maximal", "poly"])
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=12, deadline=None)
+    def test_closed_loop_is_the_flat_oracle_under_the_majorant(self, make, degree, seed):
+        net = make(seed)
+        i = seed % net.m + 1
+        got = closed_loop_series(net, i, degree)
+        want = flat_closed_loop(net, i, degree)
+        bound = closed_loop_series(majorant(net), i, degree)
+        assert sorted(got) == sorted(want)
+        for k in want:
+            assert_same(got[k], want[k])
+            assert all(abs(c) <= bound[k].coeff(w) for w, c in got[k].items()), k
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=20, deadline=None)
+    def test_dominated_signed_nets_stay_under_the_all_ones_envelope(self, seed):
+        """Criterion 8(iv)'s domination with weights of either sign: nodes
+        dominated by the (1, 1) maximal series and |W| <= 1."""
+        r = random.Random(seed)
+        degree = 5
+        envelope = closed_loop_series(all_ones_maximal(3), 1, degree)
+
+        def unit() -> Fraction:
+            q = r.randint(2, 12)
+            return Fraction(r.randint(1, q), q)
+
+        nodes = []
+        for _ in range(3):
+            if r.random() < 0.5:
+                nodes.append(MaximalSeriesSpec(unit(), unit()))
+            else:
+                base = MaximalSeriesSpec(1, 1).expand(1, degree)
+                nodes.append(Series(1, degree, {w: c * r.choice((-1, 1)) * unit()
+                                                for w, c in base.items() if r.random() < 0.8}))
+        W = [[unit() * r.choice((-1, 1)) if r.random() < 0.7 else 0 for _ in range(3)]
+             for _ in range(3)]
+        net = NetworkSpec(3, W, nodes)
+        i, j = r.randint(1, 3), r.randint(1, 3)
+        dbar = envelope[1] if i == j else envelope[2]
+        for w, c in closed_loop_series(net, i, degree)[j].items():
+            assert abs(c) <= dbar.coeff(w), (i, j, w)
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=10, deadline=None)
+    def test_no_defined_measurement_contradicts_its_prediction(self, seed):
+        net = signed_poly_net(seed)
+        for pair, report in complete_reldeg(net, 5).items():
+            if report.measured.status == "defined":
+                assert report.consistent is not False, pair
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_step_response_is_the_ode(self, seed):
+        """v_1 = 1 drives y_k = sum_n (sum of d_k1's grade-n coefficients)
+        t^n / n!, since every word of length n integrates 1 to t^n / n!. The
+        ODE's rtol of 1e-9 sets the floor of the difference at degree 10."""
+        net = seeded_escape_case(seed, signed=True)[0]
+        grid = Grid(0.0, 0.05 / max(float(s.M) for s in net.nodes), 20)
+        ode = simulate_maximal_ode(net, grid, {1: np.ones(grid.n + 1)})
+        for k, d in closed_loop_series(net, 1, 10).items():
+            sums = [0] * 11
+            for w, c in d.items():
+                sums[len(w)] += c
+            step = sum(float(g) * grid.times**n / math.factorial(n) for n, g in enumerate(sums))
+            assert np.all(np.abs(step - ode.outputs[k]) <= 1e-6 * np.abs(ode.outputs[k])), k
+
+    @pytest.mark.parametrize("make", [
+        lambda: four_node_net(Fraction(-2, 3), Fraction(1, 5), Fraction(3, 7), Fraction(-4, 9)),
+        lambda: signed_maximal_net(5),
+    ], ids=["poly", "maximal"])
+    def test_cli_on_a_signed_net_file_is_the_library(self, make, tmp_path, capsys):
+        net = make()
+        path, out = tmp_path / "signed.json", tmp_path / "y.csv"
+        path.write_text(json.dumps(network_to_json(net)))
+        pair = ["--net", str(path), "--from", "1", "--to", str(net.m), "--degree", "5"]
+        assert run(["iomap", *pair]) == 0
+        d = io_map(net, 1, net.m, 5)
+        assert json.loads(capsys.readouterr().out)["result"] == series_to_json(d)
+        assert run(["reldeg", *pair]) == 0
+        res = json.loads(capsys.readouterr().out)["result"]
+        report = pair_report(net, 1, net.m, relative_degree(d))
+        assert (res["measured_status"], res["measured"], res["consistent"]) == (
+            report.measured.status, report.measured.r, report.consistent)
+        assert run(["simulate", "--net", str(path), "--T", "0.2", "--n", "10",
+                    "--out", str(out)]) == 0
+        grid = Grid(0.0, 0.2, 10)
+        traj = (simulate_maximal_ode(net, grid) if net.all_maximal()
+                else simulate_picard(net, grid))
+        rows = [line.split(",") for line in out.read_text().splitlines()[5:]]
+        assert rows == [[repr(float(t))] + [repr(float(traj.outputs[k][idx]))
+                                             for k in range(1, net.m + 1)]
+                        for idx, t in enumerate(traj.times)]

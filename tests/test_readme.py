@@ -14,10 +14,12 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 def test_readme_blocks_run_and_match_their_comments():
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
-    assert len(blocks) == 5
+    assert len(blocks) == 6
     namespace: dict = {}
     for index, block in enumerate(blocks, 1):
         exec(compile(block, f"README.md python block {index}", "exec"), namespace)
+    osc_rep = namespace["osc_rep"]
+    assert (osc_rep.status, osc_rep.r, osc_rep.leading) == ("defined", 2, 1)
     rep = namespace["rep"]
     assert (rep.status, rep.r, rep.leading) == ("defined", 3, Fraction(62, 315))
     assert namespace["pred"].r_pred == 3

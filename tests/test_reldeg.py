@@ -74,6 +74,13 @@ class TestMeasure:
         rep = relative_degree(Series(1, 5))
         assert rep.status == "undefined"
 
+    def test_inexact_empty_series_undetermined(self):
+        """Past degree 2 both series are uncertain, so neither is known to be
+        zero; the empty one once read as undefined."""
+        for terms in ({}, {(0, 1, 0, 1): 3}):
+            rep = relative_degree(Series(1, 5, terms, exact_to=2))
+            assert (rep.status, rep.truncation) == ("undetermined_at_truncation", 2)
+
     def test_natural_only_support_undetermined(self):
         c = Series(1, 4, {(0,): 1, (0, 0, 0): Fraction(1, 2)})
         assert relative_degree(c).status == "undetermined_at_truncation"

@@ -313,9 +313,7 @@ def seeded_escape_case(seed: int, signed: bool = False):
     over 5, M over 7, weights over 11), with a horizon from well inside to
     well past the escape, a grid, a threshold and, for odd seeds, a forcing
     input at every node. signed draws up to 6 nodes instead of 4, and weights
-    of either sign in (-1, 1), so that W @ z can cancel; NetworkSpec refuses
-    negative weights, so those are set after it has read their magnitudes,
-    for the ODE route, which takes any real W."""
+    of either sign in (-1, 1), so that W @ z can cancel."""
     rng = random.Random(seed)
     m = rng.randint(1, 6 if signed else 4)
     top = rng.choice((1, 2, 3))
@@ -334,10 +332,7 @@ def seeded_escape_case(seed: int, signed: bool = False):
         t = grid.times
         v = {k: rng.uniform(-1.5, 1.0) * np.sin(rng.uniform(0.0, 6.0) * t) + rng.uniform(-1.0, 0.5)
              for k in range(1, m + 1)}
-    net = NetworkSpec(m, [[abs(w) for w in row] for row in W], specs)
-    if signed:
-        net.W = W
-    return net, grid, v, threshold
+    return NetworkSpec(m, W, specs), grid, v, threshold
 
 
 def brent_outcome(solve, f, a, b):
