@@ -66,16 +66,19 @@ class ComposeLayers:
     must pass the same ones, with a d that agrees with the earlier ones
     through their n_out - 1. out holds the output grades settled through
     degree. held counts every term held and keeps the memo of its shuffles,
-    a private one unless the caller passes one to share.
+    a private one unless the caller passes one to share. skeleton is
+    _skeleton(c) for a polynomial c: a caller that composes one c many times
+    builds it once and passes it, else the first call builds it.
     """
 
-    __slots__ = ("degree", "state", "out", "held")
+    __slots__ = ("degree", "state", "out", "held", "skeleton")
 
-    def __init__(self, held: Optional[_Held] = None):
+    def __init__(self, held: Optional[_Held] = None, skeleton=None):
         self.degree = -1
         self.state = None
         self.out: Grades = {}
         self.held = _Held() if held is None else held
+        self.skeleton = skeleton
 
     def store(self, grades: Grades, n: int, grade: Optional[Grade]) -> None:
         """Store grade as degree n of grades (out or a state map) unless None."""
@@ -130,6 +133,16 @@ def _layer(
     return _combine(parts) if parts else None
 
 
+def _skeleton(c: Series):
+    """What every composition with left operand c reads off c: each suffix of
+    its words once, as (suffix, first letter, tail) in ascending length, and
+    its words as (numerator, denominator, word)."""
+    suffixes = {word[start:] for _, grade in c._grades.values()
+                for word in grade for start in range(len(word))}
+    return ([(suffix, suffix[0], suffix[1:]) for suffix in sorted(suffixes, key=len)],
+            [(num, den, word) for den, grade in c._grades.values() for word, num in grade.items()])
+
+
 def compose_at(
     c: Series, d: Series, n_out: int, mixed: bool = False, layers: Optional[ComposeLayers] = None
 ) -> Series:
@@ -137,32 +150,31 @@ def compose_at(
 
     Valid whenever d is exact through n_out - 1; the network sweep relies on
     this to grow one degree per iteration instead of paying full depth every
-    time. layers keeps the images of the suffixes of every word of c, all
-    registered on the first call whatever its n_out, so it serves one c.
+    time. layers keeps c's skeleton, which it builds unless it was given
+    one, and the image of every suffix in it, all registered on the first
+    call whatever its n_out, so it serves one c.
     """
     _require_siso(c, d)
     _check_int(n_out, "n_out", 0)
     if layers is None:
         layers = ComposeLayers()
+    if layers.skeleton is None:
+        layers.skeleton = _skeleton(c)
+    suffixes, terms = layers.skeleton
     if layers.state is None:
-        # The image of every suffix of every word of c, after that of its tail.
-        layers.state = {(): {0: _ONE}}
-        for _, grade in c._grades.values():
-            for word in grade:
-                for start in range(len(word) - 1, -1, -1):
-                    layers.state.setdefault(word[start:], {})
-    images, memo = layers.state, layers.held.memo
+        # The image of every suffix of every word of c; the empty word's is 1.
+        layers.state = {suffix: {} for suffix, _, _ in suffixes}
+        layers.state[()] = {0: _ONE}
+    images, memo, grades = layers.state, layers.held.memo, d._grades
     for n in range(layers.degree + 1, n_out + 1):
-        for suffix, graded in images.items():
-            if 0 < len(suffix) <= n:
-                tail = images[suffix[1:]]
-                layers.store(graded, n, _layer(suffix[0], tail, d._grades, n, mixed, memo))
-        parts = [
-            (num, den, layer)
-            for den, grade in c._grades.values()
-            for word, num in grade.items()
-            if (layer := images[word].get(n)) is not None
-        ]
+        # The image of a suffix has no grade below its length, and each layer
+        # reads only grades below n of its tail's image.
+        for suffix, letter, tail in suffixes:
+            if len(suffix) > n:
+                break
+            layers.store(images[suffix], n, _layer(letter, images[tail], grades, n, mixed, memo))
+        parts = [(num, den, layer) for num, den, word in terms
+                 if (layer := images[word].get(n)) is not None]
         layers.store(layers.out, n, _combine(parts) if parts else None)
         layers.settle(n)
     return layers.result(n_out, min(c.exact_to, d.exact_to + 1, n_out))

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional, Union
 
 from . import words
-from .compose import ComposeLayers, _Held, compose_at, compose_maximal
+from .compose import ComposeLayers, _Held, _skeleton, compose_at, compose_maximal
 from .errors import (
     DomainError,
     NodeIndexError,
@@ -165,7 +164,7 @@ def _closed_loops(net: NetworkSpec, degree: int, inputs, plan=None):
     components it reaches, its cap counting the shared part's terms and its
     own, and empties the memo.
     """
-    order, sources, ancestors, cyclic = _plan(net, degree) if plan is None else plan
+    order, sources, skeletons, ancestors, cyclic = _plan(net, degree) if plan is None else plan
     nodes = range(1, net.m + 1)
     edges = {k: tuple((w.numerator, w.denominator, l) for l, w in zip(nodes, row) if w)
              for k, row in zip(nodes, net.W)}
@@ -179,10 +178,7 @@ def _closed_loops(net: NetworkSpec, degree: int, inputs, plan=None):
         # starts as a zero exact to any degree, which a node with no in-edges keeps.
         feedback: dict[tuple, Series] = {}
         for comp in comps:
-            routes = {k: partial(compose_maximal if isinstance(sources[k], MaximalSeriesSpec)
-                                 else compose_at, sources[k], mixed=k == i,
-                                 layers=ComposeLayers(held))
-                      for k in comp}
+            layers = {k: ComposeLayers(held, skeletons.get(k)) for k in comp}
             looped = cyclic >> comp[0] & 1
             fresh = [e for e in dict.fromkeys(edges[k] for k in comp) if e not in feedback]
             feedback.update(dict.fromkeys(fresh, Series._graded(1, degree, {}, degree)))
@@ -192,7 +188,8 @@ def _closed_loops(net: NetworkSpec, degree: int, inputs, plan=None):
                         feedback[e] = _feedback(feedback[e]._grades, e, d,
                                                 n - 1 if looped else 0, n)
                 for k in comp:
-                    d[k] = routes[k](feedback[edges[k]], n)
+                    route = compose_at if k in skeletons else compose_maximal
+                    d[k] = route(sources[k], feedback[edges[k]], n, k == i, layers[k])
 
     natural: dict[int, Series] = {}
     try:
@@ -228,8 +225,10 @@ def _plan(net: NetworkSpec, degree: int):
     the weights, so one plan serves many draws of the weights: the strongly
     connected components of the weight graph, sources first (every edge
     runs within a component or into a later one), each node's left operand
-    (its series expanded to degree, or its maximal spec), the ancestor masks
-    of _ancestors and the mask of the nodes on a cycle.
+    (its series expanded to degree, or its maximal spec), the skeleton of
+    each polynomial one (compose._skeleton), which also marks the nodes that
+    compose_at serves, the ancestor masks of _ancestors and the mask of the
+    nodes on a cycle.
 
     Two nodes share a component exactly when their ancestor masks are equal,
     and an edge into another component makes the target's mask a strict
@@ -240,13 +239,14 @@ def _plan(net: NetworkSpec, degree: int):
     nodes = range(1, net.m + 1)
     sources = {k: src if isinstance(src, MaximalSeriesSpec) else net.node_series(k, degree)
                for k, src in zip(nodes, net.nodes)}
+    skeletons = {k: _skeleton(c) for k, c in sources.items() if isinstance(c, Series)}
     ancestors = _ancestors(net.W)
     comps: dict[int, tuple[int, ...]] = {}
     for k in nodes:
         comps[ancestors[k]] = comps.get(ancestors[k], ()) + (k,)
     order = sorted(comps.values(), key=lambda comp: (ancestors[comp[0]].bit_count(), comp[0]))
     cyclic = sum(1 << k for comp in order for k in comp if len(comp) > 1 or net.W[k - 1][k - 1])
-    return order, sources, ancestors, cyclic
+    return order, sources, skeletons, ancestors, cyclic
 
 
 def _feedback(grades, edges, d: dict, lo: int, n: int) -> Series:
@@ -255,8 +255,8 @@ def _feedback(grades, edges, d: dict, lo: int, n: int) -> Series:
     that grade of the sources, which d holds settled through n - 1."""
     grades = dict(grades)
     for g in range(lo, n):
-        grade = _combine([(p, q, d[l]._grades[g]) for p, q, l in edges if g in d[l]._grades])
-        if grade is not None:
+        parts = [(p, q, d[l]._grades[g]) for p, q, l in edges if g in d[l]._grades]
+        if parts and (grade := _combine(parts)) is not None:
             grades[g] = grade
     return Series._graded(1, n - 1, grades, min(d[l].exact_to for _, _, l in edges))
 

@@ -25,7 +25,7 @@ from .network import (
     subgraph_extract,
 )
 from .series import Coeff, MaximalSeriesSpec, Series, _check_int, _float, as_coeff
-from .words import Word, check_word, leading_zeros
+from .words import Word, check_word
 
 STATUS_DEFINED = "defined"
 STATUS_UNDEFINED = "undefined"
@@ -67,12 +67,14 @@ def relative_degree(c: Series) -> RelDegReport:
     if c.m != 1:
         raise AlphabetError("relative degree is defined for single-input series")
     n = c.exact_to
-    forced = [w for w in c.support() if len(w) <= n and any(w)]
-    if not forced:
+    # Each input word's x1 ends its leading drift letters. A longer word may
+    # have fewer of them, so every grade through n is read.
+    rho = min((word.index(1) for length, (_, nums) in c._grades.items() if length <= n
+               for word in nums if 1 in word), default=None)
+    if rho is None:
         if c.is_zero() and n == c.max_degree:
             return RelDegReport(STATUS_UNDEFINED, None, None, n)
         return RelDegReport(STATUS_UNDETERMINED, None, None, n)
-    rho = min(leading_zeros(w) for w in forced)
     lead = c.coeff((0,) * rho + (1,))
     if lead != 0:
         return RelDegReport(STATUS_DEFINED, rho + 1, lead, n)
@@ -322,7 +324,7 @@ def complete_reldeg(net: NetworkSpec, degree: int) -> dict[tuple[int, int], Pair
     short = {j: _short_of_sink(net, j) for j in nodes}
     return {
         (i, j): _pair_report(i, j, measured, lambda: _predict(
-            net, i, j, reports, short[j], lambda: _subgraph(net, i, j, plan[2])))
+            net, i, j, reports, short[j], lambda: _subgraph(net, i, j, plan[3])))
         for i, _, row in _measure_pairs(net, degree, plan)
         for j, measured in row.items()
     }

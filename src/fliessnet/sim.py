@@ -423,7 +423,7 @@ def simulate_picard(
     v_arr = _input_table(net, grid, v)
     W = _weight_matrix(net)
     node_series = [net.node(k) for k in range(1, m + 1)]
-    _, _, anc, cyclic = _plan(net, 0)
+    _, _, _, anc, cyclic = _plan(net, 0)
     u = v_arr.copy()
     y = np.zeros_like(u)
     deltas: list[float] = []

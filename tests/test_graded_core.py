@@ -299,17 +299,23 @@ class TestProducts:
     def test_layers_settle_one_degree_per_call(self, rng):
         """Raising n_out by one on kept layers equals a fresh full composition,
         as in a network sweep: the same c at every call, and d exact through
-        n_out - 1 at each call."""
+        n_out - 1 at each call. Layers that take the skeleton of a closed
+        loop's plan, as the loop builds them, equal a fresh compose_at."""
         spec = MaximalSeriesSpec(Fraction(3, 2), Fraction(2, 3))
         for _ in range(10):
             c = make_random_series(rng, degree=5, max_terms=5)
             d = make_random_series(rng, degree=6, max_terms=6)
             mixed = rng.random() < 0.5
+            _, sources, skeletons, _, _ = network._plan(NetworkSpec(1, [[0]], [c]), 6)
+            node = sources[1]
             poly, maximal = ComposeLayers(), ComposeLayers()
+            planned = ComposeLayers(skeleton=skeletons[1])
             for n_out in range(7):
                 d_now = d.truncate(max(n_out - 1, 0))
                 assert_same(compose_at(c, d_now, n_out, mixed, poly),
                             flat_compose_at(c, d_now, n_out, mixed))
+                assert_same(compose_at(node, d_now, n_out, mixed, planned),
+                            compose_at(node, d_now, n_out, mixed))
                 assert_same(compose_maximal(spec, d_now, n_out, mixed, maximal),
                             flat_compose_maximal(spec, d_now, n_out, mixed))
 
@@ -817,30 +823,38 @@ def counting(monkeypatch, module, name: str, calls: list, record=lambda *args: a
 
 @pytest.mark.parametrize("samples", [1, 50])
 def test_genericity_sample_plans_once_and_draws_every_sample(monkeypatch, samples):
-    """The weight-independent plan of the closed loops is built once per
-    call, and every sample is still drawn through sample_network."""
-    plans, drawn = [], []
+    """The weight-independent plan of the closed loops, with the skeleton of
+    each polynomial node, is built once per call, not per sample or input,
+    and every sample is still drawn through sample_network."""
+    plans, skeletons, drawn = [], [], []
     counting(monkeypatch, network, "_plan", plans)
     counting(monkeypatch, reldeg_module, "_plan", plans)
+    for module in (network, compose_module):
+        counting(monkeypatch, module, "_skeleton", skeletons)
     counting(monkeypatch, reldeg_module, "sample_network", drawn, lambda *args: args[3])
     genericity_sample(CRITERION7_PATTERN, CRITERION7_NODES, samples, seed=5, degree=3,
                       designated=(1, 4, (0, 0, 1)))
     assert len(plans) == 1
+    assert len(skeletons) == len(CRITERION7_NODES)
     assert drawn == list(range(samples))
 
 
 @pytest.mark.parametrize("name,make,degree", ORACLE_NETS, ids=[c[0] for c in ORACLE_NETS])
 def test_complete_reldeg_reads_its_structure_once(monkeypatch, name, make, degree):
     """One structural pass per net: each node's degree report at most once,
-    and one ancestor closure of the weight matrix."""
+    one ancestor closure of the weight matrix, and one skeleton per
+    polynomial node."""
     net = make()
-    reports, closures = [], []
+    reports, closures, skeletons = [], [], []
     counting(monkeypatch, reldeg_module, "node_degree_report", reports, lambda net, k: k)
     for module in (network, reldeg_module):
         counting(monkeypatch, module, "_ancestors", closures, lambda W: W is net.W)
+    for module in (network, compose_module):
+        counting(monkeypatch, module, "_skeleton", skeletons)
     complete_reldeg(net, degree)
     assert len(reports) == len(set(reports)) <= net.m
     assert closures.count(True) == 1
+    assert len(skeletons) == sum(isinstance(node, Series) for node in net.nodes)
 
 
 @pytest.mark.parametrize("m", [8, 12, 16])

@@ -70,6 +70,17 @@ class TestMeasure:
         assert rep.status == "undefined"
         assert rep.r is None
 
+    @pytest.mark.parametrize("terms,want", [
+        ({(0, 0, 1): 1, (1, 0, 0, 0): 2}, ("undefined", None, None)),
+        ({(0, 0, 1): 1, (1, 0, 0, 0): 2, (1,): 5}, ("defined", 1, 5)),
+        ({(0, 1): 3, (1, 1, 0): 1}, ("undefined", None, None)),
+    ])
+    def test_minimum_runs_over_every_input_word(self, terms, want):
+        """rho is the fewest leading x0 over every exact input word, which a
+        longer word may hold: x1 x0^3 sets rho = 0 past x0 x0 x1."""
+        rep = relative_degree(Series(1, 4, terms))
+        assert (rep.status, rep.r, rep.leading) == want
+
     def test_zero_series_undefined(self):
         rep = relative_degree(Series(1, 5))
         assert rep.status == "undefined"

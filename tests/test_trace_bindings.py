@@ -24,7 +24,7 @@ import pytest
 import fliessnet
 import fliessnet.cli as cli
 import fliessnet.words as words
-from conftest import all_ones_maximal, four_node_net
+from conftest import all_ones_maximal, criterion7_sample, four_node_net
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 RUN = SPANS.with_name("run.py")
@@ -91,6 +91,18 @@ def test_every_layer_metric_of_a_traced_dense_loop_is_present():
     metrics = traced_metrics(lambda: fliessnet.closed_loop_series(all_ones_maximal(1), 1, 12))
     assert metrics["network.closed_loop_calls"][0] == 1
     assert metrics["words.shuffle_out_terms"][0] < metrics["series.shuffle_out_terms"][0]
+
+
+@pytest.mark.parametrize("samples", [1, 7])
+def test_traced_monte_carlo_composes_through_the_network_binding(samples):
+    """Each criterion-7 sample composes 12 times through network.compose_at:
+    nodes 1-3 once with no input channel, then 4, 2, 2 and 1 nodes for the
+    inputs 1 to 4, each node on no cycle and so composed once."""
+    net = criterion7_sample(0)
+    pattern = [[int(w != 0) for w in row] for row in net.W]
+    metrics = traced_metrics(lambda: fliessnet.genericity_sample(
+        pattern, net.nodes, samples, seed=3, degree=3, designated=(1, 4, (0, 0, 1))))
+    assert metrics["compose.calls"][0] == 12 * samples
 
 
 def test_every_sim_metric_of_traced_simulations_is_present(tmp_path):
